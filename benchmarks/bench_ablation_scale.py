@@ -1,8 +1,9 @@
 """Ablation — shape invariance under fleet scaling.
 
-DESIGN.md's central substitution argument: shrinking the *number of
-functions* while keeping per-function rates production-real preserves
-every distributional shape the paper reports, because keep-alive
+The central substitution argument of :mod:`repro.workload.regions`:
+shrinking the *number of functions* while keeping per-function rates
+production-real preserves every distributional shape the paper reports,
+because keep-alive
 interactions depend on inter-arrival times, not fleet size. This bench
 generates the same region at two scales and asserts the shape-level
 quantities agree while the extensive quantities scale with the fleet.

@@ -16,7 +16,8 @@ from repro.core.study import TraceStudy
 from repro.mitigation.evaluator import build_workload
 
 #: Scale of the benchmark dataset. Function *rates* are production-real;
-#: only the fleet size shrinks (see DESIGN.md).
+#: only the fleet size shrinks (see the substitution argument in
+#: :mod:`repro.workload.regions`; ``bench_ablation_scale.py`` checks it).
 BENCH_SCALE = 0.35
 BENCH_DAYS = 31
 BENCH_SEED = 42

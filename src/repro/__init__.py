@@ -6,7 +6,8 @@ The package provides four layers:
 * :mod:`repro.workload` + :mod:`repro.trace` — a calibrated synthetic
   replacement for the proprietary production dataset (Table 1 schema);
 * :mod:`repro.cluster` + :mod:`repro.sim` — the serverless platform
-  substrate (pods, pools, keep-alive, staged search, latency models, DES);
+  substrate (keep-alive lifecycle reconstruction, cold-start latency
+  models, deterministic RNG streams);
 * :mod:`repro.core` + :mod:`repro.analysis` — the paper's measurement
   methodology, one entry point per figure via :class:`repro.core.TraceStudy`;
 * :mod:`repro.mitigation` — the §5 mitigation strategies, evaluated against

@@ -533,14 +533,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="function-group shards per replay (fixed per "
                                "run, so any --jobs merges identically; 1 "
                                "reproduces the unsharded evaluator exactly)")
-    mitigate.add_argument("--engine", choices=("auto", "vector", "event"),
-                          default="auto",
+    mitigate.add_argument("--engine", choices=("vector", "event"),
+                          default="vector",
                           help="replay engine: vector (structure-of-arrays "
                                "walks; coupled tick-phase policies replay "
-                               "tick-partitioned), event (sequential "
-                               "reference loop), or auto (vector; default). "
-                               "Bit-identical metrics either way — only "
-                               "wall-clock changes")
+                               "tick-partitioned; default) or event "
+                               "(sequential reference loop). Bit-identical "
+                               "metrics either way — only wall-clock changes")
     stream = mitigate.add_argument_group("streaming cross-region replay")
     stream.add_argument("--stream", action="store_true",
                         help="replay through the sharded cross-region "

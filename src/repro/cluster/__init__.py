@@ -1,29 +1,14 @@
-"""Platform substrate: pods, resource pools, clusters, regions, the
-scheduler/load-balancer/autoscaler stack, and the vectorised keep-alive
+"""Platform substrate: keep-alive policies and the vectorised keep-alive
 lifecycle reconstruction used by the trace generator."""
 
-from repro.cluster.pod import Pod, PodState
-from repro.cluster.pool import PoolStats, ResourcePool, SearchOutcome
-from repro.cluster.node import Node
-from repro.cluster.cluster import Cluster
-from repro.cluster.region import Region
-from repro.cluster.platform import Platform
-from repro.cluster.loadbalancer import LoadBalancer
-from repro.cluster.autoscaler import Autoscaler, KeepAlivePolicy, FixedKeepAlive
-from repro.cluster.lifecycle import PodLifecycle, reconstruct_function_pods
+from repro.cluster.lifecycle import (
+    FixedKeepAlive,
+    KeepAlivePolicy,
+    PodLifecycle,
+    reconstruct_function_pods,
+)
 
 __all__ = [
-    "Pod",
-    "PodState",
-    "ResourcePool",
-    "PoolStats",
-    "SearchOutcome",
-    "Node",
-    "Cluster",
-    "Region",
-    "Platform",
-    "LoadBalancer",
-    "Autoscaler",
     "KeepAlivePolicy",
     "FixedKeepAlive",
     "PodLifecycle",

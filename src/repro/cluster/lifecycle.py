@@ -21,13 +21,22 @@ Two regimes:
 
 Both regimes produce identical output structure, so downstream trace
 assembly does not care which path ran.
+
+The keep-alive window itself is pluggable for policy replays
+(:class:`KeepAlivePolicy`): the production default is one fixed minute
+(:class:`FixedKeepAlive`), and the paper (§5) proposes *dynamic*
+keep-alives for timer functions whose period exceeds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.workload.function import FunctionSpec
 
 #: Platform default keep-alive (paper §2.2: one minute, reset per request).
 DEFAULT_KEEPALIVE_S = 60.0
@@ -35,6 +44,33 @@ DEFAULT_KEEPALIVE_S = 60.0
 #: Safety bound on concurrently live pods per function in the autoscaled
 #: regime. Production concurrency per function is far below this.
 MAX_PODS_PER_FUNCTION = 512
+
+
+class KeepAlivePolicy:
+    """Decides how long an idle pod of a function stays warm."""
+
+    def keepalive_for(self, spec: FunctionSpec, now: float) -> float:
+        raise NotImplementedError
+
+    def describe(self) -> str:
+        return type(self).__name__
+
+
+@dataclass(frozen=True)
+class FixedKeepAlive(KeepAlivePolicy):
+    """Production default: the same keep-alive for every function."""
+
+    keepalive_s: float = DEFAULT_KEEPALIVE_S
+
+    def __post_init__(self) -> None:
+        if self.keepalive_s <= 0:
+            raise ValueError("keepalive_s must be positive")
+
+    def keepalive_for(self, spec: FunctionSpec, now: float) -> float:
+        return self.keepalive_s
+
+    def describe(self) -> str:
+        return f"fixed({self.keepalive_s:g}s)"
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """TraceStudy: one façade, one method per paper figure.
 
-Benches, examples, and EXPERIMENTS.md all go through this class so each
+Benches, examples, and the CLI all go through this class so each
 figure's reproduction has exactly one authoritative entry point.
 
 Two implementations share the figure API:

@@ -23,16 +23,10 @@ replay engines — the event loop and the vectorized tick-partitioned replay
 — drive the *same* policy object through the *same* column arrays and stay
 bit-identical (``tests/test_vector_engine.py``).
 
-:class:`PrewarmPolicy` and :class:`PeakShaver` remain the stable public
-base classes; their default :meth:`observe_batch`/:meth:`decide` bridge to
-the legacy per-arrival ``observe``/``plan`` and ``observe_load``/
-``delay_for`` callbacks, so third-party subclasses written against the
-pre-tick API run unchanged (the base class *is* the compatibility shim).
-A shimmed pre-warm policy is still vector-safe — its observations are
-arrival-driven, which both engines replay identically — while a shimmed
-peak shaver keeps per-arrival ``delay_for`` state whose call order couples
-functions inside a span (``span_coupled = True``), so ``engine="auto"``
-replays it on the event engine.
+:class:`PrewarmPolicy` and :class:`PeakShaver` are the typed bases of the
+two policy families; they fix which column groups each family reads
+(:attr:`TickPolicy.needs`) and leave :meth:`~TickPolicy.observe_batch`/
+:meth:`~TickPolicy.decide` to the subclass.
 """
 
 from __future__ import annotations
@@ -337,26 +331,6 @@ class ShaveDirective:
 
 
 @dataclass(frozen=True)
-class LegacyShaveDirective:
-    """Span directive bridging a pre-tick :class:`PeakShaver` subclass.
-
-    Calls the subclass's per-arrival ``delay_for`` — whose internal state
-    may depend on the global call order across functions — so any replay
-    using it is span-coupled and runs on the event engine.
-    """
-
-    shaver: "PeakShaver"
-
-    def delay_for(
-        self, spec: FunctionSpec, now: float, congestion: float, n_delayed: int
-    ) -> float:
-        return self.shaver.delay_for(spec, now, congestion)
-
-    def __eq__(self, other) -> bool:  # identity: stateful delegate
-        return self is other
-
-
-@dataclass(frozen=True)
 class RouteDirective:
     """Cold-start placement for the next span (cross-region replays).
 
@@ -378,7 +352,7 @@ class TickAction:
     """
 
     prewarm: tuple[tuple[int, int], ...] = ()
-    shave: "ShaveDirective | LegacyShaveDirective | None" = None
+    shave: "ShaveDirective | None" = None
     route: "RouteDirective | None" = None
 
 
@@ -412,11 +386,6 @@ class TickPolicy:
     #: point the vectorized engine must converge to.
     needs: frozenset = frozenset({"arrivals"})
 
-    #: True when the policy's within-span behaviour depends on cross-
-    #: function call order (only legacy per-arrival shavers); such
-    #: policies replay on the event engine.
-    span_coupled: bool = False
-
     @property
     def outcome_free_decisions(self) -> bool:
         """True when :meth:`decide`'s action stream never depends on
@@ -439,70 +408,20 @@ class TickPolicy:
 class PrewarmPolicy(TickPolicy):
     """Decides which functions should have spare warm pods, per tick.
 
-    Subclasses may implement the tick protocol directly (vectorized
-    ``observe_batch``) or just the legacy per-arrival API — :meth:`observe`
-    for every arrival and :meth:`plan` at every tick — which the base
-    class bridges onto the protocol: observations stay arrival-driven, so
-    a legacy subclass is replayed identically (and vector-safely) by both
-    engines.
+    :meth:`decide` returns the desired idle warm pods per function id in
+    :attr:`TickAction.prewarm`; :meth:`observe_batch` reads only the
+    arrival columns, so the decision stream is outcome-free.
     """
 
     needs = frozenset({"arrivals"})
 
-    def observe(self, spec: FunctionSpec, t: float) -> None:
-        """Feedback: a request of ``spec`` arrived at ``t``."""
-
-    def plan(self, now: float) -> dict[int, int]:
-        """Desired idle warm pods per function id at time ``now``."""
-        raise NotImplementedError
-
-    def observe_batch(self, cols: TickColumns) -> None:
-        specs = cols.specs
-        observe = self.observe
-        for fn, t in zip(cols.arrive_fn.tolist(), cols.arrive_t.tolist()):
-            observe(specs[fn], t)
-
-    def decide(self, tick: int, now: float) -> TickAction:
-        return TickAction(prewarm=tuple(self.plan(now).items()))
-
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 class PeakShaver(TickPolicy):
-    """Decides whether an asynchronous request may be postponed.
+    """Decides whether cold-bound asynchronous requests may be postponed.
 
-    Subclasses may implement the tick protocol directly (returning a pure
-    :class:`ShaveDirective`, vector-safe) or just the legacy per-arrival
-    API — :meth:`observe_load` at ticks and :meth:`delay_for` per
-    cold-bound asynchronous arrival — which the base class bridges via a
-    :class:`LegacyShaveDirective`. The legacy bridge keeps per-arrival
-    state whose call order couples functions inside a span, so it replays
-    on the event engine (``span_coupled``).
+    :meth:`decide` freezes the next span's rule into a
+    :attr:`TickAction.shave` directive (a pure :class:`ShaveDirective`);
+    :meth:`observe_batch` reads the tick's pod gauge.
     """
 
     needs = frozenset({"gauge"})
-    span_coupled = True
-
-    def observe_load(self, now: float, alive_pods: int) -> None:
-        """Tick feedback with the current pod gauge."""
-
-    def delay_for(self, spec: FunctionSpec, now: float, congestion: float = 0.0) -> float:
-        """Extra seconds to hold this request back (0 = run now).
-
-        Only called for asynchronous, already-cold-bound requests; the
-        evaluator never delays a request twice. ``congestion`` is the
-        exogenous excess cold-start intensity at the arrival's minute
-        (0 = at or below the long-run mean) — allocation stampedes show
-        up here long before the standing pod gauge moves.
-        """
-        raise NotImplementedError
-
-    def observe_batch(self, cols: TickColumns) -> None:
-        self.observe_load(cols.now, cols.alive_pods)
-
-    def decide(self, tick: int, now: float) -> TickAction:
-        return TickAction(shave=LegacyShaveDirective(self))
-
-    def describe(self) -> str:
-        return type(self).__name__

@@ -197,7 +197,7 @@ class CrossRegionEvaluator:
         remotes: tuple[str, ...] = ("R3",),
         rtt_s: float = DEFAULT_INTER_REGION_RTT_S,
         seed: int = 0,
-        engine: str = "auto",
+        engine: str = "vector",
     ):
         if rtt_s < 0:
             raise ValueError("rtt_s must be non-negative")
@@ -218,27 +218,16 @@ class CrossRegionEvaluator:
             for p in self.profiles
         ]
 
-    #: kept as a class attribute for API compatibility (the router reads
-    #: its own copy; see :class:`BestRegionRouter`).
-    improvement_gate: float = 0.85
-
     @property
     def home(self) -> RegionProfile:
         return self.profiles[0]
 
-    def resolve_engine(self, policy: RoutingPolicy) -> str:
-        """The engine ``run`` will use — routing is tick-protocol native,
-        so ``auto`` takes the vectorized path for every built-in policy."""
-        return "event" if self.engine == "event" else "vector"
-
     def _router(self, policy: RoutingPolicy) -> BestRegionRouter | None:
         if policy is RoutingPolicy.HOME_ONLY:
             return None
-        router = BestRegionRouter(
+        return BestRegionRouter(
             [_ema_seed(p.latency) for p in self.profiles], self.rtt_s
         )
-        router.improvement_gate = self.improvement_gate
-        return router
 
     def _sampler(self, spec, ridx: int):
         """The (function, region) cold-start stream.
@@ -282,9 +271,10 @@ class CrossRegionEvaluator:
             metrics.cold_starts_by_region.setdefault(name, 0)
         if not traces:
             return metrics
-        engine = self.resolve_engine(policy)
-        with get_telemetry().span(f"xregion/route/{policy.value}[{engine}]"):
-            if engine == "vector":
+        with get_telemetry().span(
+            f"xregion/route/{policy.value}[{self.engine}]"
+        ):
+            if self.engine == "vector":
                 self._run_vector(traces, policy, keepalive_s, metrics)
             else:
                 self._run_event(traces, policy, keepalive_s, metrics)
@@ -629,17 +619,14 @@ class CrossRegionEvaluator:
             )
             if not driver.run(outcomes, used_rel, name=metrics.name):
                 # Oscillating routing feedback: replay sequentially from a
-                # clean evaluator (exact, merely slower). Instance-level
-                # tuning carries over.
-                fallback = CrossRegionEvaluator(
+                # clean evaluator (exact, merely slower).
+                CrossRegionEvaluator(
                     home=self.profiles[0],
                     remotes=tuple(self.profiles[1:]),
                     rtt_s=self.rtt_s,
                     seed=self._rngs.seed,
                     engine="event",
-                )
-                fallback.improvement_gate = self.improvement_gate
-                fallback._run_event(traces, policy, keepalive_s, metrics)
+                )._run_event(traces, policy, keepalive_s, metrics)
                 return
 
         # Canonical assembly (the event loop's processing order).

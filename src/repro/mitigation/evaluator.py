@@ -13,7 +13,7 @@ with the same keep-alive semantics as the trace generator.
 
 Two engines share one semantics:
 
-* ``engine="vector"`` — the structure-of-arrays path
+* ``engine="vector"`` (default) — the structure-of-arrays path
   (:mod:`~repro.mitigation.vector_engine`): pure per-function numpy
   walks for the uncoupled configurations, and a **tick-partitioned
   mode** for coupled tick-phase policies (pre-warming, peak shaving):
@@ -23,8 +23,6 @@ Two engines share one semantics:
 * ``engine="event"`` — the sequential reference loop, driving the same
   :class:`~repro.mitigation.base.TickPolicy` machines through the same
   span columns inline.
-* ``engine="auto"`` (default) — vector everywhere except span-coupled
-  legacy shavers (per-arrival ``delay_for`` state), which need event.
 
 Both engines price the k-th cold start of a function from the same
 per-function :class:`~repro.sim.latency.FunctionColdSampler` draw, look
@@ -51,7 +49,7 @@ import heapq
 
 import numpy as np
 
-from repro.cluster.autoscaler import FixedKeepAlive, KeepAlivePolicy
+from repro.cluster.lifecycle import FixedKeepAlive, KeepAlivePolicy
 from repro.mitigation.base import (
     EvalMetrics,
     PeakShaver,
@@ -86,7 +84,7 @@ from repro.workload.generator import FunctionTrace, WorkloadGenerator
 from repro.workload.regions import REGION_PROFILES, RegionProfile
 
 #: Valid values of the ``engine`` argument.
-ENGINES = ("auto", "vector", "event")
+ENGINES = ("vector", "event")
 
 
 def _resolve_region(region: str | RegionProfile) -> RegionProfile:
@@ -281,41 +279,6 @@ def _shave_relevance(shave_fp, interval_s, n_ticks, congestion):
     return rel
 
 
-class _DuckPrewarmAdapter(PrewarmPolicy):
-    """Tick shim for duck-typed pre-warm policies (observe/plan only)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.interval_s = float(getattr(inner, "interval_s", 60.0))
-
-    def observe(self, spec, t):
-        self.inner.observe(spec, t)
-
-    def plan(self, now):
-        return self.inner.plan(now)
-
-    def describe(self) -> str:
-        describe = getattr(self.inner, "describe", None)
-        return describe() if describe else type(self.inner).__name__
-
-
-class _DuckShaverAdapter(PeakShaver):
-    """Tick shim for duck-typed peak shavers (observe_load/delay_for only)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def observe_load(self, now, alive_pods):
-        self.inner.observe_load(now, alive_pods)
-
-    def delay_for(self, spec, now, congestion=0.0):
-        return self.inner.delay_for(spec, now, congestion)
-
-    def describe(self) -> str:
-        describe = getattr(self.inner, "describe", None)
-        return describe() if describe else type(self.inner).__name__
-
-
 class RegionEvaluator:
     """Replays a workload under pluggable mitigation policies."""
 
@@ -329,10 +292,19 @@ class RegionEvaluator:
         concurrency_override=None,
         queue_patience_s: float = 30.0,
         prewarm_grace_s: float = 150.0,
-        engine: str = "auto",
+        engine: str = "vector",
     ):
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r} (choose from {ENGINES})")
+        for arg, policy in (
+            ("prewarm_policy", prewarm_policy), ("peak_shaver", peak_shaver)
+        ):
+            if policy is not None and not isinstance(policy, TickPolicy):
+                raise TypeError(
+                    f"{arg} must implement the TickPolicy protocol "
+                    f"(repro.mitigation.base.TickPolicy: observe_batch/"
+                    f"decide), got {type(policy).__name__}"
+                )
         self.profile = profile
         self.keepalive_policy = keepalive_policy or FixedKeepAlive()
         self.prewarm_policy = prewarm_policy
@@ -367,50 +339,10 @@ class RegionEvaluator:
         return self.prewarm_policy is not None or self.peak_shaver is not None
 
     def _tick_policies(self) -> list[TickPolicy]:
-        """The run's policies, normalised onto the tick protocol.
-
-        :class:`TickPolicy` instances (which includes every
-        :class:`PrewarmPolicy`/:class:`PeakShaver` subclass) pass through;
-        duck-typed legacy objects get wrapped in the compatibility shims.
-        """
-        policies: list[TickPolicy] = []
-        if self.prewarm_policy is not None:
-            policy = self.prewarm_policy
-            policies.append(
-                policy if isinstance(policy, TickPolicy)
-                else _DuckPrewarmAdapter(policy)
-            )
-        if self.peak_shaver is not None:
-            shaver = self.peak_shaver
-            policies.append(
-                shaver if isinstance(shaver, TickPolicy)
-                else _DuckShaverAdapter(shaver)
-            )
-        return policies
-
-    def resolve_engine(self) -> str:
-        """The engine ``run`` will use (``"vector"`` or ``"event"``).
-
-        Every tick-protocol policy — including the built-in pre-warm,
-        peak-shaving, and legacy pre-warm subclasses through the shim —
-        replays on either engine bit-identically; only ``span_coupled``
-        policies (legacy per-arrival shavers whose ``delay_for`` state
-        depends on cross-function call order) force the event engine.
-        """
-        if self.engine == "event":
-            return "event"
-        blockers = [p for p in self._tick_policies() if p.span_coupled]
-        if self.engine == "vector":
-            if blockers:
-                names = ", ".join(p.describe() for p in blockers)
-                raise ValueError(
-                    f"engine='vector' cannot replay span-coupled policies "
-                    f"({names}): their per-arrival state depends on the "
-                    f"cross-function call order inside a tick span; use "
-                    f"engine='event' or 'auto'"
-                )
-            return "vector"
-        return "event" if blockers else "vector"
+        """The run's policies, in the order the tick machine steps them."""
+        return [
+            p for p in (self.prewarm_policy, self.peak_shaver) if p is not None
+        ]
 
     # -- shared per-function setup ---------------------------------------------
 
@@ -455,7 +387,7 @@ class RegionEvaluator:
                 (float(t.arrivals[-1]) for t in traces if t.arrivals.size), default=0.0
             ) + 120.0
         metrics = EvalMetrics(name=name or self._default_name())
-        if self.resolve_engine() == "vector":
+        if self.engine == "vector":
             if self.coupled():
                 self._run_vector_coupled(traces, horizon_s, metrics)
             else:
@@ -640,7 +572,7 @@ class RegionEvaluator:
         neutral = ((), ())
         used_rel: list = [neutral] * n_fns
         # Policies with outcome-free decision streams (every pre-warm
-        # policy — legacy subclasses included — and the built-in shaver,
+        # policy reading only arrivals, and the built-in shaver,
         # whose directive only reads exogenous signals) need no
         # fixed-point verification pass: once the tick count settles
         # (delayed re-arrivals can extend the clock), the schedule and

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster.autoscaler import KeepAlivePolicy
-from repro.cluster.lifecycle import DEFAULT_KEEPALIVE_S
+from repro.cluster.lifecycle import DEFAULT_KEEPALIVE_S, KeepAlivePolicy
 from repro.workload.function import FunctionSpec
 
 

@@ -4,24 +4,24 @@
 peaks if they are not latency critical ... Given the narrow peak widths,
 even a short delay could significantly reduce peak pod allocations."
 
-The shaver watches the alive-pod gauge; when the platform runs above a
-multiple of its long-run mean, cold-bound asynchronous requests are pushed
-back by a bounded, load-proportional delay.
+The shaver watches the exogenous cold-start congestion profile (and, in
+subclasses, the alive-pod gauge); while the platform is stampeding,
+cold-bound asynchronous requests are pushed back by a bounded, staggered
+delay.
 """
 
 from __future__ import annotations
 
 from repro.mitigation.base import (
-    LegacyShaveDirective,
     PeakShaver,
     ShaveDirective,
     TickAction,
+    TickColumns,
 )
-from repro.workload.function import FunctionSpec
 
 
 class AsyncPeakShaver(PeakShaver):
-    """Delays cold-bound async requests while the pod gauge is peaking.
+    """Delays cold-bound async requests while the platform is peaking.
 
     Tick-native: the gauge EMA updates at tick boundaries
     (:meth:`observe_batch`) and :meth:`decide` freezes the span's shaving
@@ -38,36 +38,22 @@ class AsyncPeakShaver(PeakShaver):
             shaving consolidates allocations instead of fragmenting them.
             (The ablation bench shows delays beyond the keep-alive
             *increase* peak allocations.)
-        trigger_ratio: gauge multiple the *legacy* per-arrival
-            :meth:`delay_for` triggers on. The engines apply the tick
-            directive from :meth:`decide` instead, whose gauge component
-            is :meth:`gauge_peaking` (constant ``False`` here), so this
-            knob only affects direct ``delay_for`` callers and
-            subclasses reading :attr:`load_ratio`.
         ema_alpha: smoothing for the long-run mean gauge EMA (updated at
             every tick; read by ``load_ratio``-based subclass criteria).
     """
 
-    def __init__(
-        self,
-        max_delay_s: float = 45.0,
-        trigger_ratio: float = 1.3,
-        ema_alpha: float = 0.02,
-    ):
+    def __init__(self, max_delay_s: float = 45.0, ema_alpha: float = 0.02):
         if max_delay_s <= 0:
             raise ValueError("max_delay_s must be positive")
-        if trigger_ratio <= 1.0:
-            raise ValueError("trigger_ratio must exceed 1")
         if not 0 < ema_alpha <= 1:
             raise ValueError("ema_alpha must be in (0, 1]")
         self.max_delay_s = max_delay_s
-        self.trigger_ratio = trigger_ratio
         self.ema_alpha = ema_alpha
         self._mean_pods: float | None = None
         self._current_pods: float = 0.0
-        self._stagger = 0
 
-    def observe_load(self, now: float, alive_pods: int) -> None:
+    def observe_batch(self, cols: TickColumns) -> None:
+        alive_pods = cols.alive_pods
         self._current_pods = float(alive_pods)
         if self._mean_pods is None:
             self._mean_pods = float(alive_pods)
@@ -85,14 +71,6 @@ class AsyncPeakShaver(PeakShaver):
     #: the standing pod gauge says (detects allocation stampedes).
     congestion_trigger: float = 0.5
 
-    #: Vector-safe when the directive below is the pure built-in one. A
-    #: subclass overriding the per-arrival :meth:`delay_for` hook keeps
-    #: its pre-tick semantics through the legacy bridge, whose call-order
-    #: state makes the replay span-coupled (event engine).
-    @property
-    def span_coupled(self) -> bool:  # type: ignore[override]
-        return type(self).delay_for is not AsyncPeakShaver.delay_for
-
     @property
     def outcome_free_decisions(self) -> bool:
         """The built-in directive never reads the gauge (``gauge_peaking``
@@ -105,9 +83,7 @@ class AsyncPeakShaver(PeakShaver):
         return (
             cls.decide is AsyncPeakShaver.decide
             and cls.gauge_peaking is AsyncPeakShaver.gauge_peaking
-            and cls.delay_for is AsyncPeakShaver.delay_for
-            and cls.observe_batch is PeakShaver.observe_batch
-            and cls.observe_load is AsyncPeakShaver.observe_load
+            and cls.observe_batch is AsyncPeakShaver.observe_batch
         )
 
     def gauge_peaking(self, tick: int, now: float) -> bool:
@@ -125,10 +101,6 @@ class AsyncPeakShaver(PeakShaver):
         return False
 
     def decide(self, tick: int, now: float) -> TickAction:
-        if type(self).delay_for is not AsyncPeakShaver.delay_for:
-            # Honour an overridden per-arrival hook: bridge it verbatim
-            # (the replay then runs on the event engine, see span_coupled).
-            return TickAction(shave=LegacyShaveDirective(self))
         return TickAction(
             shave=ShaveDirective(
                 gauge_active=self.gauge_peaking(tick, now),
@@ -137,17 +109,5 @@ class AsyncPeakShaver(PeakShaver):
             )
         )
 
-    def delay_for(self, spec: FunctionSpec, now: float, congestion: float = 0.0) -> float:
-        gauge_peaking = self.load_ratio > self.trigger_ratio
-        stampeding = congestion > self.congestion_trigger
-        if not gauge_peaking and not stampeding:
-            return 0.0
-        # Stagger deterministically (golden-ratio low-discrepancy sequence)
-        # across the full delay budget so shaved requests re-arrive as a
-        # smear, not as a second stampede.
-        self._stagger += 1
-        spread = 0.1 + 0.9 * ((self._stagger * 0.6180339887) % 1.0)
-        return self.max_delay_s * spread
-
     def describe(self) -> str:
-        return f"peak-shave(max={self.max_delay_s:g}s@{self.trigger_ratio:g}x)"
+        return f"peak-shave(max={self.max_delay_s:g}s)"

@@ -16,8 +16,6 @@ Two policies:
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
 from repro.mitigation.base import PrewarmPolicy, TickAction, TickColumns
@@ -29,8 +27,8 @@ _MINUTES_PER_DAY = 1440
 class NoPrewarm(PrewarmPolicy):
     """Baseline: never pre-warm."""
 
-    def plan(self, now: float) -> dict[int, int]:
-        return {}
+    def decide(self, tick: int, now: float) -> TickAction:
+        return TickAction()
 
     def describe(self) -> str:
         return "no-prewarm"
@@ -71,26 +69,12 @@ class TimerPrewarmPolicy(PrewarmPolicy):
         self._last_seen[fid] = t
         self._dirty.add(fid)
 
-    def _overrides_legacy_hooks(self) -> bool:
-        """A subclass customizing the pre-tick per-arrival API keeps its
-        semantics: the native fast paths defer to the base-class bridge,
-        which routes every arrival/plan through the overridden hooks."""
-        cls = type(self)
-        return (
-            cls.observe is not TimerPrewarmPolicy.observe
-            or cls.plan is not TimerPrewarmPolicy.plan
-        )
-
     def observe_batch(self, cols: TickColumns) -> None:
         """Tick-protocol observation: only timer arrivals touch state.
 
-        Same sequential (fid, gap) EMA updates as per-arrival
-        :meth:`observe`; the timer mask just skips the arrivals the
-        per-arrival path would have ignored anyway.
+        Sequential (fid, gap) EMA updates through :meth:`observe`; the
+        timer mask skips the arrivals :meth:`observe` would ignore anyway.
         """
-        if self._overrides_legacy_hooks():
-            PrewarmPolicy.observe_batch(self, cols)
-            return
         if not cols.arrive_fn.size:
             return
         # The mask is keyed by trace index; re-derive it whenever the
@@ -115,24 +99,12 @@ class TimerPrewarmPolicy(PrewarmPolicy):
         ):
             self.observe(specs[fn], t)
 
-    def plan(self, now: float) -> dict[int, int]:
-        plan: dict[int, int] = {}
-        for fid, period in self._period.items():
-            if period < self.min_period_s:
-                continue  # keep-alive already covers fast timers
-            last = self._last_seen.get(fid)
-            if last is None:
-                continue
-            next_fire = last + period
-            if 0.0 <= next_fire - now <= self.lead_s + self.interval_s:
-                plan[fid] = 1
-        return plan
-
     def decide(self, tick: int, now: float) -> TickAction:
-        """Vectorized :meth:`plan`: only dirty fids touch the plan columns,
-        so the common tick costs two array ops instead of a dict scan."""
-        if self._overrides_legacy_hooks():
-            return PrewarmPolicy.decide(self, tick, now)
+        """One warm pod for every timer whose next firing is at most
+        ``lead_s`` plus one tick away (timers faster than
+        ``min_period_s`` are left to the keep-alive). Only dirty fids
+        touch the plan columns, so the common tick costs two array ops
+        instead of a dict scan."""
         if self._dirty:
             for fid in self._dirty:
                 period = self._period.get(fid)
@@ -173,12 +145,11 @@ class HistogramPrewarmPolicy(PrewarmPolicy):
     least ``min_observations`` arrivals, the policy keeps a warm pod during
     minutes whose historical arrival probability exceeds ``threshold``.
 
-    Under the tick protocol the policy is fully vectorized: the histograms
-    live in one ``(n_functions, 1440)`` matrix keyed by trace index,
-    updated per span with one scattered add and planned per tick with one
-    row-window reduction — no per-arrival or per-function Python in either
-    replay engine. The legacy per-arrival :meth:`observe`/:meth:`plan`
-    pair keeps its original dict-backed implementation for direct users.
+    The policy is fully vectorized: the histograms live in one
+    ``(n_functions, 1440)`` matrix keyed by trace index, updated per span
+    with one scattered add and planned per tick with one row-window
+    reduction — no per-arrival or per-function Python in either replay
+    engine.
     """
 
     def __init__(
@@ -192,41 +163,16 @@ class HistogramPrewarmPolicy(PrewarmPolicy):
         self.threshold = threshold
         self.min_observations = min_observations
         self.smooth_minutes = smooth_minutes
-        self._histograms: dict[int, np.ndarray] = defaultdict(
-            lambda: np.zeros(_MINUTES_PER_DAY)
-        )
-        self._observations: dict[int, int] = defaultdict(int)
         self._days_seen: float = 1.0
         self._start: float | None = None
-        # Tick-protocol state (engine path), allocated on the first batch:
-        # ``_win[f, m]`` is the rolling ``[m, m + smooth)`` window count,
-        # maintained incrementally so decide() reads one column per tick.
+        # Allocated on the first batch: ``_win[f, m]`` is the rolling
+        # ``[m, m + smooth)`` window count, maintained incrementally so
+        # decide() reads one column per tick.
         self._win: np.ndarray | None = None
         self._obs: np.ndarray | None = None
         self._fids: np.ndarray | None = None
 
-    def observe(self, spec: FunctionSpec, t: float) -> None:
-        if self._start is None:
-            self._start = t
-        self._days_seen = max((t - self._start) / 86_400.0, 1.0)
-        minute = int((t % 86_400.0) // 60.0)
-        self._histograms[spec.function_id][minute] += 1.0
-        self._observations[spec.function_id] += 1
-
-    def _overrides_legacy_hooks(self) -> bool:
-        """Subclasses customizing the pre-tick per-arrival API go through
-        the base-class bridge (dict-backed observe/plan) instead of the
-        matrix fast path, keeping their overrides live."""
-        cls = type(self)
-        return (
-            cls.observe is not HistogramPrewarmPolicy.observe
-            or cls.plan is not HistogramPrewarmPolicy.plan
-        )
-
     def observe_batch(self, cols: TickColumns) -> None:
-        if self._overrides_legacy_hooks():
-            PrewarmPolicy.observe_batch(self, cols)
-            return
         # State is keyed by trace index; reallocate whenever the
         # workload's function-id layout changes (a policy instance may be
         # reused across runs on different workloads).
@@ -257,31 +203,7 @@ class HistogramPrewarmPolicy(PrewarmPolicy):
             cols.arrive_fn, minlength=self._obs.size
         ).astype(np.int64)
 
-    def _probability(self, fid: int, minute: int) -> float:
-        hist = self._histograms[fid]
-        lo = minute
-        hi = minute + self.smooth_minutes
-        if hi <= _MINUTES_PER_DAY:
-            window = hist[lo:hi]
-        else:
-            window = np.concatenate((hist[lo:], hist[: hi - _MINUTES_PER_DAY]))
-        # Probability of at least one arrival in the window on a given day.
-        expected = float(window.sum()) / self._days_seen
-        return 1.0 - float(np.exp(-expected))
-
-    def plan(self, now: float) -> dict[int, int]:
-        minute = int((now % 86_400.0) // 60.0)
-        plan: dict[int, int] = {}
-        for fid, count in self._observations.items():
-            if count < self.min_observations:
-                continue
-            if self._probability(fid, minute) >= self.threshold:
-                plan[fid] = 1
-        return plan
-
     def decide(self, tick: int, now: float) -> TickAction:
-        if self._overrides_legacy_hooks():
-            return PrewarmPolicy.decide(self, tick, now)
         if self._win is None:
             return TickAction()
         minute = int((now % 86_400.0) // 60.0)

@@ -69,7 +69,6 @@ from repro.runtime.merge import (
     merge_bundles,
     merge_counts,
     merge_eval_metrics,
-    merge_registries,
     merge_shard_results,
     pack_into,
     register_reducer,
@@ -146,7 +145,6 @@ __all__ = [
     "merge_bundles",
     "merge_counts",
     "merge_eval_metrics",
-    "merge_registries",
     "merge_shard_results",
     "pack_into",
     "partition_days",

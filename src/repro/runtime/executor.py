@@ -1370,26 +1370,26 @@ def analyze_bundle_chunks(
 class EvaluationTask:
     """A function-group shard plus the policies to replay over it.
 
-    ``engine`` picks the replay engine (``"auto"``/``"vector"``/
-    ``"event"``; see :class:`~repro.mitigation.evaluator.RegionEvaluator`).
-    It never changes merged metrics — the engines are bit-identical for
-    every configuration the vector engine accepts — only wall-clock.
+    ``engine`` picks the replay engine (``"vector"``/``"event"``; see
+    :class:`~repro.mitigation.evaluator.RegionEvaluator`). It never
+    changes merged metrics — the engines are bit-identical for every
+    configuration the vector engine accepts — only wall-clock.
     """
 
     spec: ShardSpec
     policies: tuple[str, ...]
     horizon_s: float | None = None
-    engine: str = "auto"
+    engine: str = "vector"
 
 
-def make_policy_evaluator(profile, policy: str, seed: int, engine: str = "auto"):
+def make_policy_evaluator(profile, policy: str, seed: int, engine: str = "vector"):
     """Build the §5 evaluator configuration named ``policy``.
 
     Every named configuration — uncoupled (``baseline``,
     ``dynamic-keepalive``) *and* coupled (pre-warming, peak shaving) —
     replays bit-identically on either engine: the coupled policies are
-    tick-protocol machines, which ``engine="auto"`` (default) runs on the
-    vectorized tick-partitioned path.
+    tick-protocol machines, which ``engine="vector"`` (default) runs on
+    the tick-partitioned path.
     """
     from repro.mitigation import (
         AsyncPeakShaver,
@@ -1478,7 +1478,7 @@ def evaluate_policies(
     horizon_s: float | None = None,
     channel: str = "pickle",
     shm_min_bytes: int = SHM_MIN_BYTES,
-    engine: str = "auto",
+    engine: str = "vector",
     shard_timeout_s: float | None = None,
     shard_retries: int | None = None,
     faults: FaultPlan | None = None,
@@ -1547,7 +1547,7 @@ class CrossRegionTask:
     policy: str
     rtt_s: float
     keepalive_s: float
-    engine: str = "auto"
+    engine: str = "vector"
 
 
 @dataclass(frozen=True)
@@ -1649,7 +1649,7 @@ def evaluate_cross_region(
     keepalive_s: float = 60.0,
     channel: str = "pickle",
     shm_min_bytes: int = SHM_MIN_BYTES,
-    engine: str = "auto",
+    engine: str = "vector",
     shard_timeout_s: float | None = None,
     shard_retries: int | None = None,
     faults: FaultPlan | None = None,
@@ -1668,7 +1668,7 @@ def evaluate_cross_region(
     Routing is a tick-phase policy (the per-region cold-start EMA updates
     at tick boundaries), so every engine replays it: ``"vector"`` takes
     the tick-partitioned structure-of-arrays path, ``"event"`` the
-    sequential reference, and ``"auto"`` (default) the vector path.
+    sequential reference.
     """
     from repro.mitigation.cross_region import DEFAULT_INTER_REGION_RTT_S
     from repro.mitigation.evaluator import ENGINES

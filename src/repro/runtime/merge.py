@@ -63,7 +63,6 @@ from repro.obs.telemetry import (
     get_telemetry,
     merge_telemetry,
 )
-from repro.sim.metrics import MetricRegistry
 from repro.trace.tables import (
     FunctionTable,
     PodTable,
@@ -82,7 +81,6 @@ __all__ = [
     "to_shm_leased",
     "merge_bundles",
     "merge_eval_metrics",
-    "merge_registries",
     "merge_counts",
     "merge_accumulators",
     "merge_shard_results",
@@ -146,38 +144,6 @@ def merge_eval_metrics(
     return merged
 
 
-def merge_registries(parts: Sequence[MetricRegistry]) -> MetricRegistry:
-    """Reduce per-shard :class:`MetricRegistry` instances.
-
-    Counters and histogram samples merge exactly. Gauges sum their values
-    (the additive reading for disjoint shards, e.g. warm-pod counts);
-    summed ``max_seen``/``min_seen`` are therefore *bounds* on the combined
-    extremes, exact only when shards move in lockstep. Time series
-    concatenate their (time, value) points — binned reads are
-    order-insensitive.
-    """
-    if not parts:
-        raise ValueError("need at least one MetricRegistry to merge")
-    merged = MetricRegistry()
-    for part in parts:
-        for name, counter in part.counters.items():
-            merged.counter(name).inc(counter.value)
-        for name, hist in part.histograms.items():
-            merged.histogram(name).extend(hist.values())
-        for name, series in part.series.items():
-            times, values = series.arrays()
-            target = merged.timeseries(name)
-            for t, v in zip(times, values):
-                target.record(t, v)
-    for name in {n for part in parts for n in part.gauges}:
-        gauges = [part.gauges[name] for part in parts if name in part.gauges]
-        merged_gauge = merged.gauge(name)
-        merged_gauge.value = float(sum(g.value for g in gauges))
-        merged_gauge.max_seen = float(sum(g.max_seen for g in gauges))
-        merged_gauge.min_seen = float(sum(g.min_seen for g in gauges))
-    return merged
-
-
 def merge_counts(parts: Sequence[dict]) -> dict:
     """Sum numeric values per key across dicts (recursing into sub-dicts).
 
@@ -233,7 +199,6 @@ def merge_shard_results(parts: Sequence):
 
 register_reducer(TraceBundle, merge_bundles)
 register_reducer(EvalMetrics, merge_eval_metrics)
-register_reducer(MetricRegistry, merge_registries)
 register_reducer(Telemetry, merge_telemetry)
 register_reducer(dict, merge_counts)
 for _accumulator_type in (

@@ -1,23 +1,12 @@
-"""Simulation substrate: deterministic RNG streams, cold-start latency
-models, the discrete-event engine, and metric recorders."""
+"""Simulation substrate: deterministic RNG streams and cold-start latency
+models."""
 
 from repro.sim.rng import RngFactory
 from repro.sim.latency import ColdStartSampler, ComponentParams, LatencyModel
-from repro.sim.engine import Event, EventKind, SimClock, Simulator
-from repro.sim.metrics import Counter, Gauge, Histogram, MetricRegistry, TimeSeriesRecorder
 
 __all__ = [
     "RngFactory",
     "ColdStartSampler",
     "ComponentParams",
     "LatencyModel",
-    "Event",
-    "EventKind",
-    "SimClock",
-    "Simulator",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "TimeSeriesRecorder",
 ]

@@ -269,7 +269,7 @@ class LatencyModel:
         dep_size_mb: float = _REF_DEP_MB,
         congestion: float = 0.0,
     ) -> dict[str, float]:
-        """Scalar convenience for the discrete-event simulator."""
+        """Scalar convenience: one cold start's component durations."""
         params = ComponentParams(
             runtime_codes=np.array([runtime_code(runtime)]),
             is_large=np.array([is_large]),
@@ -591,8 +591,8 @@ class ColdStartSampler:
 
     The paper (§4.1) fits a LogNormal to cold-start durations and a Weibull
     to their inter-arrival times "for simulation purposes"; this class is the
-    consumer side of those fits, used by tests and by the simulator when a
-    full component model is not needed.
+    consumer side of those fits, for callers that need total durations
+    rather than the full component model.
     """
 
     def __init__(self, mean_s: float = 3.24, std_s: float = 7.10):

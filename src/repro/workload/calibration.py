@@ -1,9 +1,11 @@
 """Calibration targets: the paper's reported shapes as machine checks.
 
-DESIGN.md lists, per figure, what "the shape holds" means. This module
-encodes those targets as :class:`CalibrationTarget` records and checks a
-generated :class:`~repro.core.study.TraceStudy` against them, producing
-the pass/fail table that EXPERIMENTS.md reports.
+Each paper figure's "the shape holds" claim is encoded here as one
+:class:`CalibrationTarget` record (its ``description`` states the claim;
+:data:`TARGETS` is the full list). :func:`check_calibration` runs them
+against a generated study — :class:`~repro.core.study.TraceStudy` or
+:class:`~repro.core.study.StreamingTraceStudy` — producing the pass/fail
+table ``repro calibrate`` prints.
 
 The targets are *shape* constraints (orderings, ratios, bands), not
 absolute-number matches: the substrate is a scaled simulator, not the
@@ -64,7 +66,7 @@ class CalibrationTarget:
 
 
 def _regions_needed(study: TraceStudy, names: tuple[str, ...]) -> bool:
-    return all(name in study.bundles for name in names)
+    return all(name in study.regions for name in names)
 
 
 # --- individual checks --------------------------------------------------------
@@ -144,7 +146,7 @@ def _check_holiday_patterns(study: TraceStudy) -> tuple[bool, dict[str, float]]:
 
 
 def _check_composition(study: TraceStudy) -> tuple[bool, dict[str, float]]:
-    if "R2" not in study.bundles:
+    if "R2" not in study.regions:
         return True, {}
     trigger = study.fig08_proportions(by="trigger", region="R2")
     runtime = study.fig08_proportions(by="runtime", region="R2")
@@ -193,7 +195,7 @@ def _check_dominant_components(study: TraceStudy) -> tuple[bool, dict[str, float
 
 
 def _check_custom_penalty(study: TraceStudy) -> tuple[bool, dict[str, float]]:
-    if "R2" not in study.bundles:
+    if "R2" not in study.regions:
         return True, {}
     cdfs = study.fig15_by_runtime("R2")
     measured = {}
@@ -209,7 +211,7 @@ def _check_custom_penalty(study: TraceStudy) -> tuple[bool, dict[str, float]]:
 
 
 def _check_obs_slowest(study: TraceStudy) -> tuple[bool, dict[str, float]]:
-    if "R2" not in study.bundles:
+    if "R2" not in study.regions:
         return True, {}
     cdfs = study.fig16_by_trigger("R2")
     medians = {
@@ -225,7 +227,7 @@ def _check_obs_slowest(study: TraceStudy) -> tuple[bool, dict[str, float]]:
 
 
 def _check_utility_shape(study: TraceStudy) -> tuple[bool, dict[str, float]]:
-    if "R2" not in study.bundles:
+    if "R2" not in study.regions:
         return True, {}
     overall = study.fig17_utility(by="runtime", region="R2")["all"][1]
     measured = {
@@ -236,7 +238,7 @@ def _check_utility_shape(study: TraceStudy) -> tuple[bool, dict[str, float]]:
     return ok, measured
 
 
-#: All calibration targets, one per DESIGN.md shape bullet.
+#: All calibration targets, one per paper figure whose shape is checked.
 TARGETS: tuple[CalibrationTarget, ...] = (
     CalibrationTarget(
         "fig01.region_spans", "Fig. 1",

@@ -21,7 +21,8 @@ starts depends on per-function inter-arrival times, not on fleet size), and
 only the number of functions shrinks. Per-function rates are capped
 (``rate_cap_per_day``) because the top production functions would emit
 billions of rows; those functions are the ones that essentially never cold
-start, so the cap does not perturb the cold-start analysis (see DESIGN.md).
+start, so the cap does not perturb the cold-start analysis (capped
+functions sit in the frequent, >= 1 req/min tier of :class:`RateMix`).
 """
 
 from __future__ import annotations

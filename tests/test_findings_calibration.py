@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.findings import EXTRACTORS, Finding, extract_findings
-from repro.core.study import TraceStudy
+from repro.core.study import StreamingTraceStudy, TraceStudy
 from repro.workload.calibration import (
     TARGETS,
     CalibrationResult,
@@ -91,6 +91,15 @@ class TestCalibration:
         by_id = {r.target_id: r for r in check_calibration(r2_study)}
         assert by_id["fig15.custom_penalty"].passed, by_id["fig15.custom_penalty"].measured
         assert by_id["fig16.obs_slowest"].passed, by_id["fig16.obs_slowest"].measured
+
+    @pytest.mark.parametrize("fixture", ["study", "r2_study"])
+    def test_streaming_study_matches_materialised(self, fixture, request):
+        materialised = request.getfixturevalue(fixture)
+        streamed = StreamingTraceStudy.from_bundles(materialised.bundles)
+        expected = [(r.target_id, r.passed) for r in check_calibration(materialised)]
+        assert [
+            (r.target_id, r.passed) for r in check_calibration(streamed)
+        ] == expected
 
     def test_calibration_passed_reduces(self):
         good = CalibrationResult("a", "f", "d", True)

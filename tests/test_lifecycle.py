@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cluster.lifecycle import (
+    DEFAULT_KEEPALIVE_S,
+    FixedKeepAlive,
     PodLifecycle,
     peak_inflight,
     reconstruct_function_pods,
@@ -166,3 +168,18 @@ class TestKeepAliveSensitivity:
             for ka in (10.0, 60.0, 300.0, 3600.0)
         ]
         assert pods == sorted(pods, reverse=True)
+
+
+class TestFixedKeepAlive:
+    def test_fixed_keepalive(self):
+        policy = FixedKeepAlive(60.0)
+        assert policy.keepalive_for(None, 0.0) == 60.0
+        assert "60" in policy.describe()
+
+    def test_default_is_platform_keepalive(self):
+        assert FixedKeepAlive().keepalive_s == DEFAULT_KEEPALIVE_S
+
+    def test_non_positive_keepalive_rejected(self):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive"):
+                FixedKeepAlive(bad)

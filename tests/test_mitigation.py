@@ -110,25 +110,12 @@ class TestPrewarm:
         )
         for k in range(4):
             policy.observe(spec, 600.0 * k)
-        plan = policy.plan(now=2370.0)  # next fire at 2400
-        assert plan.get(9) == 1
-        assert policy.plan(now=2000.0) == {}
+        # Next fire at 2400: within lead + one tick of tick 39, not of 33.
+        assert policy.decide(39, 39 * 60.0).prewarm == ((9, 1),)
+        assert policy.decide(33, 33 * 60.0).prewarm == ()
 
 
 class TestPeakShaving:
-    def test_shaver_delays_only_under_load(self):
-        shaver = AsyncPeakShaver(max_delay_s=100.0, trigger_ratio=1.5)
-        spec = FunctionSpec(
-            function_id=1, user_id=1, runtime=Runtime.PYTHON3, triggers=(TIMER_A,),
-            config=ResourceConfig(300, 128), mean_exec_s=0.1, cpu_millicores=100,
-            memory_mb=64, arrival_kind="timer", timer_period_s=600.0,
-        )
-        for _ in range(50):
-            shaver.observe_load(0.0, 10)
-        assert shaver.delay_for(spec, 0.0) == 0.0
-        shaver.observe_load(60.0, 100)
-        assert 0.0 < shaver.delay_for(spec, 60.0) <= 100.0
-
     @staticmethod
     def _stampede_workload(n_functions=100, hours=6):
         """Async functions that all fire within the same half-minute every

@@ -25,12 +25,10 @@ from repro.runtime import (
     merge_bundles,
     merge_counts,
     merge_eval_metrics,
-    merge_registries,
     partition_days,
     run_generation_shard,
     stream_generation,
 )
-from repro.sim.metrics import MetricRegistry
 from repro.sim.rng import RngFactory
 from repro.workload.generator import generate_multi_region, generate_region
 
@@ -309,19 +307,6 @@ class TestReducers:
     def test_merge_counts_rejects_conflicting_labels(self):
         with pytest.raises(ValueError):
             merge_counts([{"region": "R1"}, {"region": "R2"}])
-
-    def test_merge_registries(self):
-        a, b = MetricRegistry(), MetricRegistry()
-        a.counter("cold").inc(3)
-        b.counter("cold").inc(4)
-        a.histogram("wait").extend([1.0, 2.0])
-        b.histogram("wait").extend([3.0])
-        a.gauge("pods").set(5)
-        b.gauge("pods").set(7)
-        merged = merge_registries([a, b])
-        assert merged.counter("cold").value == 7
-        assert merged.histogram("wait").count == 3
-        assert merged.gauge("pods").value == 12
 
     def test_merge_bundles_rejects_mixed_regions(self):
         bundles = generate_multi_region(("R3", "R4"), seed=5, days=1, scale=0.1)

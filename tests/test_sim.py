@@ -1,16 +1,8 @@
-"""Simulation substrate: RNG streams, event engine, metrics."""
+"""Simulation substrate: deterministic RNG streams."""
 
 import numpy as np
 import pytest
 
-from repro.sim.engine import Event, EventKind, SimClock, Simulator
-from repro.sim.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    TimeSeriesRecorder,
-)
 from repro.sim.rng import RngFactory
 
 
@@ -59,156 +51,3 @@ class TestRngFactory:
     def test_non_integer_seed_rejected(self):
         with pytest.raises(TypeError):
             RngFactory("lots of entropy")
-
-
-class TestSimClock:
-    def test_advances(self):
-        clock = SimClock()
-        clock.advance_to(5.0)
-        assert clock.now == 5.0
-
-    def test_rejects_backwards(self):
-        clock = SimClock(10.0)
-        with pytest.raises(ValueError):
-            clock.advance_to(9.0)
-
-
-class TestSimulator:
-    def test_runs_in_time_order(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(5.0, lambda: seen.append(5.0))
-        sim.schedule(1.0, lambda: seen.append(1.0))
-        sim.schedule(3.0, lambda: seen.append(3.0))
-        sim.run()
-        assert seen == [1.0, 3.0, 5.0]
-
-    def test_ties_break_by_insertion(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(1.0, lambda: seen.append("first"))
-        sim.schedule(1.0, lambda: seen.append("second"))
-        sim.run()
-        assert seen == ["first", "second"]
-
-    def test_priority_beats_insertion(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(1.0, lambda: seen.append("low"), priority=1)
-        sim.schedule(1.0, lambda: seen.append("high"), priority=0)
-        sim.run()
-        assert seen == ["high", "low"]
-
-    def test_cancellation(self):
-        sim = Simulator()
-        seen = []
-        handle = sim.schedule(1.0, lambda: seen.append("cancelled"))
-        handle.cancel()
-        sim.schedule(2.0, lambda: seen.append("kept"))
-        sim.run()
-        assert seen == ["kept"]
-
-    def test_schedule_in_past_rejected(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        with pytest.raises(ValueError):
-            sim.schedule(0.5, lambda: None)
-
-    def test_run_until(self):
-        sim = Simulator()
-        seen = []
-        for t in (1.0, 2.0, 3.0):
-            sim.schedule(t, lambda t=t: seen.append(t))
-        sim.run(until=2.0)
-        assert seen == [1.0, 2.0]
-        assert sim.now == 2.0
-        sim.run()
-        assert seen == [1.0, 2.0, 3.0]
-
-    def test_events_can_schedule_events(self):
-        sim = Simulator()
-        seen = []
-
-        def chain():
-            seen.append(sim.now)
-            if sim.now < 3.0:
-                sim.schedule_in(1.0, chain)
-
-        sim.schedule(1.0, chain)
-        sim.run()
-        assert seen == [1.0, 2.0, 3.0]
-
-    def test_max_events_budget(self):
-        sim = Simulator()
-        for t in range(10):
-            sim.schedule(float(t + 1), lambda: None)
-        executed = sim.run(max_events=4)
-        assert executed == 4
-        assert sim.pending == 6
-
-    def test_processed_counter(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert sim.processed == 1
-
-
-class TestMetrics:
-    def test_counter(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_gauge_minmax(self):
-        gauge = Gauge("g", initial=5.0)
-        gauge.set(10.0)
-        gauge.add(-8.0)
-        assert gauge.value == 2.0
-        assert gauge.max_seen == 10.0
-        assert gauge.min_seen == 2.0
-
-    def test_histogram_summary(self):
-        hist = Histogram("h")
-        hist.extend(range(1, 101))
-        assert hist.mean() == pytest.approx(50.5)
-        assert hist.percentile(50) == pytest.approx(50.5)
-        summary = hist.summary()
-        assert summary["count"] == 100
-
-    def test_empty_histogram(self):
-        hist = Histogram("h")
-        assert hist.mean() == 0.0
-        assert hist.summary()["count"] == 0
-
-    def test_timeseries_binning(self):
-        recorder = TimeSeriesRecorder("t")
-        recorder.record(10.0, 1.0)
-        recorder.record(20.0, 3.0)
-        recorder.record(70.0, 5.0)
-        sums = recorder.binned(60.0, 120.0, reduce="sum")
-        assert sums.tolist() == [4.0, 5.0]
-        means = recorder.binned(60.0, 120.0, reduce="mean")
-        assert means[0] == pytest.approx(2.0)
-        counts = recorder.binned(60.0, 120.0, reduce="count")
-        assert counts.tolist() == [2.0, 1.0]
-
-    def test_timeseries_bad_reduce(self):
-        recorder = TimeSeriesRecorder("t")
-        recorder.record(0.0, 1.0)
-        with pytest.raises(ValueError):
-            recorder.binned(60.0, reduce="median")
-
-    def test_registry_memoises(self):
-        registry = MetricRegistry()
-        assert registry.counter("x") is registry.counter("x")
-        registry.counter("x").inc()
-        registry.gauge("g").set(2)
-        registry.histogram("h").observe(1.0)
-        snapshot = registry.snapshot()
-        assert snapshot["counter/x"] == 1.0
-        assert snapshot["gauge/g"] == 2.0
-        assert snapshot["hist/h/count"] == 1.0

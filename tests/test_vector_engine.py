@@ -1,8 +1,7 @@
 """Engine equivalence: the vectorized replay is bit-identical to the event
 loop for every configuration — uncoupled *and* coupled tick-phase policies
-(pre-warming, peak shaving, cross-region routing) — across seeds, jobs,
-and result channels; legacy policy subclasses run unchanged through the
-base-class compatibility shim."""
+(pre-warming, peak shaving, cross-region routing, user-defined tick
+policies) — across seeds, jobs, and result channels."""
 
 from __future__ import annotations
 
@@ -15,10 +14,10 @@ from repro.mitigation import (
     CrossRegionEvaluator,
     DynamicKeepAlive,
     HistogramPrewarmPolicy,
-    PeakShaver,
     PrewarmPolicy,
     RegionEvaluator,
     RoutingPolicy,
+    TickAction,
     TimerPrewarmPolicy,
 )
 from repro.mitigation.evaluator import build_workload
@@ -156,83 +155,65 @@ class TestEngineEquivalence:
             evaluator.run([unsorted])
 
 
-class _LegacyShaver(PeakShaver):
-    """A pre-tick shaver subclass: per-arrival ``delay_for`` state only."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def delay_for(self, spec, now, congestion=0.0):
-        self.calls += 1  # call-order-dependent state: span-coupled
-        return 5.0 if congestion > 0.5 else 0.0
-
-
-class _LegacyPrewarm(PrewarmPolicy):
-    """A pre-tick pre-warm subclass: only observe()/plan() implemented,
-    exactly as third-party code written against the pre-tick API."""
+class _RecentTimerPrewarm(PrewarmPolicy):
+    """A user-defined tick-native pre-warm policy: keeps a pod warm for
+    every timer function seen in the last 10 minutes."""
 
     def __init__(self):
         self.seen: dict[int, float] = {}
 
-    def observe(self, spec, t):
-        if spec.is_timer_driven:
-            self.seen[spec.function_id] = t
+    def observe_batch(self, cols):
+        for fn, t in zip(cols.arrive_fn.tolist(), cols.arrive_t.tolist()):
+            spec = cols.specs[fn]
+            if spec.is_timer_driven:
+                self.seen[spec.function_id] = t
 
-    def plan(self, now):
-        # Keep a pod warm for every timer function seen in the last 10 min.
-        return {fid: 1 for fid, t in self.seen.items() if now - t < 600.0}
+    def decide(self, tick, now):
+        return TickAction(prewarm=tuple(
+            (fid, 1) for fid, t in self.seen.items() if now - t < 600.0
+        ))
+
+
+class _GaugeShaver(AsyncPeakShaver):
+    """Routes the replay's own pod gauge into the directive: shaves while
+    the gauge runs above ``trigger`` times its long-run mean."""
+
+    def __init__(self, trigger=1.3, **kwargs):
+        super().__init__(**kwargs)
+        self.trigger = trigger
+
+    def gauge_peaking(self, tick, now):
+        return self.load_ratio > self.trigger
 
 
 class TestEngineSelection:
-    def test_auto_picks_vector_for_uncoupled(self):
-        from repro.workload.regions import region_profile
-
-        profile = region_profile("R2")
-        assert RegionEvaluator(profile).resolve_engine() == "vector"
-        assert RegionEvaluator(
-            profile, keepalive_policy=DynamicKeepAlive()
-        ).resolve_engine() == "vector"
-
-    def test_auto_picks_vector_for_coupled_tick_policies(self):
-        from repro.workload.regions import region_profile
-
-        profile = region_profile("R2")
-        assert RegionEvaluator(
-            profile, prewarm_policy=TimerPrewarmPolicy()
-        ).resolve_engine() == "vector"
-        assert RegionEvaluator(
-            profile, peak_shaver=AsyncPeakShaver()
-        ).resolve_engine() == "vector"
-        assert RegionEvaluator(
-            profile,
-            prewarm_policy=HistogramPrewarmPolicy(),
-            peak_shaver=AsyncPeakShaver(),
-        ).resolve_engine() == "vector"
-        # Legacy pre-warm subclasses are arrival-driven: vector-safe too.
-        assert RegionEvaluator(
-            profile, prewarm_policy=_LegacyPrewarm()
-        ).resolve_engine() == "vector"
-
-    def test_span_coupled_legacy_shaver_falls_back_to_event(self):
-        from repro.workload.regions import region_profile
-
-        profile = region_profile("R2")
-        assert RegionEvaluator(
-            profile, peak_shaver=_LegacyShaver()
-        ).resolve_engine() == "event"
-        evaluator = RegionEvaluator(
-            profile, peak_shaver=_LegacyShaver(), engine="vector"
-        )
-        with pytest.raises(ValueError, match="span-coupled"):
-            evaluator.resolve_engine()
-
     def test_unknown_engine_rejected(self):
         from repro.workload.regions import region_profile
 
         with pytest.raises(ValueError, match="engine"):
             RegionEvaluator(region_profile("R2"), engine="warp")
 
-    def test_coupled_policy_runs_under_auto(self, r2_traces):
+    def test_auto_engine_rejected(self):
+        from repro.workload.regions import region_profile
+
+        with pytest.raises(ValueError, match=r"\('vector', 'event'\)"):
+            RegionEvaluator(region_profile("R2"), engine="auto")
+
+    @pytest.mark.parametrize("arg", ["prewarm_policy", "peak_shaver"])
+    def test_duck_typed_policy_rejected(self, arg):
+        from repro.workload.regions import region_profile
+
+        class DuckPolicy:  # per-arrival hooks, no TickPolicy base
+            def observe(self, spec, t):
+                pass
+
+            def plan(self, now):
+                return {}
+
+        with pytest.raises(TypeError, match="TickPolicy"):
+            RegionEvaluator(region_profile("R2"), **{arg: DuckPolicy()})
+
+    def test_coupled_policy_runs_under_default_engine(self, r2_traces):
         profile, traces = r2_traces
         metrics = RegionEvaluator(
             profile, prewarm_policy=TimerPrewarmPolicy(), seed=3
@@ -258,18 +239,20 @@ class TestShardedEngineEquivalence:
                 event[policy], vector[policy], f"{policy}/jobs={jobs}/{channel}"
             )
 
-    def test_auto_matches_vector_and_event_for_mixed_policies(self):
+    def test_default_engine_matches_event_for_mixed_policies(self):
         kwargs = dict(seed=5, days=1, scale=0.1, n_groups=2)
-        auto = evaluate_policies(
-            "R3", ("baseline", "timer-prewarm"), engine="auto", **kwargs
+        default = evaluate_policies(
+            "R3", ("baseline", "timer-prewarm"), **kwargs
         )
         event = evaluate_policies(
             "R3", ("baseline", "timer-prewarm"), engine="event", **kwargs
         )
-        # Both policies replay vectorized under auto (timer-prewarm on the
+        # Both policies replay vectorized by default (timer-prewarm on the
         # tick-partitioned mode) yet merge identically to the event loop.
-        _assert_identical(auto["baseline"], event["baseline"], "baseline")
-        _assert_identical(auto["timer-prewarm"], event["timer-prewarm"], "prewarm")
+        _assert_identical(default["baseline"], event["baseline"], "baseline")
+        _assert_identical(
+            default["timer-prewarm"], event["timer-prewarm"], "prewarm"
+        )
 
     @pytest.mark.parametrize("jobs,channel", [(1, "pickle"), (2, "shm")])
     def test_coupled_policy_shards_identical_across_engines(self, jobs, channel):
@@ -299,10 +282,9 @@ class TestShardedEngineEquivalence:
         assert event.remote_share == vector.remote_share
         assert vector.metrics.cold_starts_by_region["R3"] > 0
 
-    def test_cross_region_auto_takes_vector(self):
+    def test_cross_region_default_engine(self):
         result = evaluate_cross_region(
             "R1", remotes=("R3",), seed=5, days=1, scale=0.05, n_groups=2,
-            engine="auto",
         )
         assert result.metrics.requests > 0
         assert sum(result.metrics.cold_starts_by_region.values()) == (
@@ -353,32 +335,24 @@ class TestCoupledEngineEquivalence:
         and must stay bit-identical or fall back to the exact event
         replay."""
 
-        class GaugeShaver(AsyncPeakShaver):
-            def gauge_peaking(self, tick, now):
-                return self.load_ratio > self.trigger_ratio
-
         profile, traces = r2_traces
         event = RegionEvaluator(
             profile, seed=1, engine="event",
-            peak_shaver=GaugeShaver(max_delay_s=45.0, trigger_ratio=trigger),
+            peak_shaver=_GaugeShaver(trigger, max_delay_s=45.0),
         ).run(traces)
         vector = RegionEvaluator(
             profile, seed=1, engine="vector",
-            peak_shaver=GaugeShaver(max_delay_s=45.0, trigger_ratio=trigger),
+            peak_shaver=_GaugeShaver(trigger, max_delay_s=45.0),
         ).run(traces)
         _assert_identical(event, vector, f"gauge-feedback@{trigger}")
 
     def test_gauge_feedback_subclass_is_not_outcome_free(self):
-        class GaugeShaver(AsyncPeakShaver):
-            def gauge_peaking(self, tick, now):
-                return self.load_ratio > self.trigger_ratio
-
         class DecideShaver(AsyncPeakShaver):
             def decide(self, tick, now):
                 return super().decide(tick, now)
 
         assert AsyncPeakShaver().outcome_free_decisions
-        assert not GaugeShaver().outcome_free_decisions
+        assert not _GaugeShaver().outcome_free_decisions
         assert not DecideShaver().outcome_free_decisions
         assert TimerPrewarmPolicy().outcome_free_decisions
 
@@ -431,111 +405,26 @@ class TestCoupledEngineEquivalence:
         _assert_identical(event, vector, "horizon")
 
 
-class TestLegacyPolicyShim:
-    """Third-party subclasses written against the pre-tick per-arrival API
-    run unchanged through the base-class bridge."""
+class TestCustomPolicies:
+    """User-defined tick policies replay identically on both engines."""
 
-    def test_legacy_prewarm_subclass_runs_and_matches_across_engines(
-        self, r2_traces
-    ):
+    def test_custom_prewarm_policy_matches_across_engines(self, r2_traces):
         profile, traces = r2_traces
         event = RegionEvaluator(
-            profile, seed=3, engine="event", prewarm_policy=_LegacyPrewarm()
+            profile, seed=3, engine="event",
+            prewarm_policy=_RecentTimerPrewarm(),
         ).run(traces)
         vector = RegionEvaluator(
-            profile, seed=3, engine="vector", prewarm_policy=_LegacyPrewarm()
+            profile, seed=3, engine="vector",
+            prewarm_policy=_RecentTimerPrewarm(),
         ).run(traces)
-        _assert_identical(event, vector, "legacy-prewarm")
+        _assert_identical(event, vector, "custom-prewarm")
         assert event.prewarm_creations > 0
 
-    def test_duck_typed_prewarm_object_is_shimmed(self, r2_traces):
-        class DuckPrewarm:  # no base class at all
-            def observe(self, spec, t):
-                pass
-
-            def plan(self, now):
-                return {}
-
-        profile, traces = r2_traces
-        metrics = RegionEvaluator(
-            profile, seed=3, prewarm_policy=DuckPrewarm()
-        ).run(traces)
-        assert metrics.requests == sum(t.arrivals.size for t in traces)
-
-    def test_concrete_prewarm_hook_overrides_are_honoured(self, r2_traces):
-        """Overriding plan()/observe() on the *concrete* built-in policies
-        (the pre-tick customization points) must keep working — the
-        native fast paths defer to the legacy bridge."""
-
-        class NeverPrewarm(TimerPrewarmPolicy):
-            def plan(self, now):
-                return {}
-
-        class CountingHistogram(HistogramPrewarmPolicy):
-            calls = 0
-
-            def observe(self, spec, t):
-                CountingHistogram.calls += 1
-                super().observe(spec, t)
-
-        profile, traces = r2_traces
-        never = RegionEvaluator(
-            profile, seed=3, prewarm_policy=NeverPrewarm()
-        ).run(traces)
-        assert never.prewarm_creations == 0
-
-        CountingHistogram.calls = 0
-        RegionEvaluator(
-            profile, seed=3, engine="event",
-            prewarm_policy=CountingHistogram(),
-        ).run(traces)
-        assert CountingHistogram.calls > 0
-
-        # And overridden-hook subclasses stay engine-equivalent.
-        event = RegionEvaluator(
-            profile, seed=3, engine="event", prewarm_policy=NeverPrewarm()
-        ).run(traces)
-        vector = RegionEvaluator(
-            profile, seed=3, engine="vector", prewarm_policy=NeverPrewarm()
-        ).run(traces)
-        _assert_identical(event, vector, "never-prewarm")
-
-    def test_asyncshaver_delay_for_override_is_honoured(self, r2_traces):
-        """Overriding the concrete shaver's per-arrival hook (the pre-tick
-        customization point) keeps its semantics: the bridge routes every
-        eligible arrival through it on the event engine."""
-
-        class NoDelay(AsyncPeakShaver):
-            def __init__(self, **kw):
-                super().__init__(**kw)
-                self.calls = 0
-
-            def delay_for(self, spec, now, congestion=0.0):
-                self.calls += 1
-                return 0.0
-
-        profile, traces = r2_traces
-        shaver = NoDelay(max_delay_s=120.0)
-        evaluator = RegionEvaluator(profile, seed=1, peak_shaver=shaver)
-        assert evaluator.resolve_engine() == "event"
-        assert not shaver.outcome_free_decisions
-        metrics = evaluator.run(traces)
-        assert shaver.calls > 0
-        assert metrics.delayed_requests == 0
-
-    def test_legacy_shaver_subclass_still_runs_on_event(self, r2_traces):
-        profile, traces = r2_traces
-        shaver = _LegacyShaver()
-        evaluator = RegionEvaluator(profile, seed=3, peak_shaver=shaver)
-        assert evaluator.resolve_engine() == "event"
-        metrics = evaluator.run(traces)
-        assert metrics.requests == sum(t.arrivals.size for t in traces)
-        assert shaver.calls > 0  # the bridge consulted the legacy hook
-
-    def test_legacy_prewarm_state_matches_per_arrival_semantics(self):
-        """The bridge feeds observe() the same (spec, t) stream the
-        pre-tick evaluator did — state after a replay proves it."""
-        policy = _LegacyPrewarm()
+    def test_custom_prewarm_observes_every_timer_arrival(self):
+        """The tick machine hands observe_batch every arrival — state
+        after an event replay proves it."""
+        policy = _RecentTimerPrewarm()
         _, traces = build_workload("R3", seed=5, days=1, scale=0.05)
         from repro.workload.regions import region_profile
 
