@@ -9,11 +9,11 @@ Two committed properties:
   vector mode replays the coupled tick-phase policies (timer pre-warming,
   async peak shaving, and their combination) bit-identically and >= 3x
   faster serial over the committed coupled-policy workload. Histogram
-  pre-warming rides along as an informational row: it targets the popular
-  functions whose saturated multi-pod episodes used to fall back to the
-  scalar walk; the batched slot-exhaustion sweep and the analytic prewarm
-  sweep (the former ROADMAP episode-vectorization item) now carry it
-  comfortably past 1x.
+  pre-warming rides along as an informational row. Like the others it
+  decides in closed form (``TickPolicy.horizon_schedule``), so no tick
+  machine runs, but it pre-warms the popular functions, and the coupled
+  kernel still walks their single-slot multi-pod episodes arrival by
+  arrival: that kernel, not the schedule, keeps the row near 1.5x.
 
 Results land in ``benchmarks/results/evaluator*.txt`` (human tables) and
 ``benchmarks/results/BENCH_evaluator*.json`` (machine-readable trajectory
@@ -42,8 +42,9 @@ EVAL_SEED = 1
 #: cores, so more reps keep the min honest.
 REPS = 5
 MIN_SPEEDUP = 5.0
-#: Coupled policies pay a per-tick policy-machine cost on top of the
-#: per-function walks, so their committed floor is lower.
+#: Coupled policies replay every function their decisions touch through
+#: the exact coupled kernel on top of the per-function walks, so their
+#: committed floor is lower.
 COUPLED_REPS = 3
 MIN_COUPLED_SPEEDUP = 3.0
 
@@ -74,8 +75,9 @@ _COUPLED_INFORMATIONAL = {
 @pytest.fixture(scope="module")
 def coupled_workload():
     """A full-scale one-week Region-2 workload (~2.2M requests): the
-    coupled-policy benchmark. Density matters — the per-tick policy
-    machine is a fixed cost the vectorized walks amortise over arrivals."""
+    coupled-policy benchmark. Density matters — the vector engine's gain
+    is per arrival, while its fixed costs (the closed-form schedules, the
+    repair rounds) are per tick or per function."""
     return build_workload("R2", seed=42, days=7, scale=1.0)
 
 

@@ -23,6 +23,11 @@ replay engines — the event loop and the vectorized tick-partitioned replay
 — drive the *same* policy object through the *same* column arrays and stay
 bit-identical (``tests/test_vector_engine.py``).
 
+Policies whose decisions depend only on arrivals may also answer
+:meth:`TickPolicy.horizon_schedule`: the whole schedule as a
+:class:`HorizonSchedule` in one call, which lets the vectorized engine skip
+stepping the machine tick by tick.
+
 :class:`PrewarmPolicy` and :class:`PeakShaver` are the typed bases of the
 two policy families; they fix which column groups each family reads
 (:attr:`TickPolicy.needs`) and leave :meth:`~TickPolicy.observe_batch`/
@@ -356,6 +361,112 @@ class TickAction:
     route: "RouteDirective | None" = None
 
 
+def _no_ints() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class HorizonSchedule:
+    """A whole decision schedule over ticks ``[0, n_ticks)``, as arrays.
+
+    The structure-of-arrays form of ``n_ticks`` consecutive
+    :class:`TickAction` values (see :meth:`TickPolicy.horizon_schedule`):
+
+    * pre-warm entries ``(prewarm_tick[j], prewarm_fid[j],
+      prewarm_target[j])`` — the ``(function id, target)`` pairs
+      :attr:`TickAction.prewarm` carries at that tick, sorted per
+      function by tick;
+    * per-tick :class:`ShaveDirective` columns (``shave_present[k]``
+      False where the tick's action has no directive), or all ``None``
+      when no tick shaves.
+    """
+
+    n_ticks: int
+    prewarm_tick: np.ndarray = field(default_factory=_no_ints)
+    prewarm_fid: np.ndarray = field(default_factory=_no_ints)
+    prewarm_target: np.ndarray = field(default_factory=_no_ints)
+    shave_present: np.ndarray | None = None
+    shave_gauge_active: np.ndarray | None = None
+    shave_trigger: np.ndarray | None = None
+    shave_max_delay: np.ndarray | None = None
+
+    def head(self, n_ticks: int) -> "HorizonSchedule":
+        """The schedule of ticks ``[0, n_ticks)``. Decisions are causal
+        (tick ``k`` reads only spans before it), so this is exactly what
+        a shorter run decides."""
+        keep = self.prewarm_tick < n_ticks
+        shave = {}
+        if self.shave_present is not None:
+            shave = dict(
+                shave_present=self.shave_present[:n_ticks],
+                shave_gauge_active=self.shave_gauge_active[:n_ticks],
+                shave_trigger=self.shave_trigger[:n_ticks],
+                shave_max_delay=self.shave_max_delay[:n_ticks],
+            )
+        return HorizonSchedule(
+            n_ticks, self.prewarm_tick[keep], self.prewarm_fid[keep],
+            self.prewarm_target[keep], **shave,
+        )
+
+    @classmethod
+    def combine(cls, schedules: Sequence["HorizonSchedule"]) -> "HorizonSchedule":
+        """Fold per-policy schedules the way ``combine_actions`` folds one
+        tick's actions: pre-warm entries concatenate in policy order
+        within a tick, and the first policy with a directive at a tick
+        wins it."""
+        if len(schedules) == 1:
+            return schedules[0]
+        n_ticks = schedules[0].n_ticks
+        tick = np.concatenate([s.prewarm_tick for s in schedules])
+        order = np.argsort(tick, kind="stable")
+        present = gauge = trigger = max_delay = None
+        for s in schedules:
+            if s.shave_present is None:
+                continue
+            if present is None:
+                present, gauge = s.shave_present, s.shave_gauge_active
+                trigger, max_delay = s.shave_trigger, s.shave_max_delay
+                continue
+            fill = ~present & s.shave_present
+            present = present | fill
+            gauge = np.where(fill, s.shave_gauge_active, gauge)
+            trigger = np.where(fill, s.shave_trigger, trigger)
+            max_delay = np.where(fill, s.shave_max_delay, max_delay)
+        return cls(
+            n_ticks, tick[order],
+            np.concatenate([s.prewarm_fid for s in schedules])[order],
+            np.concatenate([s.prewarm_target for s in schedules])[order],
+            present, gauge, trigger, max_delay,
+        )
+
+    def shave_directives(self) -> "list[ShaveDirective | None] | None":
+        """Per-tick directive objects for the replay kernels (``None``
+        when no tick shaves). One object per run of equal ticks."""
+        if self.shave_present is None or not self.shave_present.any():
+            return None
+        cols = (
+            self.shave_present, self.shave_gauge_active,
+            self.shave_trigger, self.shave_max_delay,
+        )
+        change = np.zeros(self.n_ticks, dtype=bool)
+        change[0] = True
+        for col in cols:
+            change[1:] |= col[1:] != col[:-1]
+        starts = np.flatnonzero(change).tolist() + [self.n_ticks]
+        directives: list = []
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            directive = (
+                ShaveDirective(
+                    gauge_active=bool(self.shave_gauge_active[lo]),
+                    congestion_trigger=float(self.shave_trigger[lo]),
+                    max_delay_s=float(self.shave_max_delay[lo]),
+                )
+                if self.shave_present[lo] else None
+            )
+            directives.extend([directive] * (hi - lo))
+        return directives
+
+
 class TickPolicy:
     """A mitigation policy as a batched tick-phase state machine.
 
@@ -401,8 +512,41 @@ class TickPolicy:
         """Actions for the span starting at ``now``."""
         raise NotImplementedError
 
+    def horizon_schedule(
+        self, span_index, specs: Sequence[FunctionSpec],
+        function_ids: np.ndarray, interval_s: float, n_ticks: int,
+    ) -> HorizonSchedule | None:
+        """The whole decision schedule of ticks ``[0, n_ticks)`` in one call.
+
+        An optional closed form of stepping a *fresh* copy of this policy
+        through :meth:`observe_batch`/:meth:`decide` over the arrival
+        spans of ``span_index`` (a :class:`~repro.mitigation.tick.SpanIndex`)
+        on a clock of ``interval_s``. It must equal the stepped schedule
+        exactly and must not mutate ``self``. The default ``None`` means
+        "step me": the vectorized engine then runs the tick machine.
+        Only outcome-free policies can answer, since the arrival columns
+        are the only input.
+        """
+        return None
+
     def describe(self) -> str:
         return type(self).__name__
+
+
+#: The hooks through which a subclass can change a built-in policy's
+#: decision stream (``gauge_peaking`` only exists on the shaver).
+_DECISION_HOOKS = ("observe", "observe_batch", "decide", "gauge_peaking")
+
+
+def keeps_decision_hooks(policy: TickPolicy, owner: type) -> bool:
+    """True when ``policy`` runs ``owner``'s own decision hooks — the
+    guard both for outcome-freedom and for closed-form schedules, which
+    describe the built-in hooks and nothing a subclass put in them."""
+    cls = type(policy)
+    return all(
+        getattr(cls, hook, None) is getattr(owner, hook, None)
+        for hook in _DECISION_HOOKS
+    )
 
 
 class PrewarmPolicy(TickPolicy):

@@ -52,6 +52,7 @@ import numpy as np
 from repro.cluster.lifecycle import FixedKeepAlive, KeepAlivePolicy
 from repro.mitigation.base import (
     EvalMetrics,
+    HorizonSchedule,
     PeakShaver,
     PrewarmPolicy,
     ShaveDirective,
@@ -65,6 +66,7 @@ from repro.mitigation.tick import (
     SpanIndex,
     TickMachine,
     canonical_event_order,
+    closed_form_schedule,
     last_tick_index,
     tick_indices_of,
     tick_interval,
@@ -196,23 +198,70 @@ def _last_tick_index(limit: float) -> int:
     return last_tick_index(limit, 60.0)
 
 
-def _prewarm_by_fn(schedule, spec_by_id) -> dict[int, tuple]:
+def _prewarm_by_fn(tick, fid, target, spec_by_id) -> dict[int, tuple]:
     """Per-function ``(tick, target)`` pre-warm slices of a schedule.
 
-    Mirrors the event engine's application rule: unknown function ids and
-    non-positive targets are dropped; entries keep (tick, plan) order.
+    Takes the schedule's pre-warm entries as arrays in tick order (plan
+    order within a tick) and mirrors the event engine's application rule:
+    unknown function ids and non-positive targets are dropped; entries
+    keep (tick, plan) order.
     """
-    by_fn: dict[int, list] = {}
-    for k, action in enumerate(schedule):
-        for function_id, target in action.prewarm:
-            fn = spec_by_id.get(function_id)
-            if fn is None or target <= 0:
-                continue
-            by_fn.setdefault(fn, []).append((k, int(target)))
-    return {fn: tuple(entries) for fn, entries in by_fn.items()}
+    if not tick.size:
+        return {}
+    uniq, inverse = np.unique(fid, return_inverse=True)
+    fn = np.array(
+        [spec_by_id.get(f, -1) for f in uniq.tolist()], dtype=np.int64
+    )[inverse]
+    keep = (fn >= 0) & (target > 0)
+    fn, tick, target = fn[keep], tick[keep], target[keep]
+    order = np.argsort(fn, kind="stable")
+    fn, tick, target = fn[order], tick[order].tolist(), target[order].tolist()
+    cut = (np.flatnonzero(fn[1:] != fn[:-1]) + 1).tolist()
+    return {
+        int(fn[lo]): tuple(zip(tick[lo:hi], target[lo:hi]))
+        for lo, hi in zip([0] + cut, cut + [fn.size])
+    }
 
 
-def _shave_relevance(shave_fp, interval_s, n_ticks, congestion):
+def _schedule_columns(actions) -> tuple[HorizonSchedule, list | None]:
+    """A stepped ``list[TickAction]`` in :class:`HorizonSchedule` form,
+    plus its per-tick directive objects (``None`` when no tick shaves).
+    Custom directive types have no columns; ``_shave_relevance`` keeps
+    them whole."""
+    n_ticks = len(actions)
+    entries = [
+        (k, function_id, int(target))
+        for k, action in enumerate(actions)
+        for function_id, target in action.prewarm
+    ]
+    prewarm = np.array(entries, dtype=np.int64).reshape(-1, 3)
+    directives = [action.shave for action in actions]
+    pure = [d if type(d) is ShaveDirective else None for d in directives]
+    schedule = HorizonSchedule(
+        n_ticks, prewarm[:, 0], prewarm[:, 1], prewarm[:, 2],
+        shave_present=np.array(
+            [d is not None for d in directives], dtype=bool
+        ),
+        shave_gauge_active=np.array(
+            [
+                d is not None and bool(getattr(d, "gauge_active", True))
+                for d in directives
+            ],
+            dtype=bool,
+        ),
+        shave_trigger=np.array(
+            [-np.inf if d is None else d.congestion_trigger for d in pure],
+            dtype=np.float64,
+        ),
+        shave_max_delay=np.array(
+            [0.0 if d is None else d.max_delay_s for d in pure],
+            dtype=np.float64,
+        ),
+    )
+    return schedule, directives if schedule.shave_present.any() else None
+
+
+def _shave_relevance(schedule, directives, interval_s, congestion):
     """Change detector: what a shave schedule makes a function's replay *read*.
 
     Returns ``rel(outcome)`` — the time-ordered tuple of the function's
@@ -224,34 +273,22 @@ def _shave_relevance(shave_fp, interval_s, n_ticks, congestion):
     flips at ticks nobody reads never force a re-replay (or block
     convergence). For the built-in pure directive the active test is
     exact (gauge flag at the tick, profile trigger at the arrival
-    minute); unknown directive types are kept whole in the fingerprint
-    (conservative: any schedule change re-replays the function).
+    minute) and reads the schedule's columns; directives of other types
+    in a stepped schedule's ``directives`` (``None``: every directive is
+    built-in) are kept whole in the fingerprint (conservative: any
+    schedule change re-replays the function).
     """
-    if not any(d is not None for d in shave_fp):
+    present = schedule.shave_present
+    if present is None or not present.any():
         return lambda outcome: ()
-    present = np.array([d is not None for d in shave_fp], dtype=bool)
+    n_ticks = schedule.n_ticks
     pure = np.array(
-        [d is None or type(d) is ShaveDirective for d in shave_fp], dtype=bool
-    )
-    gauge_active = np.array(
-        [bool(d is not None and getattr(d, "gauge_active", True)) for d in shave_fp],
-        dtype=bool,
-    )
-    trigger = np.array(
-        [
-            d.congestion_trigger if d is not None and type(d) is ShaveDirective
-            else -np.inf
-            for d in shave_fp
-        ],
-        dtype=np.float64,
-    )
-    max_delay = np.array(
-        [
-            d.max_delay_s if d is not None and type(d) is ShaveDirective else 0.0
-            for d in shave_fp
-        ],
-        dtype=np.float64,
-    )
+        [type(d) is ShaveDirective for d in directives], dtype=bool
+    ) if directives is not None else np.ones(n_ticks, dtype=bool)
+    pure |= ~present
+    gauge_active = schedule.shave_gauge_active
+    trigger = schedule.shave_trigger
+    max_delay = schedule.shave_max_delay
 
     def rel(outcome):
         cand = outcome.cold_times[~outcome.cold_delayed]
@@ -269,10 +306,8 @@ def _shave_relevance(shave_fp, interval_s, n_ticks, congestion):
             return ()
         reads = []
         for t, ki in zip(cand[active].tolist(), k[active].tolist()):
-            directive = shave_fp[ki]
             reads.append(
-                (t, max_delay[ki]) if type(directive) is ShaveDirective
-                else (t, directive)
+                (t, max_delay[ki]) if pure[ki] else (t, directives[ki])
             )
         return tuple(reads)
 
@@ -579,17 +614,24 @@ class RegionEvaluator:
         # every relevance fingerprint are reproducible by construction.
         outcome_free = all(p.outcome_free_decisions for p in policies)
         clock = {"n_ticks": 0, "gauge": EMPTY_F}
-        sched_pass = SchedulePass(
+        # Outcome-free built-in policies answer the whole horizon in
+        # closed form, once; each round reads the prefix its settled tick
+        # count needs (decisions are causal). Everything else steps the
+        # tick machine through the checkpointed schedule pass.
+        closed_form = (
+            closed_form_schedule(
+                policies, span_index, specs, function_ids, interval,
+                last_tick_index(horizon_s, interval) + 1,
+            )
+            if outcome_free else None
+        )
+        sched_pass = None if closed_form is not None else SchedulePass(
             policies, specs, function_ids, interval, span_index,
             tick_congestion=lambda k: congestion.at(k * interval),
             checkpoint=self._REPAIR_CHECKPOINT,
         )
 
         def prepare_round(round_idx: int, outcomes_) -> bool:
-            # Policies with outcome-free decision streams need no
-            # fixed-point verification pass: once the tick count settles
-            # (delayed re-arrivals can extend the clock), the schedule and
-            # every relevance fingerprint are reproducible by construction.
             n_ticks, gauge = self._pod_gauge(outcomes_, horizon_s, interval)
             settled = (
                 outcome_free and round_idx > 0
@@ -600,43 +642,21 @@ class RegionEvaluator:
 
         def bind_schedule(round_idx: int, outcomes_):
             n_ticks = clock["n_ticks"]
-            cold_t = np.concatenate(
-                [o.cold_times for o in outcomes_]
-            ) if outcomes_ else EMPTY_F
-            cold_w = np.concatenate(
-                [o.cold_waits for o in outcomes_]
-            ) if outcomes_ else EMPTY_F
-            cold_fn = (
-                np.concatenate([
-                    np.full(o.cold_times.size, i, dtype=np.int64)
-                    for i, o in enumerate(outcomes_)
-                ])
-                if outcomes_ else EMPTY_I
+            if closed_form is not None:
+                schedule = closed_form.head(n_ticks)
+                stepped, shave_schedule = None, schedule.shave_directives()
+            else:
+                schedule, stepped = _schedule_columns(
+                    self._machine_pass(
+                        sched_pass, n_ticks, outcomes_, clock["gauge"]
+                    )
+                )
+                shave_schedule = stepped
+            prewarm_by_fn = _prewarm_by_fn(
+                schedule.prewarm_tick, schedule.prewarm_fid,
+                schedule.prewarm_target, spec_by_id,
             )
-            cold_delayed = (
-                np.concatenate([o.cold_delayed for o in outcomes_])
-                if outcomes_ else np.zeros(0, dtype=bool)
-            )
-            cold_tie = (
-                np.concatenate([o.cold_tiebreak for o in outcomes_])
-                if outcomes_ else EMPTY_I
-            )
-            cold_order = canonical_event_order(cold_t, cold_delayed, cold_tie)
-            schedule = sched_pass.run(
-                n_ticks,
-                cold_t=cold_t[cold_order],
-                cold_wait=cold_w[cold_order],
-                cold_fn=cold_fn[cold_order],
-                cold_region=np.zeros(cold_t.size, dtype=np.int64),
-                gauge=clock["gauge"],
-            )
-            prewarm_by_fn = _prewarm_by_fn(schedule, spec_by_id)
-            shave_fp = tuple(action.shave for action in schedule)
-            rel_of = _shave_relevance(shave_fp, interval, n_ticks, congestion)
-            shave_schedule = (
-                [action.shave for action in schedule]
-                if any(d is not None for d in shave_fp) else None
-            )
+            rel_of = _shave_relevance(schedule, stepped, interval, congestion)
             return prewarm_by_fn, rel_of, shave_schedule, n_ticks
 
         def fingerprint(i: int, outcome, ctx):
@@ -700,6 +720,40 @@ class RegionEvaluator:
         self._assemble_coupled(
             outcomes, clock["n_ticks"], clock["gauge"], interval, horizon_s,
             metrics,
+        )
+
+    @staticmethod
+    def _machine_pass(sched_pass, n_ticks, outcomes, gauge):
+        """One stepped machine pass over the outcome columns' tick inputs."""
+        cold_t = np.concatenate(
+            [o.cold_times for o in outcomes]
+        ) if outcomes else EMPTY_F
+        cold_w = np.concatenate(
+            [o.cold_waits for o in outcomes]
+        ) if outcomes else EMPTY_F
+        cold_fn = (
+            np.concatenate([
+                np.full(o.cold_times.size, i, dtype=np.int64)
+                for i, o in enumerate(outcomes)
+            ])
+            if outcomes else EMPTY_I
+        )
+        cold_delayed = (
+            np.concatenate([o.cold_delayed for o in outcomes])
+            if outcomes else np.zeros(0, dtype=bool)
+        )
+        cold_tie = (
+            np.concatenate([o.cold_tiebreak for o in outcomes])
+            if outcomes else EMPTY_I
+        )
+        cold_order = canonical_event_order(cold_t, cold_delayed, cold_tie)
+        return sched_pass.run(
+            n_ticks,
+            cold_t=cold_t[cold_order],
+            cold_wait=cold_w[cold_order],
+            cold_fn=cold_fn[cold_order],
+            cold_region=np.zeros(cold_t.size, dtype=np.int64),
+            gauge=gauge,
         )
 
     @staticmethod

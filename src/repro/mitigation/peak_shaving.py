@@ -12,11 +12,15 @@ delay.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.mitigation.base import (
+    HorizonSchedule,
     PeakShaver,
     ShaveDirective,
     TickAction,
     TickColumns,
+    keeps_decision_hooks,
 )
 
 
@@ -79,11 +83,19 @@ class AsyncPeakShaver(PeakShaver):
         the decision stream — ``decide``, ``gauge_peaking``, or the
         observation path feeding them — re-enters the fixed-point
         verification loop (conservative but safe)."""
-        cls = type(self)
-        return (
-            cls.decide is AsyncPeakShaver.decide
-            and cls.gauge_peaking is AsyncPeakShaver.gauge_peaking
-            and cls.observe_batch is AsyncPeakShaver.observe_batch
+        return keeps_decision_hooks(self, AsyncPeakShaver)
+
+    def horizon_schedule(self, span_index, specs, function_ids, interval_s, n_ticks):
+        """The built-in directive is one constant over the horizon."""
+        if not self.outcome_free_decisions:
+            return None
+        n_ticks = max(int(n_ticks), 0)
+        return HorizonSchedule(
+            n_ticks,
+            shave_present=np.ones(n_ticks, dtype=bool),
+            shave_gauge_active=np.zeros(n_ticks, dtype=bool),
+            shave_trigger=np.full(n_ticks, float(self.congestion_trigger)),
+            shave_max_delay=np.full(n_ticks, float(self.max_delay_s)),
         )
 
     def gauge_peaking(self, tick: int, now: float) -> bool:

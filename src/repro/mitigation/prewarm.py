@@ -18,10 +18,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mitigation.base import PrewarmPolicy, TickAction, TickColumns
+from repro.mitigation.base import (
+    HorizonSchedule,
+    PrewarmPolicy,
+    TickAction,
+    TickColumns,
+    keeps_decision_hooks,
+)
 from repro.workload.function import FunctionSpec
 
 _MINUTES_PER_DAY = 1440
+
+
+def _observed(span_index, n_ticks: int):
+    """What ticks ``[0, n_ticks)`` observe: the tick edges, the global
+    index range ``[lo, hi)`` of the observed arrivals, and the tick that
+    observes each of them (span ``k`` is observed at tick ``k``)."""
+    edges = span_index.edges(n_ticks)
+    lo, hi = int(edges[0]), int(edges[-1])
+    tick = np.repeat(
+        np.arange(n_ticks, dtype=np.int64), np.diff(edges, prepend=lo)
+    )
+    return edges, lo, hi, tick
 
 
 class NoPrewarm(PrewarmPolicy):
@@ -134,6 +152,83 @@ class TimerPrewarmPolicy(PrewarmPolicy):
             prewarm=tuple((int(fid), 1) for fid in self._slot_fid[:n][mask])
         )
 
+    def horizon_schedule(self, span_index, specs, function_ids, interval_s, n_ticks):
+        """Closed form of :meth:`observe_batch` + :meth:`decide` stepped
+        from a fresh policy.
+
+        The period EMA runs per timer function over its observed arrivals
+        in time order — the one Python loop, over timer arrivals only.
+        The state after a span's last arrival of a function fixes its
+        fire time for every tick up to the function's next observing
+        tick; the ticks it emits are those with ``0 <= fire - now <=
+        lead_s + interval_s``, tested with :meth:`decide`'s own float
+        expressions.
+        """
+        if (
+            not keeps_decision_hooks(self, TimerPrewarmPolicy)
+            or not self.outcome_free_decisions
+            or self._last_seen
+        ):
+            return None
+        n_ticks = max(int(n_ticks), 0)
+        if not n_ticks:
+            return HorizonSchedule(0)
+        _, lo, hi, obs_tick = _observed(span_index, n_ticks)
+        timer = np.array([s.is_timer_driven for s in specs], dtype=bool)
+        sel = np.flatnonzero(timer[span_index.all_fn[lo:hi]])
+        fid = np.asarray(function_ids, dtype=np.int64)[
+            span_index.all_fn[lo + sel]
+        ]
+        order = np.argsort(fid, kind="stable")
+        fid, sel = fid[order], sel[order]
+        t = span_index.all_t[lo + sel]
+        tick = obs_tick[sel]
+        periods: list = []
+        prev_fid = per = None
+        last = 0.0
+        for f, tj in zip(fid.tolist(), t.tolist()):
+            if f != prev_fid:
+                prev_fid, per = f, None
+            else:
+                gap = tj - last
+                if gap > 1.0:
+                    per = gap if per is None else 0.7 * per + 0.3 * gap
+            last = tj
+            periods.append(per)
+        period = np.array(periods, dtype=np.float64)  # None -> NaN
+        # One state per (function, observing tick): the span's last arrival.
+        final = np.ones(t.size, dtype=bool)
+        final[:-1] = (fid[1:] != fid[:-1]) | (tick[1:] != tick[:-1])
+        fid, tick, period = fid[final], tick[final], period[final]
+        fire = t[final] + period
+        until_tick = np.full(tick.size, n_ticks, dtype=np.int64)
+        same = fid[1:] == fid[:-1]
+        until_tick[:-1][same] = tick[1:][same]
+        valid = period >= self.min_period_s  # NaN: no period learned yet
+        fid, tick, until_tick, fire = (
+            fid[valid], tick[valid], until_tick[valid], fire[valid]
+        )
+        window = self.lead_s + self.interval_s
+        # Candidate ticks bracket [fire - window, fire] with one spare on
+        # each side; the exact float test below decides.
+        k_lo = np.maximum(tick, np.clip(
+            np.floor((fire - window) / interval_s) - 1, -1, n_ticks
+        ).astype(np.int64))
+        k_hi = np.minimum(until_tick - 1, np.clip(
+            np.floor(fire / interval_s) + 1, -1, n_ticks
+        ).astype(np.int64))
+        count = np.maximum(k_hi - k_lo + 1, 0)
+        owner = np.repeat(np.arange(fire.size), count)
+        k = k_lo[owner] + (
+            np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+        )
+        until_fire = fire[owner] - k * interval_s
+        hit = (until_fire >= 0.0) & (until_fire <= window)
+        return HorizonSchedule(
+            n_ticks, k[hit], fid[owner][hit],
+            np.ones(int(hit.sum()), dtype=np.int64),
+        )
+
     def describe(self) -> str:
         return f"timer-prewarm(lead={self.lead_s:g}s)"
 
@@ -214,6 +309,103 @@ class HistogramPrewarmPolicy(PrewarmPolicy):
             return TickAction()
         return TickAction(
             prewarm=tuple((int(fid), 1) for fid in self._fids[eligible])
+        )
+
+    def horizon_schedule(self, span_index, specs, function_ids, interval_s, n_ticks):
+        """Closed form of :meth:`observe_batch` + :meth:`decide` stepped
+        from a fresh policy.
+
+        At tick ``k`` the window of function ``f`` counts its observed
+        arrivals whose minute of day lies in ``[m_k, m_k + smooth)``
+        (cyclic). Ticks are answered in half-day blocks: arrivals
+        observed before a block enter through a running ``(n_fns, 1440)``
+        histogram and its cyclic window sums; arrivals observed inside it
+        add +1 from their observing tick to the end of the block's run of
+        ticks on each window minute they feed (one run per minute, since a
+        block spans under a day). Memory stays ``O(block x n_fns)``, and
+        the probability is the same float expression as :meth:`decide`,
+        evaluated on a contiguous float64 block.
+        """
+        smooth = self.smooth_minutes
+        if (
+            not keeps_decision_hooks(self, HistogramPrewarmPolicy)
+            or not self.outcome_free_decisions
+            or self._win is not None or self._start is not None
+            or not 0 <= smooth <= _MINUTES_PER_DAY
+        ):
+            return None
+        n_ticks = max(int(n_ticks), 0)
+        n_fns = len(specs)
+        if not n_ticks or not n_fns:
+            return HorizonSchedule(n_ticks)
+        fids = np.asarray(function_ids, dtype=np.int64)
+        edges, lo, hi, tick = _observed(span_index, n_ticks)
+        t = span_index.all_t[lo:hi]
+        fn = span_index.all_fn[lo:hi]
+        minute = ((t % 86_400.0) // 60.0).astype(np.int64)
+        days_seen = np.ones(n_ticks, dtype=np.float64)
+        seen = edges > lo
+        if seen.any():
+            days_seen[seen] = np.maximum(
+                (span_index.all_t[edges[seen] - 1] - t[0]) / 86_400.0, 1.0
+            )
+        block = max(1, int(43_200.0 // interval_s))
+        hist = np.zeros((n_fns, _MINUTES_PER_DAY), dtype=np.int64)
+        obs = np.zeros(n_fns, dtype=np.int64)
+        out_tick, out_fid = [], []
+        for k0 in range(0, n_ticks, block):
+            k1 = min(k0 + block, n_ticks)
+            width = k1 - k0
+            now = np.arange(k0, k1) * interval_s
+            tick_minute = ((now % 86_400.0) // 60.0).astype(np.int64)
+            # Windows over the arrivals observed before the block.
+            wrapped = np.concatenate([hist, hist[:, :smooth]], axis=1)
+            csum = np.zeros((n_fns, wrapped.shape[1] + 1), dtype=np.int64)
+            np.cumsum(wrapped, axis=1, out=csum[:, 1:])
+            win_old = csum[:, smooth:smooth + _MINUTES_PER_DAY] \
+                - csum[:, :_MINUTES_PER_DAY]
+            window = win_old.T[tick_minute]
+            # Arrivals observed inside the block.
+            a0, a1 = np.searchsorted(tick, (k0, k1))
+            nf, nm, nt = fn[a0:a1], minute[a0:a1], tick[a0:a1] - k0
+            starts = np.flatnonzero(
+                np.concatenate(([True], tick_minute[1:] != tick_minute[:-1]))
+            )
+            run_lo = np.zeros(_MINUTES_PER_DAY, dtype=np.int64)
+            run_hi = np.zeros(_MINUTES_PER_DAY, dtype=np.int64)
+            run_lo[tick_minute[starts]] = starts
+            run_hi[tick_minute[starts]] = np.append(starts[1:], width)
+            delta = np.zeros(n_fns * (width + 1), dtype=np.int64)
+            for offset in range(smooth):
+                key = (nm - offset) % _MINUTES_PER_DAY
+                start = np.maximum(run_lo[key], nt)
+                stop = run_hi[key]
+                ok = start < stop
+                row = nf[ok] * (width + 1)
+                delta += np.bincount(row + start[ok], minlength=delta.size)
+                delta -= np.bincount(row + stop[ok], minlength=delta.size)
+            window += np.cumsum(
+                delta.reshape(n_fns, width + 1), axis=1
+            )[:, :width].T
+            counts = np.bincount(
+                nt * n_fns + nf, minlength=width * n_fns
+            ).reshape(width, n_fns)
+            observed = np.cumsum(counts, axis=0) + obs
+            prob = 1.0 - np.exp(-(window / days_seen[k0:k1, None]))
+            eligible = (observed >= self.min_observations) & (
+                prob >= self.threshold
+            )
+            k_hit, f_hit = np.nonzero(eligible)
+            out_tick.append(k_hit + k0)
+            out_fid.append(fids[f_hit])
+            hist += np.bincount(
+                nf * _MINUTES_PER_DAY + nm, minlength=hist.size
+            ).reshape(hist.shape)
+            obs += np.bincount(nf, minlength=n_fns)
+        tick_out = np.concatenate(out_tick)
+        return HorizonSchedule(
+            n_ticks, tick_out, np.concatenate(out_fid),
+            np.ones(tick_out.size, dtype=np.int64),
         )
 
     def describe(self) -> str:

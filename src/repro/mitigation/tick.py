@@ -30,7 +30,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.mitigation.base import TickAction, TickColumns, TickPolicy
+from repro.mitigation.base import (
+    HorizonSchedule,
+    TickAction,
+    TickColumns,
+    TickPolicy,
+)
 from repro.obs.telemetry import get_telemetry
 
 EMPTY_I = np.zeros(0, dtype=np.int64)
@@ -118,6 +123,36 @@ def combine_actions(actions: Sequence[TickAction]) -> TickAction:
         if route is None:
             route = action.route
     return TickAction(prewarm=prewarm, shave=shave, route=route)
+
+
+def closed_form_schedule(
+    policies, span_index: SpanIndex, specs, function_ids: np.ndarray,
+    interval_s: float, n_ticks: int,
+) -> HorizonSchedule | None:
+    """The policy set's combined schedule of ticks ``[0, n_ticks)`` in
+    closed form, or ``None`` when any policy must be stepped.
+
+    Each policy's call is booked on the same ``tick/policy/<Policy>_s``
+    timer its machine steps would use; ``tick/horizon_ticks`` counts the
+    ticks so decided (``tick/steps`` keeps counting machine steps).
+    """
+    tel = get_telemetry()
+    perf = time.perf_counter
+    parts = []
+    for policy in policies:
+        t0 = perf()
+        part = policy.horizon_schedule(
+            span_index, specs, function_ids, interval_s, n_ticks
+        )
+        tel.time_add(f"tick/policy/{type(policy).__name__}_s", perf() - t0)
+        if part is None:
+            return None
+        parts.append(part)
+    if not parts:
+        return None
+    if n_ticks:
+        tel.count("tick/horizon_ticks", n_ticks)
+    return HorizonSchedule.combine(parts)
 
 
 class TickMachine:

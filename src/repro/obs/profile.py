@@ -186,6 +186,13 @@ def _render_repair_section(counters: dict) -> list[str]:
             f"  ticks replayed          {replayed:>14,}"
             f"  (checkpoint restored {restored:,} of {ticks:,})"
         )
+    # Ticks decided in closed form rather than by machine steps.
+    horizon = counters.get("tick/horizon_ticks", 0)
+    if horizon:
+        decided = horizon + counters.get("tick/steps", 0)
+        lines.append(
+            f"  ticks decided in closed form {horizon:,} of {decided:,}"
+        )
     if fallbacks:
         lines.append(f"  event-engine fallbacks  {fallbacks:>14,}")
     return lines

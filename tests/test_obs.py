@@ -238,6 +238,12 @@ class TestProfileDocument:
         assert "checkpoint restored 5,080 of 10,080" in text
         # no event fallbacks happened, so the line is omitted
         assert "event-engine fallbacks" not in text
+        assert "closed form" not in text
+        doc["counters"].update({
+            "tick/horizon_ticks": 20_160, "tick/steps": 10_080,
+        })
+        text = render_report(doc)
+        assert "ticks decided in closed form 20,160 of 30,240" in text
 
     def test_render_report_no_repair_section_without_counters(self):
         assert "repair loop" not in render_report(self._doc())
@@ -325,7 +331,8 @@ class TestShardMergeDeterminism:
                               (4, "shm")):
             with profiled() as tel:
                 merged = evaluate_policies(
-                    "R3", ["baseline", "timer-prewarm"], seed=9, days=1,
+                    "R3", ["baseline", "timer-prewarm", "histogram-prewarm",
+                           "peak-shaving"], seed=9, days=1,
                     scale=0.08, jobs=jobs, n_groups=4, channel=channel,
                     engine="vector",
                 )
@@ -336,6 +343,10 @@ class TestShardMergeDeterminism:
         base_counters, base_metrics = runs[(1, "pickle")]
         assert base_counters, "profiled replay recorded no counters"
         assert base_counters.get("vector/functions", 0) > 0
+        # Every coupled policy here decides in closed form; the count of
+        # ticks so decided is as deterministic as the machine steps were.
+        assert base_counters.get("tick/horizon_ticks", 0) > 0
+        assert "tick/steps" not in base_counters
         for key, (counters, metrics) in runs.items():
             assert counters == base_counters, f"counters diverged for {key}"
             assert metrics == base_metrics, f"metrics diverged for {key}"

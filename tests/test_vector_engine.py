@@ -21,6 +21,7 @@ from repro.mitigation import (
     TimerPrewarmPolicy,
 )
 from repro.mitigation.evaluator import build_workload
+from repro.obs.telemetry import profiled
 from repro.runtime import evaluate_cross_region, evaluate_policies
 from repro.workload.catalog import OBS_A, ResourceConfig, Runtime, TIMER_A
 from repro.workload.function import FunctionSpec
@@ -184,6 +185,20 @@ class _GaugeShaver(AsyncPeakShaver):
 
     def gauge_peaking(self, tick, now):
         return self.load_ratio > self.trigger
+
+
+class _ObservingTimer(TimerPrewarmPolicy):
+    """Overrides ``observe``: the closed form no longer describes it."""
+
+    def observe(self, spec, t):
+        super().observe(spec, t)
+
+
+class _DecidingHistogram(HistogramPrewarmPolicy):
+    """Overrides ``decide``: the closed form no longer describes it."""
+
+    def decide(self, tick, now):
+        return super().decide(tick, now)
 
 
 class TestEngineSelection:
@@ -389,6 +404,54 @@ class TestCoupledEngineEquivalence:
             rerun = evaluator.run(traces, policy=RoutingPolicy(route))
             _assert_identical(results[engine], rerun, f"{route}/rerun")
         _assert_identical(results["event"], results["vector"], route)
+
+    STEPPED = {
+        "observe-override": lambda: dict(prewarm_policy=_ObservingTimer()),
+        "decide-override": lambda: dict(
+            prewarm_policy=_DecidingHistogram(
+                threshold=0.3, min_observations=20
+            )
+        ),
+        "timer+gauge-shaver": lambda: dict(
+            prewarm_policy=TimerPrewarmPolicy(),
+            peak_shaver=_GaugeShaver(2.0, max_delay_s=45.0),
+        ),
+    }
+
+    @pytest.mark.parametrize("config", sorted(STEPPED))
+    def test_overriding_subclasses_step_the_machine(self, r2_traces, config):
+        """Subclasses that override a decision hook, and built-ins mixed
+        with an outcome-fed shaver, keep the stepped schedule pass — and
+        stay bit-identical to the event engine through it."""
+        profile, traces = r2_traces
+        make = self.STEPPED[config]
+        event = RegionEvaluator(
+            profile, seed=4, engine="event", **make()
+        ).run(traces)
+        with profiled() as tel:
+            vector = RegionEvaluator(
+                profile, seed=4, engine="vector", **make()
+            ).run(traces)
+            counters = dict(tel.counters)
+        _assert_identical(event, vector, config)
+        assert counters["tick/steps"] > 0
+        assert "tick/horizon_ticks" not in counters
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_builtin_configs_decide_in_closed_form(self, r2_traces, config):
+        profile, traces = r2_traces
+        with profiled() as tel:
+            RegionEvaluator(
+                profile, seed=0, engine="vector", **self.CONFIGS[config]()
+            ).run(traces)
+            counters = dict(tel.counters)
+            timers = dict(tel.timers)
+        assert counters["tick/horizon_ticks"] > 0
+        assert "tick/steps" not in counters
+        assert all(
+            timers[f"tick/policy/{type(p).__name__}_s"] > 0
+            for p in self.CONFIGS[config]().values()
+        )
 
     def test_explicit_horizon_coupled_bit_identical(self, r2_traces):
         profile, traces = r2_traces
