@@ -412,31 +412,23 @@ class HorizonSchedule:
     def combine(cls, schedules: Sequence["HorizonSchedule"]) -> "HorizonSchedule":
         """Fold per-policy schedules the way ``combine_actions`` folds one
         tick's actions: pre-warm entries concatenate in policy order
-        within a tick, and the first policy with a directive at a tick
-        wins it."""
+        within a tick. At most one schedule may carry shave columns
+        (:func:`~repro.mitigation.tick.closed_form_schedule` steps any
+        policy set with more), and the fold takes them as they are."""
         if len(schedules) == 1:
             return schedules[0]
-        n_ticks = schedules[0].n_ticks
+        shaving = [s for s in schedules if s.shave_present is not None]
+        if len(shaving) > 1:
+            raise ValueError("at most one schedule may carry shave columns")
+        shave = shaving[0] if shaving else cls(0)
         tick = np.concatenate([s.prewarm_tick for s in schedules])
         order = np.argsort(tick, kind="stable")
-        present = gauge = trigger = max_delay = None
-        for s in schedules:
-            if s.shave_present is None:
-                continue
-            if present is None:
-                present, gauge = s.shave_present, s.shave_gauge_active
-                trigger, max_delay = s.shave_trigger, s.shave_max_delay
-                continue
-            fill = ~present & s.shave_present
-            present = present | fill
-            gauge = np.where(fill, s.shave_gauge_active, gauge)
-            trigger = np.where(fill, s.shave_trigger, trigger)
-            max_delay = np.where(fill, s.shave_max_delay, max_delay)
         return cls(
-            n_ticks, tick[order],
+            schedules[0].n_ticks, tick[order],
             np.concatenate([s.prewarm_fid for s in schedules])[order],
             np.concatenate([s.prewarm_target for s in schedules])[order],
-            present, gauge, trigger, max_delay,
+            shave.shave_present, shave.shave_gauge_active,
+            shave.shave_trigger, shave.shave_max_delay,
         )
 
     def shave_directives(self) -> "list[ShaveDirective | None] | None":

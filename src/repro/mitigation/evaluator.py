@@ -214,6 +214,8 @@ def _prewarm_by_fn(tick, fid, target, spec_by_id) -> dict[int, tuple]:
     )[inverse]
     keep = (fn >= 0) & (target > 0)
     fn, tick, target = fn[keep], tick[keep], target[keep]
+    if not fn.size:
+        return {}
     order = np.argsort(fn, kind="stable")
     fn, tick, target = fn[order], tick[order].tolist(), target[order].tolist()
     cut = (np.flatnonzero(fn[1:] != fn[:-1]) + 1).tolist()
@@ -614,22 +616,35 @@ class RegionEvaluator:
         # every relevance fingerprint are reproducible by construction.
         outcome_free = all(p.outcome_free_decisions for p in policies)
         clock = {"n_ticks": 0, "gauge": EMPTY_F}
-        # Outcome-free built-in policies answer the whole horizon in
-        # closed form, once; each round reads the prefix its settled tick
-        # count needs (decisions are causal). Everything else steps the
-        # tick machine through the checkpointed schedule pass.
-        closed_form = (
-            closed_form_schedule(
-                policies, span_index, specs, function_ids, interval,
-                last_tick_index(horizon_s, interval) + 1,
+        # Outcome-free built-in policies answer in closed form: computed
+        # for the first round's tick count and again only if a later
+        # round's clock outgrows it; each round reads the prefix it needs
+        # (decisions are causal). Everything else steps the tick machine
+        # through the checkpointed schedule pass.
+        plan = {"closed": None, "pass": None}
+
+        def round_schedule(n_ticks: int, outcomes_):
+            if plan["pass"] is None:
+                closed = plan["closed"]
+                if outcome_free and (closed is None or closed.n_ticks < n_ticks):
+                    closed = plan["closed"] = closed_form_schedule(
+                        policies, span_index, specs, function_ids, interval,
+                        n_ticks,
+                    )
+                if closed is not None:
+                    schedule = closed.head(n_ticks)
+                    return schedule, None, schedule.shave_directives()
+                plan["pass"] = SchedulePass(
+                    policies, specs, function_ids, interval, span_index,
+                    tick_congestion=lambda k: congestion.at(k * interval),
+                    checkpoint=self._REPAIR_CHECKPOINT,
+                )
+            schedule, stepped = _schedule_columns(
+                self._machine_pass(
+                    plan["pass"], n_ticks, outcomes_, clock["gauge"]
+                )
             )
-            if outcome_free else None
-        )
-        sched_pass = None if closed_form is not None else SchedulePass(
-            policies, specs, function_ids, interval, span_index,
-            tick_congestion=lambda k: congestion.at(k * interval),
-            checkpoint=self._REPAIR_CHECKPOINT,
-        )
+            return schedule, stepped, stepped
 
         def prepare_round(round_idx: int, outcomes_) -> bool:
             n_ticks, gauge = self._pod_gauge(outcomes_, horizon_s, interval)
@@ -642,16 +657,9 @@ class RegionEvaluator:
 
         def bind_schedule(round_idx: int, outcomes_):
             n_ticks = clock["n_ticks"]
-            if closed_form is not None:
-                schedule = closed_form.head(n_ticks)
-                stepped, shave_schedule = None, schedule.shave_directives()
-            else:
-                schedule, stepped = _schedule_columns(
-                    self._machine_pass(
-                        sched_pass, n_ticks, outcomes_, clock["gauge"]
-                    )
-                )
-                shave_schedule = stepped
+            schedule, stepped, shave_schedule = round_schedule(
+                n_ticks, outcomes_
+            )
             prewarm_by_fn = _prewarm_by_fn(
                 schedule.prewarm_tick, schedule.prewarm_fid,
                 schedule.prewarm_target, spec_by_id,

@@ -130,7 +130,8 @@ def closed_form_schedule(
     interval_s: float, n_ticks: int,
 ) -> HorizonSchedule | None:
     """The policy set's combined schedule of ticks ``[0, n_ticks)`` in
-    closed form, or ``None`` when any policy must be stepped.
+    closed form, or ``None`` when any policy must be stepped (or more
+    than one shaves, whose per-tick precedence the machine settles).
 
     Each policy's call is booked on the same ``tick/policy/<Policy>_s``
     timer its machine steps would use; ``tick/horizon_ticks`` counts the
@@ -148,7 +149,7 @@ def closed_form_schedule(
         if part is None:
             return None
         parts.append(part)
-    if not parts:
+    if not parts or sum(p.shave_present is not None for p in parts) > 1:
         return None
     if n_ticks:
         tel.count("tick/horizon_ticks", n_ticks)

@@ -13,6 +13,7 @@ tick, and observation counts equal to ``min_observations``.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.mitigation import (
@@ -287,3 +288,18 @@ def test_stateful_or_overridden_policies_are_stepped():
         assert policy.horizon_schedule(*args) is None
     assert closed_form_schedule([TimerPrewarmPolicy(), Gauged()], *args) is None
     assert TimerPrewarmPolicy().horizon_schedule(*args) is not None
+
+
+def test_two_shavers_are_stepped():
+    """Per-tick precedence between two shavers is the machine's to
+    settle: the closed form declines, and the fold refuses them."""
+    times = np.arange(0.0, 1_200.0, 60.0)
+    specs = [_spec(3, False)]
+    fids = np.array([3])
+    span_index = SpanIndex(times, np.zeros(times.size, dtype=np.int64), 60.0)
+    args = (span_index, specs, fids, 60.0, 21)
+    shavers = [AsyncPeakShaver(max_delay_s=45.0), AsyncPeakShaver()]
+    assert closed_form_schedule(shavers, *args) is None
+    parts = [s.horizon_schedule(*args) for s in shavers]
+    with pytest.raises(ValueError, match="shave columns"):
+        HorizonSchedule.combine(parts)

@@ -20,6 +20,7 @@ from repro.mitigation import (
     TickAction,
     TimerPrewarmPolicy,
 )
+from repro.mitigation.base import HorizonSchedule
 from repro.mitigation.evaluator import build_workload
 from repro.obs.telemetry import profiled
 from repro.runtime import evaluate_cross_region, evaluate_policies
@@ -173,6 +174,35 @@ class _RecentTimerPrewarm(PrewarmPolicy):
         return TickAction(prewarm=tuple(
             (fid, 1) for fid, t in self.seen.items() if now - t < 600.0
         ))
+
+
+class _StrayPrewarm(PrewarmPolicy):
+    """A user-defined policy whose every pre-warm entry is dropped: it
+    names a function id no shard holds, or asks for zero pods. With
+    ``closed_form`` it also answers ``horizon_schedule`` with the same
+    entries, so both vector paths see the all-dropped schedule."""
+
+    STRAY_FID = -7
+
+    def __init__(self, known_fid, closed_form=False):
+        self.known_fid = known_fid
+        self.closed_form = closed_form
+
+    def decide(self, tick, now):
+        if tick % 3:
+            return TickAction()
+        return TickAction(prewarm=((self.STRAY_FID, 2), (self.known_fid, 0)))
+
+    def horizon_schedule(self, span_index, specs, function_ids, interval_s, n_ticks):
+        if not self.closed_form:
+            return None
+        ticks = np.repeat(np.arange(0, n_ticks, 3, dtype=np.int64), 2)
+        fids = np.tile(
+            np.array([self.STRAY_FID, self.known_fid], dtype=np.int64),
+            ticks.size // 2,
+        )
+        targets = np.tile(np.array([2, 0], dtype=np.int64), ticks.size // 2)
+        return HorizonSchedule(n_ticks, ticks, fids, targets)
 
 
 class _GaugeShaver(AsyncPeakShaver):
@@ -483,6 +513,27 @@ class TestCustomPolicies:
         ).run(traces)
         _assert_identical(event, vector, "custom-prewarm")
         assert event.prewarm_creations > 0
+
+    @pytest.mark.parametrize("closed_form", [False, True])
+    def test_dropped_prewarm_entries_match_across_engines(
+        self, r2_traces, closed_form
+    ):
+        """Entries for unknown function ids and zero targets are dropped
+        by both engines, on the stepped and the closed-form path alike,
+        even when nothing else is left in the schedule."""
+        profile, traces = r2_traces
+        known = traces[0].spec.function_id
+        results = {}
+        for engine in ("event", "vector"):
+            with profiled() as tel:
+                results[engine] = RegionEvaluator(
+                    profile, seed=3, engine=engine,
+                    prewarm_policy=_StrayPrewarm(known, closed_form),
+                ).run(traces)
+                counters = dict(tel.counters)
+        _assert_identical(results["event"], results["vector"], "stray")
+        assert results["vector"].prewarm_creations == 0
+        assert ("tick/horizon_ticks" in counters) == closed_form
 
     def test_custom_prewarm_observes_every_timer_arrival(self):
         """The tick machine hands observe_batch every arrival — state
