@@ -13,7 +13,7 @@ Two committed properties:
   decides in closed form (``TickPolicy.horizon_schedule``), so no tick
   machine runs, but it pre-warms the popular functions, and the coupled
   kernel still walks their single-slot multi-pod episodes arrival by
-  arrival: that kernel, not the schedule, keeps the row near 1.5x.
+  arrival: that kernel, not the schedule, keeps the row well under 3x.
 
 Results land in ``benchmarks/results/evaluator*.txt`` (human tables) and
 ``benchmarks/results/BENCH_evaluator*.json`` (machine-readable trajectory
