@@ -118,10 +118,6 @@ def test_cross_region_routing(benchmark, r1_workload, emit):
     interleaved = c.get("xregion/replay/interleaved_arrivals", 0)
     vectorized = jumped + block + interleaved
     replays = c.get("xregion/replay/calls", 0)
-    ticks_replayed = c.get("repair/ticks_replayed", 0)
-    ticks_restored = c.get("repair/ticks_restored", 0)
-    hits = c.get("repair/fingerprint_hits", 0)
-    checked = hits + c.get("repair/fingerprint_misses", 0)
     dom = dominant_cost_center(doc)
     doc["findings"] = {
         "speedup_vs_event": {
@@ -130,30 +126,21 @@ def test_cross_region_routing(benchmark, r1_workload, emit):
         },
         "dominant_cost_center": None if dom is None else
             {"timer": dom[0], "wall_s": round(dom[1], 6)},
-        "repair_rounds": c.get("repair/rounds", 0),
-        "functions_rereplayed": c.get("repair/functions_rereplayed", 0),
-        "event_fallbacks": c.get("repair/event_fallbacks", 0),
-        "fingerprint_hit_rate": round(hits / checked, 4) if checked else None,
-        "ticks_restored_share": round(
-            ticks_restored / (ticks_replayed + ticks_restored), 4
-        ) if ticks_replayed + ticks_restored else None,
+        "tick_steps": c.get("tick/steps", 0),
         "replay_calls": replays,
         "replays_per_function": round(replays / max(len(traces) * 2, 1), 3),
         "scalar_arrival_share": round(scalar / max(scalar + vectorized, 1), 4),
         "note": (
-            "Why the cross-region vector path now beats the event engine "
-            "on both routes: almost every arrival is retired by a batched "
-            "kernel — steady-stretch chain jumps, whole-block cold pricing, "
-            "and the two-pod interleave walk together leave only "
-            "scalar_arrival_share of arrivals to scalar Python — while the "
-            "unified repair driver amortizes the fixed-point rounds through "
-            "fingerprint reuse (fingerprint_hit_rate of per-function "
-            "schedules verify without a re-replay) and binds the "
-            "single-router schedule through the router's flat tick pass "
-            "(ticks_restored_share is populated instead when a policy set "
-            "takes the checkpointed machine pass). The event engine still "
-            "pays full sequential price for every arrival in its single "
-            "pass."
+            "Why the cross-region vector path beats the event engine on "
+            "both routes: almost every arrival is retired by a batched "
+            "kernel - steady-stretch chain jumps, whole-block cold "
+            "pricing, and the two-/three-pod lane walks together leave "
+            "only scalar_arrival_share of arrivals to scalar Python - and "
+            "each function replays exactly once per route "
+            "(replays_per_function 1.0). Best-region routing merges the "
+            "walkers' cold starts in event order and steps the router "
+            "only at the tick_steps ticks a cold start falls in, where "
+            "the event engine steps it at every tick of the horizon."
         ),
     }
     write_profile(doc, _RESULTS_DIR / "PROFILE_crossregion_vector.json")

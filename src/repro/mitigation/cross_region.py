@@ -17,20 +17,23 @@ durations update at tick boundaries from the span's outcome columns, and
 the placement decision is frozen per span. Cold-start durations are drawn
 from per-(function, region) :class:`~repro.sim.latency.FunctionColdSampler`
 streams — the k-th cold start of a function *in a region* prices
-identically however cold starts of different functions interleave — so,
-given the routing schedule, every function replays independently. That is
-what lets the replay run on either engine bit-identically:
-``engine="vector"`` finds the self-consistent routing schedule by
-fixed-point repair over per-function structure-of-arrays walks
-(steady warm chains jump wholesale; only functions whose routed cold
-spans changed re-replay), while ``engine="event"`` is the sequential
-reference. Pod bookkeeping is shared per-(function, region) slot columns
-with death-time expiry — no per-arrival region-list identity scans.
+identically however cold starts of different functions interleave — so a
+function's replay couples to the others only through the directives its
+cold starts read. ``engine="event"`` is the sequential reference;
+``engine="vector"`` runs per-function walkers (steady warm chains jump
+wholesale, cold runs price in blocks) and merges their cold starts in
+event order, so the router decides each tick from exactly the colds the
+event loop would have shown it — one pass, bit-identical. Pod
+bookkeeping is shared per-(function, region) slot columns with
+death-time expiry — no per-arrival region-list identity scans.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
+import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -43,12 +46,9 @@ from repro.mitigation.base import (
 )
 from repro.mitigation.tick import (
     EMPTY_F,
-    RepairDriver,
-    SchedulePass,
-    SpanIndex,
+    EMPTY_I,
     TickMachine,
     last_tick_index,
-    tick_indices_of,
     tick_interval,
 )
 from repro.obs.telemetry import get_telemetry
@@ -64,11 +64,6 @@ DEFAULT_INTER_REGION_RTT_S = 0.120  # round trip, tens-to-hundreds of ms
 
 #: Upper bound on cold starts priced per batched slot-exhaustion sweep.
 _COLD_BLOCK_CAP = 1024
-
-#: Warm-up guess refinement passes (cheap gap-rule re-pricing rounds run
-#: before the first exact replay; each saves re-replays when it moves the
-#: guess closer to the bound schedule's fixed point).
-_WARMUP_REFINEMENTS = 2
 
 
 class RoutingPolicy(str, enum.Enum):
@@ -132,64 +127,12 @@ class BestRegionRouter(TickPolicy):
                 best, best_cost, penalty = ridx, cost, self.rtt_s
         return TickAction(route=RouteDirective(region=best, penalty_s=penalty))
 
-    def bind_flat(
-        self, cold_t: np.ndarray, cold_wait: np.ndarray,
-        cold_region: np.ndarray, interval_s: float, n_ticks: int,
-    ) -> list[RouteDirective]:
-        """Flat restatement of a :class:`SchedulePass` bind over this
-        router alone: fold each cold into the EMA in canonical order and
-        emit ``decide``'s directive at every tick boundary — the same
-        arithmetic, minus the machine scaffolding. The warm-up guess
-        binds through this (a guess schedule only seeds the fixed
-        point, so the cheap path is free to exist); the repair rounds
-        always bind through the checkpointed machine pass.
-        """
-        emas = list(self.emas)
-        alpha = self.alpha
-        rtt = self.rtt_s
-        gate = self.improvement_gate
-        n_regions = len(emas)
-        edges = np.searchsorted(
-            cold_t, np.arange(n_ticks) * interval_s, side="left"
-        ).tolist()
-        rl = cold_region.tolist()
-        wl = cold_wait.tolist()
-        by_region = [
-            RouteDirective(region=0, penalty_s=0.0)
-        ] + [
-            RouteDirective(region=r, penalty_s=rtt)
-            for r in range(1, n_regions)
-        ]
-        out: list[RouteDirective] = []
-        ci = 0
-        for k in range(n_ticks):
-            hi = edges[k]
-            while ci < hi:
-                r = rl[ci]
-                emas[r] += alpha * (wl[ci] - emas[r])
-                ci += 1
-            best = 0
-            best_cost = emas[0] * gate
-            for ridx in range(1, n_regions):
-                cost = emas[ridx] + rtt
-                if cost < best_cost:
-                    best, best_cost = ridx, cost
-            out.append(by_region[best])
-        return out
-
     def describe(self) -> str:
         return "best-region"
 
 
 class CrossRegionEvaluator:
     """Replays a workload with optional cross-region cold-start routing."""
-
-    #: One repair-round budget for every engine — the shared driver's.
-    _MAX_REPAIR_ROUNDS = RepairDriver._MAX_REPAIR_ROUNDS
-
-    #: Checkpoint the router machine between repair rounds (tests flip
-    #: this off to prove the restored-prefix path is bit-identical).
-    _REPAIR_CHECKPOINT = True
 
     def __init__(
         self,
@@ -411,19 +354,13 @@ class CrossRegionEvaluator:
         for name, count in zip(self.region_names, region_counts):
             metrics.record_region_cold(name, count)
 
-    # -- vectorized tick-partitioned engine ------------------------------------
+    # -- vectorized engine ----------------------------------------------------
 
     def _run_vector(
         self, traces, policy: RoutingPolicy, keepalive_s: float, metrics: EvalMetrics
     ) -> None:
         specs = [t.spec for t in traces]
-        function_ids = np.array([s.function_id for s in specs], dtype=np.int64)
-        n_fns = len(specs)
         n_regions = len(self.profiles)
-        samplers = [
-            [self._sampler(spec, ridx) for ridx in range(n_regions)]
-            for spec in specs
-        ]
         fn_t = [np.asarray(t.arrivals, dtype=np.float64) for t in traces]
         fn_e = [np.asarray(t.exec_s, dtype=np.float64) for t in traces]
         for arrivals in fn_t:
@@ -434,299 +371,168 @@ class CrossRegionEvaluator:
                 )
 
         all_t = np.concatenate(fn_t)
-        all_fn = np.concatenate(
-            [np.full(a.size, i, dtype=np.int64) for i, a in enumerate(fn_t)]
-        )
         order = np.argsort(all_t, kind="stable")
         inv = np.empty(order.size, dtype=np.int64)
         inv[order] = np.arange(order.size)
-        merged_pos: list[np.ndarray] = []
-        offset = 0
-        for a in fn_t:
-            merged_pos.append(inv[offset:offset + a.size])
-            offset += a.size
 
         router = self._router(policy)
-        interval = tick_interval([router]) if router else 60.0
-        t_last = max((float(a[-1]) for a in fn_t if a.size), default=-1.0)
-        n_ticks = (
-            last_tick_index(t_last, interval) + 1
-            if (router is not None and t_last >= 0) else 0
-        )
-        span_index = SpanIndex(all_t[order], all_fn[order], interval)
-
-        home_route = RouteDirective(region=0, penalty_s=0.0)
-
-        col_cache: dict = {}
-        prep_cache: list = [None] * n_fns
-
-        def replay(i: int, schedule):
-            for sampler in samplers[i]:
-                sampler.reset()
-            cols = None
-            if schedule is not None and n_ticks:
-                # One (region, penalty) column extraction per schedule,
-                # shared by every replay of the round.
-                key = id(schedule)
-                cols = col_cache.get(key)
-                if cols is None:
-                    col_cache.clear()
-                    cols = col_cache[key] = _schedule_cols(schedule, n_ticks)
-            prep = prep_cache[i]
-            if prep is None:
-                prep = prep_cache[i] = _replay_prep(
-                    fn_t[i], fn_e[i], merged_pos[i], keepalive_s,
-                    interval, n_ticks,
-                )
-            return _replay_fn_cross_region(
-                fn_t[i], fn_e[i], merged_pos[i], keepalive_s, n_regions,
-                samplers[i], self.rtt_s, schedule, interval, n_ticks,
-                sched_cols=cols, prep=prep,
-            )
-
+        sink = _ColdSink()
+        walkers = []
+        offset = 0
+        for i, spec in enumerate(specs):
+            size = fn_t[i].size
+            walkers.append(_replay_fn_cross_region(
+                i, fn_t[i], fn_e[i], inv[offset:offset + size], keepalive_s,
+                [self._sampler(spec, ridx) for ridx in range(n_regions)],
+                self.rtt_s, router is not None, sink,
+            ))
+            offset += size
         if router is None:
-            outcomes = [replay(i, None) for i in range(n_fns)]
+            for walker in walkers:
+                next(walker, None)  # unrouted walkers run to the end
         else:
-            # Initial guess: a warm-up tick pass over *approximate* cold
-            # starts — the keep-alive gap rule (an arrival is cold when
-            # the previous execution plus keep-alive has lapsed), priced
-            # from the seeded region's zero-congestion draw columns. The
-            # guess only seeds the fixed point (any starting schedule
-            # converges to the same self-consistent trajectory), but a
-            # gap-rule trajectory lands close enough that the first
-            # repair round touches far fewer functions than a constant
-            # directive would.
-            guess_router = self._router(policy)
-            ridx0 = guess_router.decide(0, 0.0).route.region
-            ac_t: list[np.ndarray] = []
-            ac_fn: list[np.ndarray] = []
-            ac_w: list[np.ndarray] = []
-            for i in range(n_fns):
-                tv = fn_t[i]
-                if not tv.size:
-                    continue
-                mask = np.empty(tv.size, dtype=bool)
-                mask[0] = True
-                if tv.size > 1:
-                    mask[1:] = tv[1:] >= (tv[:-1] + fn_e[i][:-1]) + keepalive_s
-                ct = tv[mask]
-                _, za = samplers[i][ridx0].zero_cols(ct.size)
-                ac_t.append(ct)
-                ac_fn.append(np.full(ct.size, i, dtype=np.int64))
-                ac_w.append(za[:ct.size])
-            act = np.concatenate(ac_t) if ac_t else EMPTY_F
-            acf = np.concatenate(ac_fn) if ac_fn else np.empty(0, dtype=np.int64)
-            acw = np.concatenate(ac_w) if ac_w else EMPTY_F
-            ao = np.argsort(act, kind="stable")
-            act_s = act[ao]
-            acf_s = acf[ao]
-
-            bind_flat = getattr(guess_router, "bind_flat", None)
-            if bind_flat is None:
-                warm_pass = SchedulePass(
-                    [guess_router], specs, function_ids, interval,
-                    span_index, checkpoint=False,
-                )
-
-                def bind_flat(cold_t, cold_wait, cold_region, iv, nt):
-                    return [
-                        action.route
-                        for action in warm_pass.run(
-                            nt, cold_t=cold_t, cold_wait=cold_wait,
-                            cold_fn=acf_s, cold_region=cold_region,
-                        )
-                    ]
-
-            guess = bind_flat(
-                act_s, acw[ao],
-                np.full(act.size, ridx0, dtype=np.int64),
-                interval, n_ticks,
+            function_ids = np.array(
+                [s.function_id for s in specs], dtype=np.int64
             )
-            # Refine the guess to the gap rule's own fixed point: route
-            # each approximate cold through the directive the previous
-            # guess puts at its tick, re-price it from that region's
-            # zero-congestion column (per-function cursors, time order —
-            # exactly how the real replay consumes them), and bind
-            # again. Each iteration is one cheap tick pass; the payoff
-            # is fingerprint hits in the first exact repair round.
-            if act_s.size:
-                aks = tick_indices_of(act_s, interval, n_ticks)
-                for _ in range(_WARMUP_REFINEMENTS):
-                    g_r, _ = _schedule_cols(guess, n_ticks)
-                    regions = g_r[aks]
-                    waits = np.empty(act_s.size, dtype=np.float64)
-                    for i in range(n_fns):
-                        fmask = acf_s == i
-                        for r in range(n_regions):
-                            mask = fmask & (regions == r)
-                            cnt = int(mask.sum())
-                            if cnt:
-                                _, za = samplers[i][r].zero_cols(cnt)
-                                waits[mask] = za[:cnt]
-                    refined = bind_flat(
-                        act_s, waits, regions, interval, n_ticks
-                    )
-                    settled = refined == guess
-                    guess = refined
-                    if settled:
-                        break
-            used_rel: list = [None] * n_fns
-            outcomes = [replay(i, guess) for i in range(n_fns)]
-            for i in range(n_fns):
-                used_rel[i] = _route_rel(outcomes[i], guess, interval, n_ticks)
-            repair_flat = getattr(router, "bind_flat", None)
-            sched_pass = None if repair_flat is not None else SchedulePass(
-                [router], specs, function_ids, interval, span_index,
-                checkpoint=self._REPAIR_CHECKPOINT,
+            machine = TickMachine(
+                [router], specs, function_ids, tick_interval([router])
             )
-
-            def bind_schedule(round_idx: int, outcomes_):
-                cold_t = np.concatenate([o["cold_t"] for o in outcomes_])
-                cold_raw = np.concatenate([o["cold_raw"] for o in outcomes_])
-                cold_r = np.concatenate([o["cold_region"] for o in outcomes_])
-                cold_pos = np.concatenate([o["cold_pos"] for o in outcomes_])
-                cold_order = np.argsort(cold_pos, kind="stable")
-                if repair_flat is not None:
-                    # Single-router policy set: the router's flat bind
-                    # folds the identical floats in the identical
-                    # canonical order, so the schedule is bit-identical
-                    # to a machine pass at a fraction of the cost.
-                    return repair_flat(
-                        cold_t[cold_order], cold_raw[cold_order],
-                        cold_r[cold_order], interval, n_ticks,
-                    )
-                cold_fn = np.concatenate([
-                    np.full(o["cold_t"].size, i, dtype=np.int64)
-                    for i, o in enumerate(outcomes_)
-                ])
-                actions = sched_pass.run(
-                    n_ticks,
-                    cold_t=cold_t[cold_order],
-                    cold_wait=cold_raw[cold_order],
-                    cold_fn=cold_fn[cold_order],
-                    cold_region=cold_r[cold_order],
-                )
-                return [action.route for action in actions]
-
-            driver = RepairDriver(
-                n_fns,
-                bind_schedule=bind_schedule,
-                fingerprint=lambda i, outcome, sched: _route_rel(
-                    outcome, sched, interval, n_ticks
-                ),
-                replay=replay,
-                what="cross-region routing",
-            )
-            if not driver.run(outcomes, used_rel, name=metrics.name):
-                # Oscillating routing feedback: replay sequentially from a
-                # clean evaluator (exact, merely slower).
-                CrossRegionEvaluator(
-                    home=self.profiles[0],
-                    remotes=tuple(self.profiles[1:]),
-                    rtt_s=self.rtt_s,
-                    seed=self._rngs.seed,
-                    engine="event",
-                )._run_event(traces, policy, keepalive_s, metrics)
-                return
+            _route_in_time_order(walkers, machine, sink)
 
         # Canonical assembly (the event loop's processing order).
-        metrics.requests = sum(o["requests"] for o in outcomes)
-        metrics.warm_hits = sum(o["warm_hits"] for o in outcomes)
-        cold_t = np.concatenate([o["cold_t"] for o in outcomes])
-        cold_w = np.concatenate([o["cold_w"] for o in outcomes])
-        cold_pos = np.concatenate([o["cold_pos"] for o in outcomes])
-        cold_order = np.argsort(cold_pos, kind="stable")
-        metrics.record_cold_batch(cold_w[cold_order], cold_t[cold_order])
-        lat_v = np.concatenate([o["lat_v"] for o in outcomes])
+        metrics.requests = int(all_t.size)
+        cold_order = np.argsort(
+            np.asarray(sink.pos, dtype=np.int64), kind="stable"
+        )
+        metrics.warm_hits = metrics.requests - int(cold_order.size)
+        metrics.record_cold_batch(
+            np.asarray(sink.w, dtype=np.float64)[cold_order],
+            np.asarray(sink.t, dtype=np.float64)[cold_order],
+        )
+        lat_v = np.concatenate(sink.lat_v) if sink.lat_v else EMPTY_F
         if lat_v.size:
-            lat_pos = np.concatenate([o["lat_pos"] for o in outcomes])
+            lat_pos = np.concatenate(sink.lat_p)
             metrics.total_delay_s = float(
                 np.sum(lat_v[np.argsort(lat_pos, kind="stable")])
             )
-        region_counts = np.zeros(n_regions, dtype=np.int64)
-        for o in outcomes:
-            region_counts += o["region_counts"]
+        region_counts = np.bincount(
+            np.asarray(sink.region, dtype=np.int64), minlength=n_regions
+        )
         for name, count in zip(self.region_names, region_counts.tolist()):
             metrics.record_region_cold(name, count)
 
-def _route_rel(outcome, schedule, interval_s: float, n_ticks: int):
-    """What a routing schedule makes a function's replay read: the route
-    directive governing each of its cold starts."""
-    cold_t = outcome["cold_t"]
-    if not cold_t.size or n_ticks == 0:
-        return ()
-    k = tick_indices_of(cold_t, interval_s, n_ticks)
-    return tuple(schedule[ki] for ki in k.tolist())
+
+class _ColdSink:
+    """Cold starts emitted by every walker of one vector replay, in
+    emission order (the router reads the unseen tail; assembly re-sorts
+    all of it by merged position). Latency entries arrive per walker."""
+
+    __slots__ = ("t", "w", "raw", "region", "pos", "fn", "lat_v", "lat_p")
+
+    def __init__(self):
+        self.t: list[float] = []
+        self.w: list[float] = []
+        self.raw: list[float] = []
+        self.region: list[int] = []
+        self.pos: list[int] = []
+        self.fn: list[int] = []
+        self.lat_v: list[np.ndarray] = []
+        self.lat_p: list[np.ndarray] = []
 
 
-def _schedule_cols(schedule, n_ticks: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tick ``(region, penalty)`` columns of a routing schedule."""
-    return (
-        np.fromiter((d.region for d in schedule), dtype=np.int64, count=n_ticks),
-        np.fromiter(
-            (d.penalty_s for d in schedule), dtype=np.float64, count=n_ticks
-        ),
-    )
+def _route_in_time_order(walkers, machine: TickMachine, sink: _ColdSink) -> None:
+    """Drive routed walkers as one time-ordered merge of their cold starts.
 
+    Each walker yields its pending cold start as ``(t, merged_pos)`` and
+    waits for the route directive that governs it; a heap always resumes
+    the walker whose pending cold comes first in the event loop's order.
+    When that cold falls in tick ``k``, every cold before ``k * interval``
+    has already been emitted: the other walkers' pending colds sort after
+    it, and a walker's later colds never precede its pending one. Before
+    deciding tick ``k`` the router is stepped once with every cold it has
+    not seen yet, in merged order — so it has folded exactly the colds the
+    event loop would have shown it, and each directive is the event
+    engine's: exact by causality rather than by iteration. A walker
+    prices colds under a directive only up to the tick edge sent with it
+    and yields again at its first cold past that edge, so no cold it
+    emits belongs to a later tick than the one decided.
 
-def _replay_prep(
-    t: np.ndarray, e: np.ndarray, merged_pos: np.ndarray,
-    keepalive_s: float, interval_s: float, n_ticks: int,
-) -> tuple:
-    """Schedule-independent per-function replay state, computed once per
-    evaluator run and shared by every repair round's re-replay: the
-    scalar list views, idle ends, deviation candidates, sparse-gap
-    flags, and per-arrival tick indices."""
-    n = t.size
-    idle_end = t + e
-    if n > 1:
-        steady_prev = idle_end[:-1]
-        expiry_gap = t[1:] >= steady_prev + keepalive_s
-        deviating = expiry_gap | (t[1:] < steady_prev)
-        cand_list = (np.flatnonzero(deviating) + 1).tolist()
-        # Necessary condition for a *sparse* cold run to continue past
-        # arrival ``j``: even a zero-wait pod created at ``j`` dies
-        # before ``j + 1`` (waits only push the real death later).
-        sparse_list = expiry_gap.tolist()
-    else:
-        cand_list = []
-        sparse_list = []
-    cand_list.append(n)
-    ks = (
-        tick_indices_of(t, interval_s, n_ticks)
-        if n_ticks else np.empty(0, dtype=np.int64)
-    )
-    return (
-        t.tolist(), e.tolist(), merged_pos.tolist(), idle_end,
-        cand_list, sparse_list, ks,
-    )
+    Ticks no cold falls in are not stepped. That is exact for the router:
+    its state moves only on observed colds (the skipped ticks' colds reach
+    it, in the same order, at the next step) and it decides from that
+    state alone. It reads no arrival columns (``needs``), so none are
+    built.
+    """
+    interval = machine.interval_s
+    heap = []
+    for i, walker in enumerate(walkers):
+        pending = next(walker, None)
+        if pending is not None:
+            heap.append((*pending, i))
+    heapq.heapify(heap)
+
+    s_t, s_raw, s_r = sink.t, sink.raw, sink.region
+    s_pos, s_fn = sink.pos, sink.fn
+    route = RouteDirective(region=0, penalty_s=0.0)  # before tick 0 fires
+    reply = None
+    edge = -math.inf
+    fed = 0
+    while heap:
+        t, _, i = heap[0]
+        if t >= edge:
+            k = last_tick_index(t, interval)
+            edge = (k + 1) * interval
+            if k >= 0:
+                seen = sorted(range(fed, len(s_t)), key=s_pos.__getitem__)
+                fed = len(s_t)
+                action = machine.step(
+                    k, arrive_fn=EMPTY_I, arrive_t=EMPTY_F, alive_pods=0,
+                    congestion=0.0,
+                    cold_fn=np.array([s_fn[j] for j in seen], dtype=np.int64),
+                    cold_t=np.array([s_t[j] for j in seen], dtype=np.float64),
+                    cold_wait=np.array(
+                        [s_raw[j] for j in seen], dtype=np.float64
+                    ),
+                    cold_region=np.array(
+                        [s_r[j] for j in seen], dtype=np.int64
+                    ),
+                )
+                if action.route is not None:
+                    route = action.route
+            reply = (route.region, route.penalty_s, edge)
+        try:
+            pending = walkers[i].send(reply)
+        except StopIteration:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (*pending, i))
 
 
 def _replay_fn_cross_region(
+    fn: int,
     t: np.ndarray,
     e: np.ndarray,
     merged_pos: np.ndarray,
     keepalive_s: float,
-    n_regions: int,
     samplers,
     rtt_s: float,
-    schedule,
-    interval_s: float,
-    n_ticks: int,
-    sched_cols=None,
-    prep=None,
-) -> dict:
-    """Exact per-function cross-region replay under a routing schedule.
+    routed: bool,
+    sink: _ColdSink,
+):
+    """Exact per-function cross-region replay, resumable at cold starts.
 
-    Scalar port of the event loop's per-request logic for one function —
-    same region-order warm search, same creation-order pod scan, same
-    float updates — with two wholesale regimes replacing per-arrival
+    Scalar port of the event loop's per-request logic for function
+    ``fn`` — same region-order warm search, same creation-order pod scan,
+    same float updates — with wholesale regimes replacing per-arrival
     stepping wherever the trajectory is forced:
 
     * *steady chains*: when the first alive pod in scan order is idle it
       must serve (earlier pods are dead forever, later pods are never
       reached), so the warm chain is consumed to the next deviation
       candidate whatever other pods exist;
+    * *two-/three-lane walks*: one or two alive-but-busy pods precede the
+      server in scan order, and the arrivals are stepped with just those
+      lane states until a lane would die or every lane is busy;
     * *cold blocks*: a run of arrivals is provably all-cold when every
       existing pod is busy or dead at each arrival (a searchsorted sweep
       over the creation-sorted busy/warm columns — slot exhaustion) and
@@ -734,52 +540,57 @@ def _replay_fn_cross_region(
       the new busy ends) or already dead (prefix-max of the new warm
       ends) at each later arrival. The run is then priced in one batched
       slice of the sampler's zero-congestion totals column under one
-      governing route directive, accepting the longest valid prefix.
-      This covers both sparse stretches (every pod dies between
-      arrivals) and saturated bursts (arrivals outpace pod turnaround).
+      route directive, accepting the longest valid prefix. This covers
+      both sparse stretches (every pod dies between arrivals) and
+      saturated bursts (arrivals outpace pod turnaround).
+
+    A generator: when ``routed``, its first cold start at or past
+    ``t_cap`` yields ``(t, merged_pos)`` and receives
+    ``(region, penalty_s, t_cap)`` — the directive governing that tick
+    and the tick's end. Later colds before ``t_cap`` reuse it (a cold
+    block stops at ``t_cap``), since a tick's directive never changes
+    once decided. Unrouted walkers price every cold at home and never
+    yield. Emitted colds and latency entries go to ``sink``.
 
     Cold pricing reads each region sampler's cached zero-congestion
     totals column directly (cross-region replay never models
-    congestion), with one local cursor per region committed via
-    ``advance`` at the end. ``sched_cols`` optionally carries the
-    schedule's per-tick ``(region, penalty)`` arrays so repeated replays
-    under one schedule share the extraction. Dead pods are skipped
+    congestion), with one local cursor per region. Dead pods are skipped
     lazily during the scan (expiry is by death time, so removal timing
     is semantically free) and compacted only when a region accumulates
     them.
     """
     n = t.size
+    n_regions = len(samplers)
     region_pods: list[list[list[float]]] = [[] for _ in range(n_regions)]
-    warm_hits = 0
-    cold_t_l: list[float] = []
-    cold_w_l: list[float] = []
-    cold_raw_l: list[float] = []
-    cold_r_l: list[int] = []
-    cold_p_l: list[int] = []
+    s_t, s_w, s_raw = sink.t, sink.w, sink.raw
+    s_r, s_pos, s_fn = sink.region, sink.pos, sink.fn
     lat_v_l: list[float] = []
     lat_p_l: list[int] = []
-    region_counts = np.zeros(n_regions, dtype=np.int64)
 
-    if prep is None:
-        prep = _replay_prep(t, e, merged_pos, keepalive_s, interval_s, n_ticks)
-    tl, el, ml, idle_end, cand_list, sparse_list, ks = prep
+    tl, el, ml = t.tolist(), e.tolist(), merged_pos.tolist()
+    idle_end = t + e
+    if n > 1:
+        steady_prev = idle_end[:-1]
+        expiry_gap = t[1:] >= steady_prev + keepalive_s
+        deviating = expiry_gap | (t[1:] < steady_prev)
+        cand_list = (np.flatnonzero(deviating) + 1).tolist()
+        # Hint that a *sparse* cold run starts at arrival ``j``: even a
+        # zero-wait pod created at ``j`` dies before ``j + 1``, and one
+        # created at ``j + 1`` before ``j + 2`` (waits only push the real
+        # deaths later). A lone gap mostly heads a session whose next
+        # arrival is warm, where a block would cost more than it retires.
+        sparse = expiry_gap.copy()
+        sparse[:-1] &= expiry_gap[1:]
+        sparse[-1] = False
+        sparse_list = sparse.tolist()
+    else:
+        cand_list = []
+        sparse_list = []
+    cand_list.append(n)
     ci = 0
 
-    # Governing route directive per arrival, resolved once (the exact
-    # vectorized twin of the per-event ``tick_index_of`` lookup).
-    if schedule is not None and n_ticks:
-        if sched_cols is None:
-            sched_cols = _schedule_cols(schedule, n_ticks)
-        gov_r = sched_cols[0][ks]
-        gov_p = sched_cols[1][ks]
-        gov_r_l = gov_r.tolist()
-        gov_p_l = gov_p.tolist()
-    else:
-        gov_r = gov_p = None
-        gov_r_l = gov_p_l = None
-
     # Zero-congestion cold pricing: one cached totals column and one
-    # local cursor per region, committed to the samplers at the end.
+    # local cursor per region (the samplers are private to this replay).
     zt_l: list = [None] * n_regions
     zt_a: list = [None] * n_regions
     zcur = [0] * n_regions
@@ -796,12 +607,15 @@ def _replay_fn_cross_region(
     rtt_sp_s: list[int] = []
     rtt_sp_e: list[int] = []
 
-    # Batched-sweep pacing: enter after a short scalar cold streak (or a
-    # sparse gap), speculate ``spec_w`` arrivals, and track the accepted
+    # Batched-sweep pacing: enter after a short scalar cold streak (or at a
+    # sparse run), speculate ``spec_w`` arrivals, and track the accepted
     # width so saturated bursts grow toward the cap while choppy regimes
     # fall back to cheap scalar steps.
     cold_streak = 0
     spec_w = 64
+
+    # The route directive in force and the tick edge it holds until.
+    route_r, route_p, t_cap = 0, 0.0, (-math.inf if routed else math.inf)
 
     ai = 0
     while ai < n:
@@ -846,7 +660,6 @@ def _replay_fn_cross_region(
                 limit = cand_list[ci]
                 x_jumps += 1
                 x_jumped += limit - ai
-                warm_hits += limit - ai
                 if serve_r > 0:
                     rtt_sp_s.append(ai)
                     rtt_sp_e.append(limit)
@@ -893,7 +706,6 @@ def _replay_fn_cross_region(
                 serve_pod[0] = bw
                 blk_pod[1] = ab
                 blk_pod[0] = aw
-                warm_hits += L
                 if serve_r > 0:
                     rtt_sp_s.append(ai)
                     rtt_sp_e.append(k)
@@ -943,7 +755,6 @@ def _replay_fn_cross_region(
                 blk_pod[0] = bw
                 blk2_pod[1] = ab
                 blk2_pod[0] = aw
-                warm_hits += L
                 if serve_r > 0:
                     rtt_sp_s.append(ai)
                     rtt_sp_e.append(k)
@@ -959,7 +770,6 @@ def _replay_fn_cross_region(
             # server, so it could steal a later arrival — no chain).
             serve_pod[1] = tk + el[ai]
             serve_pod[0] = serve_pod[1] + keepalive_s
-            warm_hits += 1
             if serve_r > 0:
                 lat_v_l.append(rtt_s)
                 lat_p_l.append(ml[ai])
@@ -967,21 +777,14 @@ def _replay_fn_cross_region(
             cold_streak = 0
             ai += 1
             continue
-        # Cold start under the governing route directive.
-        if gov_r_l is None:
-            ridx, penalty = 0, 0.0
-        else:
-            ridx = gov_r_l[ai]
-            penalty = gov_p_l[ai]
+        if tk >= t_cap:
+            # First cold past the directive's tick: ask for the next one.
+            route_r, route_p, t_cap = yield tk, ml[ai]
+        ridx, penalty = route_r, route_p
         if ai + 1 < n and (cold_streak >= 2 or sparse_list[ai]):
-            # Batched slot-exhaustion sweep over the cold run.
-            m = min(n - ai, spec_w)
-            if m > 1 and gov_r_l is not None:
-                # One governing directive per block: shrink to the
-                # longest prefix the first arrival's directive covers.
-                bad = (gov_r[ai:ai + m] != ridx) | (gov_p[ai:ai + m] != penalty)
-                if bad.any():
-                    m = int(np.argmax(bad))
+            # Batched slot-exhaustion sweep over the cold run, stopped
+            # before the next tick edge (one directive per block).
+            m = bisect_left(tl, t_cap, ai, min(n, ai + spec_w)) - ai
             if m > 1:
                 tb = t[ai:ai + m]
                 # Static sweep: an arrival can only stay cold while every
@@ -1028,15 +831,15 @@ def _replay_fn_cross_region(
                     ok[1:] &= ok_static[1:]
                 acc = m if bool(ok.all()) else max(int(np.argmin(ok)), 1)
                 zcur[ridx] = cur + acc
-                cold_t_l.extend(tb[:acc].tolist())
-                cold_w_l.extend((waits[:acc] + penalty).tolist())
-                cold_raw_l.extend(waits[:acc].tolist())
-                cold_r_l.extend([ridx] * acc)
-                cold_p_l.extend(ml[ai:ai + acc])
+                s_t.extend(tb[:acc].tolist())
+                s_w.extend((waits[:acc] + penalty).tolist())
+                s_raw.extend(waits[:acc].tolist())
+                s_r.extend([ridx] * acc)
+                s_pos.extend(ml[ai:ai + acc])
+                s_fn.extend([fn] * acc)
                 if penalty:
                     lat_v_l.extend([penalty] * acc)
                     lat_p_l.extend(ml[ai:ai + acc])
-                region_counts[ridx] += acc
                 # Keep only pods that can still serve a future arrival
                 # (expiry is by death time, so dropping the already-dead
                 # ones is semantically free).
@@ -1060,24 +863,20 @@ def _replay_fn_cross_region(
             zt_l[ridx] = zl
         wait = zl[cur]
         zcur[ridx] = cur + 1
-        cold_t_l.append(tk)
-        cold_w_l.append(wait + penalty)
-        cold_raw_l.append(wait)
-        cold_r_l.append(ridx)
-        cold_p_l.append(ml[ai])
+        s_t.append(tk)
+        s_w.append(wait + penalty)
+        s_raw.append(wait)
+        s_r.append(ridx)
+        s_pos.append(ml[ai])
+        s_fn.append(fn)
         if penalty:
             lat_v_l.append(penalty)
             lat_p_l.append(ml[ai])
-        region_counts[ridx] += 1
         end = tk + wait + el[ai]
         region_pods[ridx].append([end + keepalive_s, end])
         x_scalar += 1
         cold_streak += 1
         ai += 1
-
-    for ridx in range(n_regions):
-        if zcur[ridx]:
-            samplers[ridx].advance(zcur[ridx])
 
     lat_v = np.asarray(lat_v_l, dtype=np.float64)
     lat_p = np.asarray(lat_p_l, dtype=np.int64)
@@ -1103,15 +902,5 @@ def _replay_fn_cross_region(
             ("xregion/replay/interleave_jumps", x_il),
             ("xregion/replay/interleaved_arrivals", x_il_arrivals),
         ))
-    return {
-        "requests": n,
-        "warm_hits": warm_hits,
-        "cold_t": np.asarray(cold_t_l, dtype=np.float64),
-        "cold_w": np.asarray(cold_w_l, dtype=np.float64),
-        "cold_raw": np.asarray(cold_raw_l, dtype=np.float64),
-        "cold_region": np.asarray(cold_r_l, dtype=np.int64),
-        "cold_pos": np.asarray(cold_p_l, dtype=np.int64),
-        "lat_v": lat_v,
-        "lat_pos": lat_p,
-        "region_counts": region_counts,
-    }
+    sink.lat_v.append(lat_v)
+    sink.lat_p.append(lat_p)

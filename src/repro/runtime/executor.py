@@ -1538,8 +1538,8 @@ class CrossRegionTask:
     """One function-group shard of a §5 cross-region replay.
 
     ``engine`` picks the replay engine — routing is a tick-protocol
-    policy, so the vectorized tick-partitioned replay and the event loop
-    are bit-identical; the choice only changes wall-clock.
+    policy, so the vectorized replay and the event loop are
+    bit-identical; the choice only changes wall-clock.
     """
 
     spec: ShardSpec
@@ -1666,9 +1666,9 @@ def evaluate_cross_region(
     (see :func:`run_cross_region_shard`).
 
     Routing is a tick-phase policy (the per-region cold-start EMA updates
-    at tick boundaries), so every engine replays it: ``"vector"`` takes
-    the tick-partitioned structure-of-arrays path, ``"event"`` the
-    sequential reference.
+    at tick boundaries), so every engine replays it: ``"vector"`` merges
+    per-function structure-of-arrays walks in cold-start order,
+    ``"event"`` is the sequential reference.
     """
     from repro.mitigation.cross_region import DEFAULT_INTER_REGION_RTT_S
     from repro.mitigation.evaluator import ENGINES

@@ -5,6 +5,8 @@ policies) — across seeds, jobs, and result channels."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -434,6 +436,28 @@ class TestCoupledEngineEquivalence:
             rerun = evaluator.run(traces, policy=RoutingPolicy(route))
             _assert_identical(results[engine], rerun, f"{route}/rerun")
         _assert_identical(results["event"], results["vector"], route)
+
+    def test_flipping_best_region_routes_in_one_pass(self):
+        """R2's cold starts sit close to R3's plus the RTT, so the route
+        keeps flipping (a fixed-point repair of this case never settled).
+        The time-ordered cold merge is exact in one pass: no warning, no
+        repair counters, and the router stepped only where colds fall."""
+        _, traces = build_workload("R2", seed=3, days=1, scale=0.05)
+        event = CrossRegionEvaluator(
+            home="R2", remotes=("R3",), seed=2, engine="event"
+        ).run(traces, policy=RoutingPolicy.BEST_REGION)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with profiled() as tel:
+                vector = CrossRegionEvaluator(
+                    home="R2", remotes=("R3",), seed=2, engine="vector"
+                ).run(traces, policy=RoutingPolicy.BEST_REGION)
+            counters = dict(tel.counters)
+        _assert_identical(event, vector, "flipping best-region")
+        assert "repair/event_fallbacks" not in counters
+        assert not any(k.startswith("repair/") for k in counters)
+        assert 0 < counters["tick/steps"] <= vector.cold_starts
+        assert 0 < vector.cold_starts_by_region["R3"] < vector.cold_starts
 
     STEPPED = {
         "observe-override": lambda: dict(prewarm_policy=_ObservingTimer()),
