@@ -77,7 +77,8 @@ def coupled_workload():
     """A full-scale one-week Region-2 workload (~2.2M requests): the
     coupled-policy benchmark. Density matters — the vector engine's gain
     is per arrival, while its fixed costs (the closed-form schedules, the
-    repair rounds) are per tick or per function."""
+    uncoupled walk of functions no decision touches) are per tick or per
+    function."""
     return build_workload("R2", seed=42, days=7, scale=1.0)
 
 

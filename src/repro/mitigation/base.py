@@ -390,24 +390,6 @@ class HorizonSchedule:
     shave_trigger: np.ndarray | None = None
     shave_max_delay: np.ndarray | None = None
 
-    def head(self, n_ticks: int) -> "HorizonSchedule":
-        """The schedule of ticks ``[0, n_ticks)``. Decisions are causal
-        (tick ``k`` reads only spans before it), so this is exactly what
-        a shorter run decides."""
-        keep = self.prewarm_tick < n_ticks
-        shave = {}
-        if self.shave_present is not None:
-            shave = dict(
-                shave_present=self.shave_present[:n_ticks],
-                shave_gauge_active=self.shave_gauge_active[:n_ticks],
-                shave_trigger=self.shave_trigger[:n_ticks],
-                shave_max_delay=self.shave_max_delay[:n_ticks],
-            )
-        return HorizonSchedule(
-            n_ticks, self.prewarm_tick[keep], self.prewarm_fid[keep],
-            self.prewarm_target[keep], **shave,
-        )
-
     @classmethod
     def combine(cls, schedules: Sequence["HorizonSchedule"]) -> "HorizonSchedule":
         """Fold per-policy schedules the way ``combine_actions`` folds one
@@ -465,19 +447,14 @@ class TickPolicy:
     The replay engines call :meth:`observe_batch` at every tick with the
     previous span's columns, then :meth:`decide` for the actions governing
     the next span. Implementations must be deterministic functions of the
-    column stream (and ``copy.deepcopy``-able: the vectorized engine
-    replays the machine over candidate outcome trajectories while
-    searching for the self-consistent one). Custom directive objects
-    returned from :meth:`decide` should define *value* equality — the
-    engine's change detector compares directives across machine passes,
-    and identity-compared directives force a full re-replay every round
-    (still exact, just slow).
+    column stream, and ``copy.deepcopy``-able.
 
     Policy instances are consumed per ``run``. The event engine steps the
-    caller's objects in place; the vectorized engine steps deep copies,
-    leaving the caller's instances untouched — metrics are bit-identical
-    either way, but post-run inspection of policy state is only defined
-    under ``engine="event"``.
+    caller's objects in place; the vectorized engine steps deep copies
+    (so a rerun of the same evaluator replays identically), leaving the
+    caller's instances untouched — metrics are bit-identical either way,
+    but post-run inspection of policy state is only defined under
+    ``engine="event"``.
     """
 
     #: seconds between ticks (engines use the minimum over active policies).
@@ -485,16 +462,16 @@ class TickPolicy:
 
     #: Which column groups :meth:`observe_batch` reads. ``"arrivals"`` is
     #: policy-independent input; ``"gauge"`` and ``"colds"`` are replay
-    #: outcomes, whose consumption makes the decision schedule a fixed
-    #: point the vectorized engine must converge to.
+    #: outcomes, known only in time order: ``engine="vector"`` runs a
+    #: policy set whose decisions read them on the event engine.
     needs: frozenset = frozenset({"arrivals"})
 
     @property
     def outcome_free_decisions(self) -> bool:
         """True when :meth:`decide`'s action stream never depends on
         replay outcomes (even if :meth:`observe_batch` reads them). The
-        vectorized engine then settles the schedule in a single machine
-        pass instead of a fixed-point search."""
+        vectorized engine then decides the whole schedule before any
+        replay; otherwise it runs the set on the event engine."""
         return self.needs <= frozenset({"arrivals"})
 
     def observe_batch(self, cols: TickColumns) -> None:

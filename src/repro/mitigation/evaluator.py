@@ -17,9 +17,11 @@ Two engines share one semantics:
   (:mod:`~repro.mitigation.vector_engine`): pure per-function numpy
   walks for the uncoupled configurations, and a **tick-partitioned
   mode** for coupled tick-phase policies (pre-warming, peak shaving):
-  given the per-tick decision schedule every function replays
-  independently, and the schedule itself is found by fixed-point repair
-  (see :meth:`RegionEvaluator._run_vector_coupled`).
+  policies whose decisions read only arrivals fix the per-tick decision
+  schedule before any replay, and every function then replays once,
+  independently (see :meth:`RegionEvaluator._run_vector_coupled`).
+  Policies whose decisions read the replay's own cold starts or pod
+  gauge run on the event engine.
 * ``engine="event"`` — the sequential reference loop, driving the same
   :class:`~repro.mitigation.base.TickPolicy` machines through the same
   span columns inline.
@@ -45,6 +47,7 @@ what renders the baseline embarrassingly parallel across functions.
 
 from __future__ import annotations
 
+import copy
 import heapq
 
 import numpy as np
@@ -61,8 +64,6 @@ from repro.mitigation.base import (
 from repro.mitigation.tick import (
     EMPTY_F,
     EMPTY_I,
-    RepairDriver,
-    SchedulePass,
     SpanIndex,
     TickMachine,
     canonical_event_order,
@@ -228,8 +229,9 @@ def _prewarm_by_fn(tick, fid, target, spec_by_id) -> dict[int, tuple]:
 def _schedule_columns(actions) -> tuple[HorizonSchedule, list | None]:
     """A stepped ``list[TickAction]`` in :class:`HorizonSchedule` form,
     plus its per-tick directive objects (``None`` when no tick shaves).
-    Custom directive types have no columns; ``_shave_relevance`` keeps
-    them whole."""
+    Directive types other than :class:`ShaveDirective` have no columns:
+    their trigger is ``-inf``, so :func:`_reads_shave` counts them active
+    wherever present."""
     n_ticks = len(actions)
     entries = [
         (k, function_id, int(target))
@@ -263,57 +265,32 @@ def _schedule_columns(actions) -> tuple[HorizonSchedule, list | None]:
     return schedule, directives if schedule.shave_present.any() else None
 
 
-def _shave_relevance(schedule, directives, interval_s, congestion):
-    """Change detector: what a shave schedule makes a function's replay *read*.
+def _reads_shave(schedule, interval_s, congestion):
+    """Predicate: does an uncoupled outcome meet an active shave directive?
 
-    Returns ``rel(outcome)`` — the time-ordered tuple of the function's
-    delay-eligible moments (cold-bound original arrivals, past delayed
-    arrivals) that fall under an *active* directive, each paired with the
-    parameters that determine the delay. A replay only consults the shave
-    schedule at exactly these moments, so two schedules with identical
-    active-read sequences replay the function identically — decision
-    flips at ticks nobody reads never force a re-replay (or block
-    convergence). For the built-in pure directive the active test is
-    exact (gauge flag at the tick, profile trigger at the arrival
-    minute) and reads the schedule's columns; directives of other types
-    in a stepped schedule's ``directives`` (``None``: every directive is
-    built-in) are kept whole in the fingerprint (conservative: any
-    schedule change re-replays the function).
+    A replay consults the shave schedule only at cold-bound original
+    arrivals, so an uncoupled outcome none of whose cold starts falls
+    under an *active* directive — the gauge flag set at its tick, or the
+    congestion at its minute above the tick's trigger — is also the exact
+    replay under the schedule.
     """
     present = schedule.shave_present
     if present is None or not present.any():
-        return lambda outcome: ()
-    n_ticks = schedule.n_ticks
-    pure = np.array(
-        [type(d) is ShaveDirective for d in directives], dtype=bool
-    ) if directives is not None else np.ones(n_ticks, dtype=bool)
-    pure |= ~present
+        return lambda outcome: False
     gauge_active = schedule.shave_gauge_active
     trigger = schedule.shave_trigger
-    max_delay = schedule.shave_max_delay
 
-    def rel(outcome):
-        cand = outcome.cold_times[~outcome.cold_delayed]
-        if outcome.delay_t.size:
-            cand = np.sort(np.concatenate([cand, outcome.delay_t]), kind="stable")
-        if not cand.size:
-            return ()
-        k = tick_indices_of(cand, interval_s, n_ticks)
-        active = present[k] & (
-            ~pure[k]
-            | gauge_active[k]
-            | (_congestion_values(congestion, cand) > trigger[k])
-        )
-        if not active.any():
-            return ()
-        reads = []
-        for t, ki in zip(cand[active].tolist(), k[active].tolist()):
-            reads.append(
-                (t, max_delay[ki]) if pure[ki] else (t, directives[ki])
-            )
-        return tuple(reads)
+    def reads(outcome) -> bool:
+        cold_t = outcome.cold_times
+        if not cold_t.size:
+            return False
+        k = tick_indices_of(cold_t, interval_s, schedule.n_ticks)
+        return bool(np.any(present[k] & (
+            gauge_active[k]
+            | (_congestion_values(congestion, cold_t) > trigger[k])
+        )))
 
-    return rel
+    return reads
 
 
 class RegionEvaluator:
@@ -415,22 +392,30 @@ class RegionEvaluator:
         """Replay ``traces``; returns the metrics of this policy run.
 
         Policy instances are consumed per run: the event engine steps
-        them in place, the vectorized engine steps deep copies (identical
-        metrics; post-run policy state is only defined under
+        them in place, the vectorized engine steps deep copies, so a rerun
+        replays identically (post-run policy state is only defined under
         ``engine="event"`` — see :class:`~repro.mitigation.base.TickPolicy`).
+        Under ``engine="vector"``, policies whose decisions read the
+        replay's own cold starts or pod gauge run on the event engine.
         """
         if horizon_s is None:
             horizon_s = max(
                 (float(t.arrivals[-1]) for t in traces if t.arrivals.size), default=0.0
             ) + 120.0
         metrics = EvalMetrics(name=name or self._default_name())
-        if self.engine == "vector":
-            if self.coupled():
-                self._run_vector_coupled(traces, horizon_s, metrics)
-            else:
-                self._run_vector(traces, horizon_s, metrics)
+        if self.engine == "event":
+            self._run_event(traces, horizon_s, metrics, self._tick_policies())
+        elif not self.coupled():
+            self._run_vector(traces, horizon_s, metrics)
         else:
-            self._run_event(traces, horizon_s, metrics)
+            policies = copy.deepcopy(self._tick_policies())
+            if all(p.outcome_free_decisions for p in policies):
+                self._run_vector_coupled(traces, horizon_s, metrics, policies)
+            else:
+                # Decisions fed by outcomes are only known in time order,
+                # which is the sequential engine's.
+                get_telemetry().count("tick/event_dispatches")
+                self._run_event(traces, horizon_s, metrics, policies)
         return metrics
 
     # -- vectorized fast path --------------------------------------------------
@@ -527,30 +512,24 @@ class RegionEvaluator:
 
     # -- tick-partitioned coupled vector mode ----------------------------------
 
-    #: One repair-round budget for every engine — the shared driver's.
-    _MAX_REPAIR_ROUNDS = RepairDriver._MAX_REPAIR_ROUNDS
-
-    #: Checkpoint the policy machine between repair rounds (tests flip
-    #: this off to prove the restored-prefix path is bit-identical).
-    _REPAIR_CHECKPOINT = True
-
     def _run_vector_coupled(
-        self, traces: list[FunctionTrace], horizon_s: float, metrics: EvalMetrics
+        self, traces: list[FunctionTrace], horizon_s: float, metrics: EvalMetrics,
+        policies: list[TickPolicy],
     ) -> None:
-        """Coupled policies on the vector engine: ticks partition the replay.
+        """Outcome-free coupled policies on the vector engine, in one pass.
 
         The tick protocol confines all cross-function coupling to tick
-        boundaries: given the per-tick decision schedule, every function
-        replays independently (``replay_function_coupled``), and functions
-        no decision touches keep their uncoupled fast-walk outcome. The
-        schedule itself is found by fixed-point repair: replay under a
-        candidate schedule, re-run the policy machine over the resulting
-        outcome columns, and re-replay only the functions whose relevant
-        decisions changed. Decisions at tick ``k`` depend only on spans
-        before ``k``, so a self-consistent (schedule, outcome) pair is
-        unique and equals the event engine's sequential trajectory —
-        which is what makes the two engines bit-identical for coupled
-        policies.
+        boundaries: given the decision schedule, every function replays
+        independently (``replay_function_coupled``). These policies'
+        decisions read only arrivals, so the schedule is known before any
+        replay — in closed form when every policy has one, else from one
+        tick-machine pass over the arrival spans — and each function
+        replays once, under its slice; one the schedule never touches
+        keeps its uncoupled fast-walk outcome. Delayed re-arrivals can run
+        the clock past the last arrival's tick: the schedule then grows to
+        the ticks they reach (decisions are causal, so the longer schedule
+        extends the shorter one), and the walkers' trailing pre-warm sweeps
+        wait until every function's events have fixed the tick count.
         """
         congestion = CongestionProfile.from_traces(traces, horizon_s)
         specs = [t.spec for t in traces]
@@ -561,7 +540,6 @@ class RegionEvaluator:
         concs = [self._concurrency(s) for s in specs]
         samplers = [self._sampler_for(s) for s in specs]
         sync = [s.synchronous for s in specs]
-        policies = self._tick_policies()
         interval = tick_interval(policies)
 
         fn_t: list[np.ndarray] = []
@@ -594,174 +572,102 @@ class RegionEvaluator:
             offset += a.size
         span_index = SpanIndex(all_t[order], all_fn[order], interval)
 
-        def fast_outcome(i: int):
-            samplers[i].reset()
-            return lift_replay(
-                replay_function(
-                    fn_t[i], fn_e[i], kas[i], concs[i],
-                    self.queue_patience_s, samplers[i], congestion,
-                ),
-                merged_pos[i], fn_t[i],
-            )
+        # Ticks fire while events remain, never past the horizon.
+        max_ticks = last_tick_index(horizon_s, interval) + 1
+        n_ticks = min(
+            last_tick_index(float(all_t.max()), interval) + 1, max_ticks
+        ) if all_t.size else 0
+        closed = closed_form_schedule(
+            policies, span_index, specs, function_ids, interval, n_ticks
+        )
+        machine = (
+            None if closed is not None
+            else TickMachine(policies, specs, function_ids, interval)
+        )
+        actions: list = []
 
-        base = [fast_outcome(i) for i in range(n_fns)]
-        outcomes = list(base)
-        neutral = ((), ())
-        used_rel: list = [neutral] * n_fns
-        # Policies with outcome-free decision streams (every pre-warm
-        # policy reading only arrivals, and the built-in shaver,
-        # whose directive only reads exogenous signals) need no
-        # fixed-point verification pass: once the tick count settles
-        # (delayed re-arrivals can extend the clock), the schedule and
-        # every relevance fingerprint are reproducible by construction.
-        outcome_free = all(p.outcome_free_decisions for p in policies)
-        clock = {"n_ticks": 0, "gauge": EMPTY_F}
-        # Outcome-free built-in policies answer in closed form: computed
-        # for the first round's tick count and again only if a later
-        # round's clock outgrows it; each round reads the prefix it needs
-        # (decisions are causal). Everything else steps the tick machine
-        # through the checkpointed schedule pass.
-        plan = {"closed": None, "pass": None}
-
-        def round_schedule(n_ticks: int, outcomes_):
-            if plan["pass"] is None:
-                closed = plan["closed"]
-                if outcome_free and (closed is None or closed.n_ticks < n_ticks):
-                    closed = plan["closed"] = closed_form_schedule(
-                        policies, span_index, specs, function_ids, interval,
-                        n_ticks,
+        def decide(n: int):
+            """The schedule of ticks ``[0, n)`` and its per-tick directives."""
+            nonlocal closed
+            if machine is None:
+                if closed.n_ticks != n:
+                    closed = closed_form_schedule(
+                        policies, span_index, specs, function_ids, interval, n
                     )
-                if closed is not None:
-                    schedule = closed.head(n_ticks)
-                    return schedule, None, schedule.shave_directives()
-                plan["pass"] = SchedulePass(
-                    policies, specs, function_ids, interval, span_index,
-                    tick_congestion=lambda k: congestion.at(k * interval),
-                    checkpoint=self._REPAIR_CHECKPOINT,
-                )
-            schedule, stepped = _schedule_columns(
-                self._machine_pass(
-                    plan["pass"], n_ticks, outcomes_, clock["gauge"]
-                )
-            )
-            return schedule, stepped, stepped
+                return closed, closed.shave_directives()
+            edges = span_index.edges(n)
+            for k in range(len(actions), n):
+                arrive_fn, arrive_t = span_index.span(k, edges)
+                actions.append(machine.step(
+                    k, arrive_fn=arrive_fn, arrive_t=arrive_t, alive_pods=0,
+                    congestion=congestion.at(k * interval),
+                ))
+            return _schedule_columns(actions)
 
-        def prepare_round(round_idx: int, outcomes_) -> bool:
-            n_ticks, gauge = self._pod_gauge(outcomes_, horizon_s, interval)
-            settled = (
-                outcome_free and round_idx > 0
-                and n_ticks == clock["n_ticks"]
-            )
-            clock["n_ticks"], clock["gauge"] = n_ticks, gauge
-            return settled
+        schedule, shave_schedule = decide(n_ticks)
+        reads_shave = _reads_shave(schedule, interval, congestion)
+        n_decided = n_ticks
+        slices = first_slices = _prewarm_by_fn(
+            schedule.prewarm_tick, schedule.prewarm_fid,
+            schedule.prewarm_target, spec_by_id,
+        )
 
-        def bind_schedule(round_idx: int, outcomes_):
-            n_ticks = clock["n_ticks"]
-            schedule, stepped, shave_schedule = round_schedule(
-                n_ticks, outcomes_
-            )
-            prewarm_by_fn = _prewarm_by_fn(
-                schedule.prewarm_tick, schedule.prewarm_fid,
-                schedule.prewarm_target, spec_by_id,
-            )
-            rel_of = _shave_relevance(schedule, stepped, interval, congestion)
-            return prewarm_by_fn, rel_of, shave_schedule, n_ticks
+        def covered_s() -> float:
+            return n_decided * interval if n_decided < max_ticks else np.inf
 
-        def fingerprint(i: int, outcome, ctx):
-            prewarm_by_fn, rel_of = ctx[0], ctx[1]
-            return (
-                prewarm_by_fn.get(i, ()),
-                () if sync[i] else rel_of(outcome),
-            )
-
-        def reuse_base(i: int, rel, ctx):
-            # The schedule stopped touching this function AND its
-            # decision-free outcome reads nothing under the new schedule
-            # either — only then is the cached base outcome the exact
-            # replay under this schedule. (The second check matters: a
-            # base cold moment can fall under an active directive even
-            # when the previously coupled outcome's moments all went
-            # inactive.)
-            rel_of = ctx[1]
-            if rel == neutral and (sync[i] or rel_of(base[i]) == ()):
-                return base[i]
-            return None
-
-        def replay(i: int, ctx):
-            prewarm_by_fn, _, shave_schedule, n_ticks = ctx
+        def walk(i: int):
+            """Function ``i``'s walker, paused before its trailing sweep."""
+            nonlocal n_decided, slices
             samplers[i].reset()
-            return replay_function_coupled(
+            walker = replay_function_coupled(
                 fn_t[i], fn_e[i], merged_pos[i], kas[i], concs[i],
                 self.queue_patience_s, samplers[i], congestion,
                 specs[i], sync[i], self.prewarm_grace_s,
-                interval, n_ticks,
-                prewarm_by_fn.get(i, ()), shave_schedule,
+                interval, n_ticks, slices.get(i, ()), covered_s(),
+                shave_schedule,
             )
+            t = next(walker)
+            while t != np.inf:
+                n_decided = min(last_tick_index(t, interval) + 1, max_ticks)
+                grown, _ = decide(n_decided)
+                slices = _prewarm_by_fn(
+                    grown.prewarm_tick, grown.prewarm_fid,
+                    grown.prewarm_target, spec_by_id,
+                )
+                t = walker.send((slices.get(i, ()), covered_s()))
+            return walker
 
-        driver = RepairDriver(
-            n_fns,
-            bind_schedule=bind_schedule,
-            fingerprint=fingerprint,
-            replay=replay,
-            prepare_round=prepare_round,
-            reuse_base=reuse_base,
-            what="coupled fixed-point",
-        )
-        if not driver.run(
-            outcomes, used_rel, name=metrics.name or self._default_name()
-        ):
-            # The decision schedule oscillated past the round budget (a
-            # pathological feedback loop); replay sequentially from a clean
-            # evaluator — exact by construction, merely slower.
-            RegionEvaluator(
-                self.profile,
-                keepalive_policy=self.keepalive_policy,
-                prewarm_policy=self.prewarm_policy,
-                peak_shaver=self.peak_shaver,
-                seed=self._rngs.seed,
-                concurrency_override=self.concurrency_override,
-                queue_patience_s=self.queue_patience_s,
-                prewarm_grace_s=self.prewarm_grace_s,
-                engine="event",
-            )._run_event(traces, horizon_s, metrics)
-            return
+        outcomes: list = [None] * n_fns
+        walkers = {}
+        for i in range(n_fns):
+            if i not in first_slices:
+                samplers[i].reset()
+                outcomes[i] = lift_replay(
+                    replay_function(
+                        fn_t[i], fn_e[i], kas[i], concs[i],
+                        self.queue_patience_s, samplers[i], congestion,
+                    ),
+                    merged_pos[i], fn_t[i],
+                )
+                if sync[i] or not reads_shave(outcomes[i]):
+                    continue
+            walkers[i] = walk(i)
+        # Every event is replayed, so ``n_decided`` ticks fired. A function
+        # whose only pre-warm ticks lie past the last arrival's tick replays
+        # now: its events read no decision, so nothing it does moves the
+        # clock.
+        for i in sorted(slices.keys() - walkers.keys()):
+            walkers[i] = walk(i)
+        for i, walker in walkers.items():
+            try:
+                walker.send((slices.get(i, ()), np.inf))
+            except StopIteration as done:
+                outcomes[i] = done.value
+        if machine is None and n_decided:
+            get_telemetry().count("tick/horizon_ticks", n_decided)
+        n_fired, gauge = self._pod_gauge(outcomes, horizon_s, interval)
         self._assemble_coupled(
-            outcomes, clock["n_ticks"], clock["gauge"], interval, horizon_s,
-            metrics,
-        )
-
-    @staticmethod
-    def _machine_pass(sched_pass, n_ticks, outcomes, gauge):
-        """One stepped machine pass over the outcome columns' tick inputs."""
-        cold_t = np.concatenate(
-            [o.cold_times for o in outcomes]
-        ) if outcomes else EMPTY_F
-        cold_w = np.concatenate(
-            [o.cold_waits for o in outcomes]
-        ) if outcomes else EMPTY_F
-        cold_fn = (
-            np.concatenate([
-                np.full(o.cold_times.size, i, dtype=np.int64)
-                for i, o in enumerate(outcomes)
-            ])
-            if outcomes else EMPTY_I
-        )
-        cold_delayed = (
-            np.concatenate([o.cold_delayed for o in outcomes])
-            if outcomes else np.zeros(0, dtype=bool)
-        )
-        cold_tie = (
-            np.concatenate([o.cold_tiebreak for o in outcomes])
-            if outcomes else EMPTY_I
-        )
-        cold_order = canonical_event_order(cold_t, cold_delayed, cold_tie)
-        return sched_pass.run(
-            n_ticks,
-            cold_t=cold_t[cold_order],
-            cold_wait=cold_w[cold_order],
-            cold_fn=cold_fn[cold_order],
-            cold_region=np.zeros(cold_t.size, dtype=np.int64),
-            gauge=gauge,
+            outcomes, n_fired, gauge, interval, horizon_s, metrics
         )
 
     @staticmethod
@@ -799,7 +705,7 @@ class RegionEvaluator:
     def _assemble_coupled(
         self, outcomes, n_ticks, gauge, interval, horizon_s, metrics
     ) -> None:
-        """Fold converged per-function outcomes into canonical metrics.
+        """Fold per-function outcomes into canonical metrics.
 
         Every batched float accumulation runs in the event engine's
         processing order: cold sketches by (time, original-before-delayed,
@@ -858,7 +764,8 @@ class RegionEvaluator:
     # -- event-driven reference engine -----------------------------------------
 
     def _run_event(
-        self, traces: list[FunctionTrace], horizon_s: float, metrics: EvalMetrics
+        self, traces: list[FunctionTrace], horizon_s: float, metrics: EvalMetrics,
+        policies: list[TickPolicy],
     ) -> None:
         congestion = CongestionProfile.from_traces(traces, horizon_s)
         specs = [t.spec for t in traces]
@@ -905,7 +812,6 @@ class RegionEvaluator:
         # arrival/outcome columns at the tick and decides the next span's
         # actions; within a span the current action is the whole coupling
         # surface (the property the vectorized engine replays exactly).
-        policies = self._tick_policies()
         interval = tick_interval(policies)
         machine = (
             TickMachine(policies, specs, function_ids, interval)

@@ -81,8 +81,8 @@ class AsyncPeakShaver(PeakShaver):
         is constant), so the decision stream is outcome-free. Any
         subclass overriding a hook that could route replay outcomes into
         the decision stream — ``decide``, ``gauge_peaking``, or the
-        observation path feeding them — re-enters the fixed-point
-        verification loop (conservative but safe)."""
+        observation path feeding them — runs on the event engine
+        (conservative but exact)."""
         return keeps_decision_hooks(self, AsyncPeakShaver)
 
     def horizon_schedule(self, span_index, specs, function_ids, interval_s, n_ticks):
@@ -107,8 +107,8 @@ class AsyncPeakShaver(PeakShaver):
         congestion profile — which the directive below triggers on per
         arrival. Subclasses with a calibrated gauge criterion can return
         :attr:`load_ratio`-based decisions here (the tick EMA keeps
-        updating either way); the vectorized engine replays such outcome
-        feedback through fixed-point repair.
+        updating either way); ``engine="vector"`` replays such outcome
+        feedback on the event engine.
         """
         return False
 

@@ -23,9 +23,7 @@ processed *after* the tick.
 
 from __future__ import annotations
 
-import copy
 import time
-import warnings
 from collections.abc import Sequence
 
 import numpy as np
@@ -134,8 +132,7 @@ def closed_form_schedule(
     than one shaves, whose per-tick precedence the machine settles).
 
     Each policy's call is booked on the same ``tick/policy/<Policy>_s``
-    timer its machine steps would use; ``tick/horizon_ticks`` counts the
-    ticks so decided (``tick/steps`` keeps counting machine steps).
+    timer its machine steps would use.
     """
     tel = get_telemetry()
     perf = time.perf_counter
@@ -151,8 +148,6 @@ def closed_form_schedule(
         parts.append(part)
     if not parts or sum(p.shave_present is not None for p in parts) > 1:
         return None
-    if n_ticks:
-        tel.count("tick/horizon_ticks", n_ticks)
     return HorizonSchedule.combine(parts)
 
 
@@ -160,8 +155,9 @@ class TickMachine:
     """Drives a policy set over the tick clock, one step per tick.
 
     The single source of truth for how :class:`TickColumns` are assembled
-    and actions combined; the event engine steps it inline while the
-    vectorized engine replays it over candidate outcome trajectories.
+    and actions combined; the event engine steps it inline, the vectorized
+    engines step it over the arrival spans (outcome-free policies) or the
+    cold starts of a time-ordered merge (cross-region routing).
     """
 
     def __init__(self, policies, specs, function_ids: np.ndarray, interval_s: float):
@@ -228,264 +224,3 @@ def canonical_event_order(
     arrival's merged position, because a request is never delayed twice.
     """
     return np.lexsort((tiebreak, delayed.astype(np.int64), times))
-
-
-class SchedulePass:
-    """Checkpointed sequential policy-machine pass over the tick clock.
-
-    One instance persists across a repair loop's rounds. Each round hands
-    in the tick inputs implied by the current outcomes — canonically
-    ordered cold columns and (for the coupled evaluator) the alive-pod
-    gauge; the arrival spans are fixed by construction. The pass finds
-    the first tick whose inputs differ from the previous round's, restores
-    the policy machines from the nearest snapshot at or before it, reuses
-    the previous schedule prefix, and re-steps only the suffix.
-
-    Restoring is exact: snapshots are deep copies taken *before* the
-    snapshot tick steps, and the machine state before tick ``c`` depends
-    only on inputs at ticks ``< c``, which are elementwise identical up
-    to the divergence point (both rounds' cold spans read only the shared
-    prefix of the sorted cold columns there). A reused schedule entry is
-    therefore the very action the machine would have re-emitted — same
-    values *and* same directive objects, which keeps identity-compared
-    custom directives stable across rounds.
-    """
-
-    def __init__(
-        self, policies, specs, function_ids: np.ndarray, interval_s: float,
-        span_index: SpanIndex, *, tick_congestion=None, checkpoint: bool = True,
-    ):
-        self._policies = list(policies)
-        self._specs = specs
-        self._function_ids = function_ids
-        self._interval = float(interval_s)
-        self._span_index = span_index
-        self._tick_congestion = tick_congestion
-        self._checkpoint = bool(checkpoint)
-        # Snapshot at tick 0 is the pristine policy state; the caller's
-        # instances are never stepped (every run deep-copies a snapshot).
-        self._snapshots: list[tuple[int, list]] = [
-            (0, copy.deepcopy(self._policies))
-        ]
-        self._prev: dict | None = None
-
-    def _resume_tick(
-        self, n_ticks, cold_t, cold_wait, cold_fn, cold_region, cold_edges,
-        gauge,
-    ) -> int:
-        """First tick whose inputs may differ from the previous round."""
-        prev = self._prev
-        if prev is None or not self._checkpoint:
-            return 0
-        d = n_ticks if n_ticks == prev["n_ticks"] \
-            else min(n_ticks, prev["n_ticks"])
-        p_t, p_w, p_fn, p_r = prev["cold"]
-        m = min(cold_t.size, p_t.size)
-        neq = (
-            (cold_t[:m] != p_t[:m])
-            | (cold_wait[:m] != p_w[:m])
-            | (cold_fn[:m] != p_fn[:m])
-            | (cold_region[:m] != p_r[:m])
-        )
-        hit = np.flatnonzero(neq)
-        if hit.size:
-            p = int(hit[0])
-        elif cold_t.size != p_t.size:
-            p = m
-        else:
-            p = -1
-        if p >= 0:
-            # First tick whose cold span reaches past the common prefix,
-            # in either round (identical prefixes guarantee the edge
-            # arrays agree wherever both stay at or below ``p``).
-            d = min(
-                d,
-                int(np.searchsorted(cold_edges, p, side="right")),
-                int(np.searchsorted(prev["edges"], p, side="right")),
-            )
-        p_g = prev["gauge"]
-        if gauge is not None and p_g is not None:
-            gm = min(gauge.size, p_g.size)
-            ghit = np.flatnonzero(gauge[:gm] != p_g[:gm])
-            if ghit.size:
-                d = min(d, int(ghit[0]))
-        return d
-
-    def run(
-        self, n_ticks: int, *, cold_t, cold_wait, cold_fn, cold_region,
-        gauge=None,
-    ) -> list[TickAction]:
-        """This round's decision schedule under the given tick inputs."""
-        interval = self._interval
-        cold_edges = np.searchsorted(
-            cold_t, np.arange(n_ticks) * interval, side="left"
-        )
-        start = self._resume_tick(
-            n_ticks, cold_t, cold_wait, cold_fn, cold_region, cold_edges,
-            gauge,
-        )
-        si = 0
-        for idx in range(len(self._snapshots)):
-            if self._snapshots[idx][0] <= start:
-                si = idx
-            else:
-                break
-        start = self._snapshots[si][0]
-        del self._snapshots[si + 1:]
-        machine = TickMachine(
-            copy.deepcopy(self._snapshots[si][1]), self._specs,
-            self._function_ids, interval,
-        )
-        schedule = list(self._prev["schedule"][:start]) if self._prev else []
-        arr_edges = self._span_index.edges(n_ticks)
-        snap_every = max(32, n_ticks // 8)
-        congestion_at = self._tick_congestion
-        for k in range(start, n_ticks):
-            if (
-                self._checkpoint and k > self._snapshots[-1][0]
-                and k % snap_every == 0
-            ):
-                self._snapshots.append((k, copy.deepcopy(machine.policies)))
-            arrive_fn, arrive_t = self._span_index.span(k, arr_edges)
-            lo, hi = (
-                (0, 0) if k == 0
-                else (int(cold_edges[k - 1]), int(cold_edges[k]))
-            )
-            schedule.append(
-                machine.step(
-                    k,
-                    arrive_fn=arrive_fn,
-                    arrive_t=arrive_t,
-                    alive_pods=int(gauge[k]) if gauge is not None else 0,
-                    congestion=(
-                        congestion_at(k) if congestion_at is not None else 0.0
-                    ),
-                    cold_fn=cold_fn[lo:hi],
-                    cold_t=cold_t[lo:hi],
-                    cold_wait=cold_wait[lo:hi],
-                    cold_region=cold_region[lo:hi],
-                )
-            )
-        self._prev = {
-            "n_ticks": n_ticks,
-            "edges": cold_edges,
-            "gauge": gauge,
-            "cold": (cold_t, cold_wait, cold_fn, cold_region),
-            "schedule": schedule,
-        }
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count_many((
-                ("repair/ticks_replayed", n_ticks - start),
-                ("repair/ticks_restored", start),
-            ))
-        return schedule
-
-
-class RepairDriver:
-    """The fixed-point repair loop shared by both tick-partitioned engines.
-
-    Replays live under a *candidate* decision schedule; the loop re-runs
-    the policy machine over the resulting outcome columns, fingerprints
-    what the new schedule makes each item's replay read, and re-replays
-    only the items whose fingerprint changed. When no fingerprint moves,
-    the (schedule, outcomes) pair is self-consistent — i.e. the event
-    engine's sequential trajectory. The loop is engine-agnostic; callers
-    parameterize it with callbacks:
-
-    ``bind_schedule(round_idx, outcomes) -> ctx``
-        Run the policy machine for this round (normally through a
-        persistent :class:`SchedulePass`) and return whatever context the
-        other callbacks need to read the schedule.
-    ``fingerprint(i, outcome, ctx) -> hashable``
-        What the bound schedule makes item ``i``'s replay read.
-    ``replay(i, ctx) -> outcome``
-        Exact re-replay of item ``i`` under the bound schedule.
-    ``prepare_round(round_idx, outcomes) -> bool`` (optional)
-        Per-round state refresh before the machine pass; returning True
-        declares convergence without binding a schedule (the coupled
-        evaluator's outcome-free short-circuit).
-    ``reuse_base(i, fp, ctx) -> outcome | None`` (optional)
-        A cached outcome that *is* the exact replay under the bound
-        schedule, or None to force a replay.
-    """
-
-    #: Repair rounds before the vector mode concedes the schedule will
-    #: not settle and replays on the event engine instead (exact either
-    #: way; the cap only bounds wasted work).
-    _MAX_REPAIR_ROUNDS = 10
-
-    def __init__(
-        self, n_items: int, *, bind_schedule, fingerprint, replay,
-        prepare_round=None, reuse_base=None, what: str = "fixed-point",
-    ):
-        self.n_items = int(n_items)
-        self.bind_schedule = bind_schedule
-        self.fingerprint = fingerprint
-        self.replay = replay
-        self.prepare_round = prepare_round
-        self.reuse_base = reuse_base
-        self.what = what
-
-    def run(self, outcomes: list, used_rel: list, name: str = "") -> bool:
-        """Repair ``outcomes`` in place; True iff the schedule settled.
-
-        ``used_rel[i]`` must hold the fingerprint item ``i``'s current
-        outcome was replayed under; it is kept in sync as items replay.
-        On False the caller must discard the outcomes and fall back to
-        its sequential event engine (the warning and counter are already
-        emitted here — one concession path for every engine).
-        """
-        n = self.n_items
-        converged = False
-        n_rounds = n_rereplayed = n_base_reuses = 0
-        n_hits = n_misses = 0
-        for round_idx in range(self._MAX_REPAIR_ROUNDS):
-            n_rounds += 1
-            if self.prepare_round is not None and self.prepare_round(
-                round_idx, outcomes
-            ):
-                converged = True
-                break
-            ctx = self.bind_schedule(round_idx, outcomes)
-            rels = [
-                self.fingerprint(i, outcomes[i], ctx) for i in range(n)
-            ]
-            affected = [i for i in range(n) if rels[i] != used_rel[i]]
-            n_misses += len(affected)
-            n_hits += n - len(affected)
-            if not affected:
-                converged = True
-                break
-            for i in affected:
-                cached = (
-                    self.reuse_base(i, rels[i], ctx)
-                    if self.reuse_base is not None else None
-                )
-                if cached is not None:
-                    outcomes[i] = cached
-                    used_rel[i] = rels[i]
-                    n_base_reuses += 1
-                else:
-                    n_rereplayed += 1
-                    outcomes[i] = self.replay(i, ctx)
-                    used_rel[i] = self.fingerprint(i, outcomes[i], ctx)
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count_many((
-                ("repair/rounds", n_rounds),
-                ("repair/functions_rereplayed", n_rereplayed),
-                ("repair/base_reuses", n_base_reuses),
-                ("repair/fingerprint_hits", n_hits),
-                ("repair/fingerprint_misses", n_misses),
-            ))
-        if not converged:
-            warnings.warn(
-                f"{self.what} repair did not settle within "
-                f"{self._MAX_REPAIR_ROUNDS} rounds for {name!r}; replaying "
-                "on the sequential event engine (exact, slower)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            tel.count("repair/event_fallbacks")
-        return converged

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,8 +164,9 @@ def replay_function_coupled(
     interval_s: float,
     n_ticks: int,
     prewarm_ticks,
+    covered_s: float,
     shave_schedule,
-) -> CoupledReplay:
+) -> Generator[float, tuple, CoupledReplay]:
     """Exact per-function replay under a fixed tick decision schedule.
 
     A scalar port of the event engine's per-request pod bookkeeping for
@@ -176,8 +178,18 @@ def replay_function_coupled(
     target)`` pairs naming this function) and ``shave_schedule`` (the
     per-tick shave directives, or ``None`` when no shaver runs). Given the
     schedule, the function replays independently of every other function,
-    which is what lets the tick-partitioned vector engine re-replay only
-    the functions a decision actually touches.
+    which is what lets the tick-partitioned vector engine replay only the
+    functions a decision actually touches.
+
+    The replay is a generator, because delayed re-arrivals can run the
+    tick clock past the ticks the caller has decided. ``prewarm_ticks`` is
+    complete for every tick before ``covered_s``; before an event at or
+    past it the walker yields the event's time and expects to be sent
+    ``(prewarm_ticks, covered_s)`` of a schedule that covers it. After its
+    last event the walker yields ``inf`` and expects the slice of the
+    final schedule — only the ticks that fired, which depends on every
+    function's events — for its trailing pre-warm sweep; it then returns
+    the :class:`CoupledReplay`.
     """
     n = t.size
     created: list[float] = []
@@ -304,7 +316,6 @@ def replay_function_coupled(
     tl = t.tolist()
     el = e.tolist()
     ml = merged_pos.tolist()
-    prewarm_ticks = list(prewarm_ticks)
     n_pt = len(prewarm_ticks)
     # Steady-chain jump (the PR 4 fast-walk trick, schedule-aware): runs
     # of idle-warm single-pod arrivals end at exactly ``t + e``, never
@@ -337,6 +348,9 @@ def replay_function_coupled(
         t_arrival = tl[ai] if ai < n else np.inf
         t_delayed = pending[0][0] if pending else np.inf
         t_event = t_arrival if t_arrival <= t_delayed else t_delayed
+        if t_event >= covered_s:
+            prewarm_ticks, covered_s = yield t_event
+            n_pt = len(prewarm_ticks)
         if pi < n_pt and prewarm_ticks[pi][0] * interval_s <= t_event:
             sweep_prewarm(t_event)
         if t_delayed < t_arrival:
@@ -520,7 +534,10 @@ def replay_function_coupled(
         last_event_t = tl[ai]
         ai += 1
     # Ticks past this function's last event still fired globally (other
-    # functions kept the clock running); apply their pre-warm targets.
+    # functions kept the clock running); apply their pre-warm targets once
+    # every function's events have fixed which ticks fired.
+    prewarm_ticks, _ = yield np.inf
+    n_pt = len(prewarm_ticks)
     if pi < n_pt:
         sweep_prewarm(np.inf)
 

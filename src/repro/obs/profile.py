@@ -159,42 +159,21 @@ def dominant_cost_center(doc: dict) -> tuple[str, float] | None:
     return name, leaves[name]
 
 
-def _render_repair_section(counters: dict) -> list[str]:
-    """Fixed-point repair-loop summary from the unified ``repair/*``
-    counters both replay drivers emit (see ``mitigation.tick``)."""
-    if not any(k.startswith("repair/") for k in counters):
+def _render_tick_section(counters: dict) -> list[str]:
+    """Coupled-policy schedule summary from the ``tick/*`` counters: ticks
+    the vector engine decided in closed form, tick-machine steps (either
+    engine), and outcome-fed runs ``engine="vector"`` handed to the event
+    engine (see ``mitigation.evaluator``)."""
+    rows = [
+        ("ticks decided in closed form", counters.get("tick/horizon_ticks", 0)),
+        ("ticks stepped", counters.get("tick/steps", 0)),
+        ("runs dispatched to event", counters.get("tick/event_dispatches", 0)),
+    ]
+    if not any(count for _, count in rows):
         return []
-    rounds = counters.get("repair/rounds", 0)
-    rereplayed = counters.get("repair/functions_rereplayed", 0)
-    hits = counters.get("repair/fingerprint_hits", 0)
-    misses = counters.get("repair/fingerprint_misses", 0)
-    replayed = counters.get("repair/ticks_replayed", 0)
-    restored = counters.get("repair/ticks_restored", 0)
-    fallbacks = counters.get("repair/event_fallbacks", 0)
-    lines = ["repair loop (fixed-point schedule repair):"]
-    lines.append(f"  rounds to converge      {rounds:>14,}")
-    lines.append(f"  functions re-replayed   {rereplayed:>14,}")
-    checked = hits + misses
-    if checked:
-        lines.append(
-            f"  fingerprint hit rate    {hits / checked:>13.1%}"
-            f"  ({hits:,}/{checked:,})"
-        )
-    ticks = replayed + restored
-    if ticks:
-        lines.append(
-            f"  ticks replayed          {replayed:>14,}"
-            f"  (checkpoint restored {restored:,} of {ticks:,})"
-        )
-    # Ticks decided in closed form rather than by machine steps.
-    horizon = counters.get("tick/horizon_ticks", 0)
-    if horizon:
-        decided = horizon + counters.get("tick/steps", 0)
-        lines.append(
-            f"  ticks decided in closed form {horizon:,} of {decided:,}"
-        )
-    if fallbacks:
-        lines.append(f"  event-engine fallbacks  {fallbacks:>14,}")
+    lines = ["tick schedule (coupled policies):"]
+    for label, count in rows:
+        lines.append(f"  {label:<28}  {int(count):>14,}")
     return lines
 
 
@@ -273,7 +252,7 @@ def render_report(doc: dict) -> str:
     if dominant is not None:
         lines.append(f"dominant cost center: {dominant[0]} "
                      f"({dominant[1]:.3f}s accumulated)")
-    lines.extend(_render_repair_section(doc["counters"]))
+    lines.extend(_render_tick_section(doc["counters"]))
     lines.extend(_render_faults_section(doc["volatile"]))
     lines.extend(_render_arena_section(doc["volatile"], doc["gauges"]))
     if doc["counters"]:

@@ -7,7 +7,7 @@ and the CLI. Design constraints, in order:
    module-level :class:`NullTelemetry` singleton whose ``enabled`` is
    ``False``; hot loops hoist ``tel = get_telemetry()`` once and guard
    batched flushes with ``if tel.enabled``. Instrumentation sites count
-   *regime transitions* (repair rounds, episode entries, speculation
+   *regime transitions* (tick-machine steps, episode entries, speculation
    blocks), never per-arrival work, so the disabled cost is a handful of
    local integer adds per function replay.
 
@@ -20,9 +20,9 @@ and the CLI. Design constraints, in order:
    ``counters`` section is bit-identical for any ``--jobs``/``--channel``.
 
 3. **Deterministic vs. volatile split.** ``counters`` hold replay facts
-   that depend only on the workload and engine (repair rounds, episode
-   entries, fingerprint hits); ``volatile`` holds transport facts that
-   legitimately depend on ``--jobs``/``--channel`` (shm blocks parked,
+   that depend only on the workload and engine (tick-machine steps,
+   episode entries, speculation blocks); ``volatile`` holds transport
+   facts that legitimately depend on ``--jobs``/``--channel`` (shm blocks parked,
    pickle payload bytes); ``timers``/``gauges``/``spans`` hold wall-clock
    and memory readings. Equality tests and CI compare ``counters`` only.
 

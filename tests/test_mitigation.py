@@ -13,11 +13,9 @@ from repro.mitigation import (
     HistogramPrewarmPolicy,
     NoPrewarm,
     PredictivePoolPolicy,
-    PrewarmPolicy,
     ReactivePoolPolicy,
     RegionEvaluator,
     RoutingPolicy,
-    TickAction,
     TimerPrewarmPolicy,
     evaluate_callchain_prefetch,
     evaluate_concurrency,
@@ -246,71 +244,6 @@ class TestCrossRegion:
         metrics = evaluator.run(traces, policy=RoutingPolicy.BEST_REGION)
         assert metrics.requests == sum(t.arrivals.size for t in traces)
         assert metrics.cold_starts + metrics.warm_hits == metrics.requests
-
-
-class _ColdChasingPrewarm(PrewarmPolicy):
-    """An outcome-fed pre-warm policy: keeps one pod warm for every
-    function that cold-started in the last ``hold_s`` seconds. Its
-    decisions read the replay's own cold starts, so the vector engine
-    steps it through the checkpointed schedule pass."""
-
-    needs = frozenset({"colds"})
-
-    def __init__(self, hold_s=120.0):
-        self.hold_s = hold_s
-        self.last_cold: dict[int, float] = {}
-
-    def observe_batch(self, cols):
-        fids = cols.function_ids
-        for fn, t in zip(cols.cold_fn.tolist(), cols.cold_t.tolist()):
-            self.last_cold[int(fids[fn])] = t
-
-    def decide(self, tick, now):
-        return TickAction(prewarm=tuple(
-            (fid, 1) for fid, t in sorted(self.last_cold.items())
-            if now - t < self.hold_s
-        ))
-
-
-class TestRepairCheckpoint:
-    def test_repair_checkpoint_restores_ticks_bit_identically(self, monkeypatch):
-        """An outcome-fed policy changes the schedule for several repair
-        rounds; the checkpointed machine pass must resume from a snapshot
-        (fewer ticks replayed) without perturbing a single metric bit."""
-        from repro.obs.telemetry import profiled
-
-        profile, traces = build_workload("R3", seed=5, days=1, scale=0.05)
-        runs = {}
-        for checkpoint in (True, False):
-            monkeypatch.setattr(
-                RegionEvaluator, "_REPAIR_CHECKPOINT", checkpoint
-            )
-            with profiled() as tel:
-                metrics = RegionEvaluator(
-                    profile, seed=2, engine="vector",
-                    prewarm_policy=_ColdChasingPrewarm(),
-                ).run(traces)
-            runs[checkpoint] = (metrics, dict(tel.counters))
-        m_on, c_on = runs[True]
-        m_off, c_off = runs[False]
-        # The schedule keeps changing past the first bind, so the repair
-        # loop genuinely re-binds — otherwise the checkpoint is untested.
-        assert c_on["repair/rounds"] >= 3
-        assert c_on["repair/functions_rereplayed"] > 0
-        assert "repair/event_fallbacks" not in c_on
-        # Checkpointing restores a snapshot prefix instead of replaying it.
-        assert c_on["repair/ticks_restored"] > 0
-        assert c_off.get("repair/ticks_restored", 0) == 0
-        assert c_on["repair/ticks_replayed"] < c_off["repair/ticks_replayed"]
-        assert (c_on["repair/ticks_replayed"] + c_on["repair/ticks_restored"]
-                == c_off["repair/ticks_replayed"])
-        # And the restored-prefix path is invisible in results.
-        assert m_on == m_off
-        event = RegionEvaluator(
-            profile, seed=2, engine="event",
-            prewarm_policy=_ColdChasingPrewarm(),
-        ).run(traces)
-        assert m_on == event
 
 
 class TestPoolPrediction:

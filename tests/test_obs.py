@@ -10,13 +10,15 @@ Four properties anchor the observability layer:
   is identical for any ``--jobs`` and either result channel;
 * **versioned profile documents** — build/validate/write round-trip,
   Chrome trace export, and the ``repro profile`` report;
-* **event-engine fallback** (previously silent) — the coupled vector
-  mode warns and counts when the fixed-point repair loop concedes.
+* **event-engine dispatch** — outcome-fed coupled policies run on the
+  event engine under ``engine="vector"`` silently and exactly, counted
+  once per run.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -220,33 +222,23 @@ class TestProfileDocument:
         assert "vector/functions" in text
         assert PROFILE_SCHEMA in text
 
-    def test_render_report_repair_section(self):
+    def test_render_report_tick_schedule_section(self):
         doc = self._doc()
-        doc["counters"].update({
-            "repair/rounds": 3,
-            "repair/functions_rereplayed": 17,
-            "repair/fingerprint_hits": 1171,
-            "repair/fingerprint_misses": 17,
-            "repair/ticks_replayed": 5000,
-            "repair/ticks_restored": 5080,
-        })
-        text = render_report(doc)
-        assert "repair loop" in text
-        assert "rounds to converge" in text
-        # hit rate = 1171 / 1188
-        assert "98.6%" in text
-        assert "checkpoint restored 5,080 of 10,080" in text
-        # no event fallbacks happened, so the line is omitted
-        assert "event-engine fallbacks" not in text
-        assert "closed form" not in text
         doc["counters"].update({
             "tick/horizon_ticks": 20_160, "tick/steps": 10_080,
         })
         text = render_report(doc)
-        assert "ticks decided in closed form 20,160 of 30,240" in text
+        assert "tick schedule" in text
+        assert "ticks decided in closed form          20,160" in text
+        assert "ticks stepped                         10,080" in text
+        assert "runs dispatched to event                   0" in text
+        doc["counters"]["tick/event_dispatches"] = 2
+        assert "runs dispatched to event                   2" in (
+            render_report(doc)
+        )
 
-    def test_render_report_no_repair_section_without_counters(self):
-        assert "repair loop" not in render_report(self._doc())
+    def test_render_report_no_tick_schedule_section_without_counters(self):
+        assert "tick schedule" not in render_report(self._doc())
 
     def test_dominant_cost_center_folds_shard_prefix(self):
         tel = Telemetry()
@@ -352,7 +344,7 @@ class TestShardMergeDeterminism:
             assert metrics == base_metrics, f"metrics diverged for {key}"
 
 
-# --- event-engine fallback (satellite: previously silent) --------------------
+# --- event-engine dispatch ---------------------------------------------------
 
 
 class _IdentityDirective:
@@ -363,9 +355,8 @@ class _IdentityDirective:
 
 
 class _NeverSettlingShaver(TickPolicy):
-    """Returns a fresh identity-compared directive every tick, so the
-    repair loop's change detector sees a new schedule each round and the
-    fixed point can never be reached."""
+    """Reads the pod gauge and returns a fresh identity-compared directive
+    every tick: a schedule no fixed-point search could ever settle."""
 
     needs = frozenset({"arrivals", "gauge"})
 
@@ -374,23 +365,30 @@ class _NeverSettlingShaver(TickPolicy):
 
 
 class TestEventFallback:
-    def test_fallback_warns_counts_and_stays_exact(self):
+    def test_dispatch_is_silent_counted_and_exact(self):
+        """A gauge-fed policy runs on the event engine: no warning, no
+        repair counters, one dispatch counted, the event engine's metrics,
+        and the same again on a rerun of the same evaluator."""
         profile, traces = _tiny_workload()
-        with profiled() as tel:
-            with pytest.warns(RuntimeWarning, match="did not settle"):
-                vector = RegionEvaluator(
-                    profile, seed=5, engine="vector",
-                    peak_shaver=_NeverSettlingShaver(),
-                ).run(traces, name="oscillating")
-            counters = dict(tel.counters)
-        assert counters["repair/event_fallbacks"] == 1
-        assert counters["repair/rounds"] == RegionEvaluator._MAX_REPAIR_ROUNDS
-        # The fallback replays on the event engine — exact, not degraded.
+        evaluator = RegionEvaluator(
+            profile, seed=5, engine="vector",
+            peak_shaver=_NeverSettlingShaver(),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with profiled() as tel:
+                vector = evaluator.run(traces, name="oscillating")
+                counters = dict(tel.counters)
+        assert not any(k.startswith("repair/") for k in counters)
+        assert counters["tick/event_dispatches"] == 1
         event = RegionEvaluator(
             profile, seed=5, engine="event",
             peak_shaver=_NeverSettlingShaver(),
         ).run(traces, name="oscillating")
-        _assert_identical(vector, event, "fallback")
+        _assert_identical(vector, event, "dispatch")
+        _assert_identical(
+            evaluator.run(traces, name="oscillating"), vector, "rerun"
+        )
 
     def test_counter_untouched_when_converging(self):
         profile, traces = _tiny_workload()
@@ -399,8 +397,8 @@ class TestEventFallback:
                 profile, seed=5, engine="vector",
                 prewarm_policy=TimerPrewarmPolicy(),
             ).run(traces)
-            assert "repair/event_fallbacks" not in tel.counters
-            assert tel.counters["repair/rounds"] >= 1
+            assert "tick/event_dispatches" not in tel.counters
+            assert tel.counters["tick/horizon_ticks"] > 0
 
 
 # --- CLI ---------------------------------------------------------------------

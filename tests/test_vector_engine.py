@@ -219,6 +219,30 @@ class _GaugeShaver(AsyncPeakShaver):
         return self.load_ratio > self.trigger
 
 
+class _ColdChasingPrewarm(PrewarmPolicy):
+    """An outcome-fed pre-warm policy: keeps one pod warm for every
+    function that cold-started in the last ``hold_s`` seconds. Its
+    decisions read the replay's own cold starts, so the vector engine
+    runs it on the event engine."""
+
+    needs = frozenset({"colds"})
+
+    def __init__(self, hold_s=120.0):
+        self.hold_s = hold_s
+        self.last_cold: dict[int, float] = {}
+
+    def observe_batch(self, cols):
+        fids = cols.function_ids
+        for fn, t in zip(cols.cold_fn.tolist(), cols.cold_t.tolist()):
+            self.last_cold[int(fids[fn])] = t
+
+    def decide(self, tick, now):
+        return TickAction(prewarm=tuple(
+            (fid, 1) for fid, t in sorted(self.last_cold.items())
+            if now - t < self.hold_s
+        ))
+
+
 class _ObservingTimer(TimerPrewarmPolicy):
     """Overrides ``observe``: the closed form no longer describes it."""
 
@@ -377,10 +401,8 @@ class TestCoupledEngineEquivalence:
         self, r2_traces, trigger
     ):
         """A subclass routing the replay's own pod gauge into its
-        directive exercises the genuine outcome-feedback fixed point
-        (including the cached-base restore path when decisions retreat) —
-        and must stay bit-identical or fall back to the exact event
-        replay."""
+        directive feeds outcomes back into decisions; the vector engine
+        runs it on the event engine, bit-identically."""
 
         profile, traces = r2_traces
         event = RegionEvaluator(
@@ -470,13 +492,15 @@ class TestCoupledEngineEquivalence:
             prewarm_policy=TimerPrewarmPolicy(),
             peak_shaver=_GaugeShaver(2.0, max_delay_s=45.0),
         ),
+        "cold-chasing": lambda: dict(prewarm_policy=_ColdChasingPrewarm()),
     }
 
     @pytest.mark.parametrize("config", sorted(STEPPED))
     def test_overriding_subclasses_step_the_machine(self, r2_traces, config):
-        """Subclasses that override a decision hook, and built-ins mixed
-        with an outcome-fed shaver, keep the stepped schedule pass — and
-        stay bit-identical to the event engine through it."""
+        """Subclasses that override a decision hook step the tick
+        machine over the arrival spans; outcome-fed policies (alone or
+        mixed with built-ins) step it on the event engine. Either way the
+        metrics are bit-identical to the event engine's."""
         profile, traces = r2_traces
         make = self.STEPPED[config]
         event = RegionEvaluator(
@@ -520,6 +544,37 @@ class TestCoupledEngineEquivalence:
             peak_shaver=AsyncPeakShaver(max_delay_s=60.0),
         ).run(traces, horizon_s=86_400.0)
         _assert_identical(event, vector, "horizon")
+
+
+class TestOutcomeFedDispatch:
+    """Policies whose decisions read cold starts or the pod gauge run on
+    the event engine under ``engine="vector"``, on deep copies: the
+    caller's instances are never stepped, so a rerun replays the same."""
+
+    OUTCOME_FED = {
+        "cold-chasing": lambda: dict(prewarm_policy=_ColdChasingPrewarm()),
+        "gauge-shaver": lambda: dict(
+            peak_shaver=_GaugeShaver(1.3, max_delay_s=45.0)
+        ),
+    }
+
+    @pytest.mark.parametrize("config", sorted(OUTCOME_FED))
+    def test_rerun_matches_first_run_and_fresh_evaluator(
+        self, r2_traces, config
+    ):
+        profile, traces = r2_traces
+        make = self.OUTCOME_FED[config]
+        evaluator = RegionEvaluator(profile, seed=1, engine="vector", **make())
+        with profiled() as tel:
+            first = evaluator.run(traces)
+            counters = dict(tel.counters)
+        rerun = evaluator.run(traces)
+        fresh = RegionEvaluator(
+            profile, seed=1, engine="vector", **make()
+        ).run(traces)
+        _assert_identical(first, rerun, f"{config}/rerun")
+        _assert_identical(first, fresh, f"{config}/fresh")
+        assert counters["tick/event_dispatches"] == 1
 
 
 class TestCustomPolicies:
