@@ -100,10 +100,13 @@ def _functions_per_user_counts(bundle: TraceBundle) -> np.ndarray:
     requests = bundle.requests
     if not len(requests):
         return np.zeros(0, dtype=np.int64)
-    pairs = np.stack([requests["user"], requests["function"]], axis=1)
-    unique_pairs = np.unique(pairs, axis=0)
-    _, counts = np.unique(unique_pairs[:, 0], return_counts=True)
-    return counts
+    # One int64 key per (user, function) pair, built from dense id ranks:
+    # raw ids (region-blocked, ~5e9 in R5) would overflow ``user * span``.
+    _, user = np.unique(requests["user"], return_inverse=True)
+    _, function = np.unique(requests["function"], return_inverse=True)
+    span = int(function.max()) + 1
+    pairs = np.unique(user * span + function)
+    return np.bincount(pairs // span)
 
 
 def functions_per_user_cdf(bundle: TraceBundle) -> Cdf:

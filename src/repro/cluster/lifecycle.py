@@ -17,7 +17,9 @@ Two regimes:
   platform's 60 s keep-alive); the pod count tracks the per-window demand
   and every *increase* triggers cold starts — the paper's "large
   fluctuations in invocation patterns leading to frequent autoscaling
-  decisions".
+  decisions". Keep-alive gaps still split the stream; segments that fit
+  one pod take the exact rule, and all the others are binned together in
+  one labelled pass over a shared window axis.
 
 Both regimes produce identical output structure, so downstream trace
 assembly does not care which path ran.
@@ -197,11 +199,11 @@ def _autoscaled_lifecycle(
     per-pod concurrency — for a timer function well past the keep-alive
     that is *every arrival* — is reconstructed by a single
     :func:`_sequential_lifecycle` pass over their union (its gap rule
-    re-splits at exactly the segment boundaries). Only overflowing
-    segments walk the window-binned path one by one. Output is identical
-    to the historical per-segment loop: pods are re-sorted by start time,
-    and pod start times never tie across segments (they are separated by
-    more than the keep-alive), so the stable sort is layout-independent.
+    re-splits at exactly the segment boundaries). The overflowing segments
+    are window-binned together in one labelled pass
+    (:func:`_windowed_segments`). Pods are re-sorted by start time, and pod
+    start times never tie across segments (they are separated by more than
+    the keep-alive), so the stable sort orders ties only within a segment.
     """
     gaps = np.diff(arrivals)
     boundaries = np.flatnonzero(gaps > keepalive_s) + 1
@@ -209,39 +211,28 @@ def _autoscaled_lifecycle(
     ends = np.concatenate((boundaries, [arrivals.size]))
 
     peaks = _segment_peaks(arrivals, exec_s, starts, ends)
-    easy = peaks <= concurrency
+    easy_req = np.repeat(peaks <= concurrency, ends - starts)
+    easy_idx = np.flatnonzero(easy_req)
+    hard_idx = np.flatnonzero(~easy_req)
 
-    start_parts: list[np.ndarray] = []
-    last_parts: list[np.ndarray] = []
-    nreq_parts: list[np.ndarray] = []
+    parts: list[tuple[np.ndarray, PodLifecycle]] = []
+    if easy_idx.size:
+        parts.append((easy_idx, _sequential_lifecycle(
+            arrivals[easy_idx], exec_s[easy_idx], keepalive_s
+        )))
+    if hard_idx.size:
+        parts.append((hard_idx, _windowed_segments(
+            arrivals[hard_idx], exec_s[hard_idx], keepalive_s, concurrency
+        )))
     request_pod = np.empty(arrivals.size, dtype=np.int64)
     next_pod = 0
-    if easy.any():
-        easy_req = np.repeat(easy, ends - starts)
-        easy_idx = np.flatnonzero(easy_req)
-        segment = _sequential_lifecycle(
-            arrivals[easy_idx], exec_s[easy_idx], keepalive_s
-        )
-        start_parts.append(segment.pod_start_ts)
-        last_parts.append(segment.pod_last_end_ts)
-        nreq_parts.append(segment.pod_n_requests)
-        request_pod[easy_idx] = segment.request_pod
-        next_pod = segment.n_pods
-    for seg_idx in np.flatnonzero(~easy):
-        seg_start, seg_end = int(starts[seg_idx]), int(ends[seg_idx])
-        segment = _windowed_segment(
-            arrivals[seg_start:seg_end], exec_s[seg_start:seg_end],
-            keepalive_s, concurrency,
-        )
-        start_parts.append(segment.pod_start_ts)
-        last_parts.append(segment.pod_last_end_ts)
-        nreq_parts.append(segment.pod_n_requests)
-        request_pod[seg_start:seg_end] = segment.request_pod + next_pod
-        next_pod += segment.n_pods
+    for idx, part in parts:
+        request_pod[idx] = part.request_pod + next_pod
+        next_pod += part.n_pods
 
-    pod_start_ts = np.concatenate(start_parts)
-    pod_last_end = np.concatenate(last_parts)
-    pod_nreq = np.concatenate(nreq_parts)
+    pod_start_ts = np.concatenate([part.pod_start_ts for _, part in parts])
+    pod_last_end = np.concatenate([part.pod_last_end_ts for _, part in parts])
+    pod_nreq = np.concatenate([part.pod_n_requests for _, part in parts])
     order = np.argsort(pod_start_ts, kind="stable")
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size)
@@ -254,27 +245,40 @@ def _autoscaled_lifecycle(
     )
 
 
-def _windowed_segment(
+def _windowed_segments(
     arrivals: np.ndarray,
     exec_s: np.ndarray,
     keepalive_s: float,
     concurrency: int,
 ) -> PodLifecycle:
-    """Window-binned reconstruction for one gap-free segment.
+    """Window-binned reconstruction of gap-free segments, in one pass.
 
     Demand per keep-alive window is the expected in-flight load (summed
     execution / window, Little's law) divided by the per-pod concurrency,
-    at least one pod for any non-empty window. A pod slot lives for a
-    maximal run of windows in which demand reaches its level.
+    at least one pod for any non-empty window. Pod slot ``s`` is occupied
+    in every window whose demand exceeds ``s``; each maximal run of
+    occupied windows is one pod, and requests take slots round-robin
+    within their window.
+
+    ``arrivals`` may hold several segments back to back (consecutive
+    arrivals more than ``keepalive_s`` apart start a new one). Every
+    window goes on one axis, with one empty window after each segment so
+    that no run crosses into the next segment. Demand never exceeds a
+    window's request count, so round-robin fills every occupied (slot,
+    window) cell: every run is born from a triggering request. Pods come
+    out unsorted, in (slot, start window) order.
     """
     window = keepalive_s
-    first_window = int(arrivals[0] // window)
-    last_window = int(arrivals[-1] // window)
-    n_windows = last_window - first_window + 1
+    win = (arrivals // window).astype(np.int64)
+    # One window axis: within a segment the index advances as the window
+    # does, and into the next segment by 2, past one empty separator.
+    step = np.diff(win, prepend=win[0])
+    step[np.flatnonzero(np.diff(arrivals) > keepalive_s) + 1] = 2
+    win = np.cumsum(step)
+    n_windows = int(win[-1]) + 1
 
-    win_of_request = (arrivals // window).astype(np.int64) - first_window
-    counts = np.bincount(win_of_request, minlength=n_windows)
-    exec_mass = np.bincount(win_of_request, weights=exec_s, minlength=n_windows)
+    counts = np.bincount(win, minlength=n_windows)
+    exec_mass = np.bincount(win, weights=exec_s, minlength=n_windows)
     load = exec_mass / window  # expected concurrently-busy pods
     needed = np.ceil(load / concurrency).astype(np.int64)
     needed = np.maximum(needed, (counts > 0).astype(np.int64))
@@ -283,85 +287,31 @@ def _windowed_segment(
     needed = np.minimum(needed, counts)
     needed = np.minimum(needed, MAX_PODS_PER_FUNCTION)
 
-    max_needed = int(needed.max())
-    ends = arrivals + exec_s
+    within = np.arange(arrivals.size) - (np.cumsum(counts) - counts)[win]
+    slot = within % needed[win]
 
-    # Slot i (1-based) is occupied during windows where needed >= i. Each
-    # maximal run of occupied windows is one pod.
-    pod_start_parts: list[np.ndarray] = []
-    pod_last_parts: list[np.ndarray] = []
-    pod_nreq_parts: list[np.ndarray] = []
-    request_pod = np.empty(arrivals.size, dtype=np.int64)
+    # A run of slot s starts in window w iff needed[w - 1] <= s < needed[w].
+    prev = np.concatenate(([0], needed[:-1]))
+    rise = np.maximum(needed - prev, 0)
+    run_win = np.repeat(np.arange(n_windows), rise)
+    first_run = np.cumsum(rise) - rise
+    run_slot = prev[run_win] + np.arange(run_win.size) - first_run[run_win]
+    # Each request lands on the last run of its slot starting at or before
+    # its window. Windows are global, so the key needs no segment: pods of
+    # different segments never tie on start, and only ties keep this order.
+    run_key = np.sort(run_slot * n_windows + run_win)
+    request_pod = np.searchsorted(run_key, slot * n_windows + win, side="right") - 1
 
-    # Round-robin request slots within each window.
-    window_first = np.searchsorted(win_of_request, np.arange(n_windows))
-    within_idx = np.arange(arrivals.size) - window_first[win_of_request]
-    slot_of_request = within_idx % np.maximum(needed[win_of_request], 1)
-
-    next_pod_id = 0
-    for slot in range(max_needed):
-        occupied = needed > slot
-        if not occupied.any():
-            continue
-        edges = np.diff(occupied.astype(np.int8))
-        run_starts = np.flatnonzero(edges == 1) + 1
-        if occupied[0]:
-            run_starts = np.concatenate(([0], run_starts))
-        run_ends = np.flatnonzero(edges == -1) + 1
-        if occupied[-1]:
-            run_ends = np.concatenate((run_ends, [n_windows]))
-        n_runs = run_starts.size
-
-        mask = slot_of_request == slot
-        req_windows = win_of_request[mask]
-        run_of_req = np.searchsorted(run_starts, req_windows, side="right") - 1
-        request_pod[mask] = next_pod_id + run_of_req
-
-        pod_start = np.full(n_runs, np.inf)
-        pod_last = np.full(n_runs, -np.inf)
-        pod_nreq = np.zeros(n_runs, dtype=np.int64)
-        np.minimum.at(pod_start, run_of_req, arrivals[mask])
-        np.maximum.at(pod_last, run_of_req, ends[mask])
-        np.add.at(pod_nreq, run_of_req, 1)
-
-        # Runs with no directly-assigned request (possible when round-robin
-        # skips a slot in a one-window run) anchor at the window boundary.
-        unassigned = ~np.isfinite(pod_start)
-        if unassigned.any():
-            anchor = (run_starts[unassigned] + first_window) * window
-            pod_start[unassigned] = anchor
-            pod_last[unassigned] = anchor
-
-        pod_start_parts.append(pod_start)
-        pod_last_parts.append(pod_last)
-        pod_nreq_parts.append(pod_nreq)
-        next_pod_id += n_runs
-
-    pod_start_ts = np.concatenate(pod_start_parts)
-    pod_last_end = np.concatenate(pod_last_parts)
-    pod_nreq = np.concatenate(pod_nreq_parts)
-
-    # Drop phantom pods: a slot-run that never received a request is not a
-    # cold start (every pod is born from a triggering request).
-    real = pod_nreq > 0
-    if not real.all():
-        remap = np.full(pod_nreq.size, -1, dtype=np.int64)
-        remap[real] = np.arange(int(real.sum()))
-        pod_start_ts = pod_start_ts[real]
-        pod_last_end = pod_last_end[real]
-        pod_nreq = pod_nreq[real]
-        request_pod = remap[request_pod]
-
-    # Present pods sorted by start time; remap request assignments.
-    order = np.argsort(pod_start_ts, kind="stable")
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
+    pod_start = np.full(run_key.size, np.inf)
+    pod_last = np.full(run_key.size, -np.inf)
+    np.minimum.at(pod_start, request_pod, arrivals)
+    np.maximum.at(pod_last, request_pod, arrivals + exec_s)
     return PodLifecycle(
-        pod_start_ts=pod_start_ts[order],
-        pod_last_end_ts=pod_last_end[order],
-        pod_n_requests=pod_nreq[order],
-        pod_useful_s=np.maximum(pod_last_end[order] - pod_start_ts[order], 0.0),
-        request_pod=inverse[request_pod],
+        pod_start_ts=pod_start,
+        pod_last_end_ts=pod_last,
+        pod_n_requests=np.bincount(request_pod, minlength=run_key.size),
+        pod_useful_s=np.maximum(pod_last - pod_start, 0.0),
+        request_pod=request_pod,
     )
 
 

@@ -9,6 +9,7 @@ from repro.analysis.peaks import (
     detect_peaks,
     peak_to_trough_ratio,
 )
+from repro.analysis.region_stats import _functions_per_user_counts
 from repro.analysis.report import ascii_cdf, format_cdf_rows, format_table
 from repro.analysis.timeseries import (
     bin_counts,
@@ -18,6 +19,7 @@ from repro.analysis.timeseries import (
     normalize_max,
     presence_counts,
 )
+from repro.trace.tables import FunctionTable, PodTable, RequestTable, TraceBundle
 
 
 class TestCdf:
@@ -177,3 +179,43 @@ class TestReport:
         rows = format_cdf_rows({"x": empirical_cdf(np.arange(1.0, 101.0))})
         assert rows[0]["series"] == "x"
         assert rows[0]["p50"] == 50.0
+
+
+class TestFunctionsPerUser:
+    """Fig. 4a counts against the row-wise ``np.unique(..., axis=0)`` form."""
+
+    @staticmethod
+    def _bundle(user: np.ndarray, function: np.ndarray) -> TraceBundle:
+        n = user.size
+        requests = RequestTable.from_columns(
+            timestamp_ms=np.arange(n, dtype=np.int64),
+            pod_id=np.arange(n, dtype=np.int64),
+            cluster=np.zeros(n, dtype=np.int16),
+            function=function,
+            user=user,
+            request_id=np.arange(n, dtype=np.int64),
+            exec_time_us=np.ones(n, dtype=np.int64),
+            cpu_millicores=np.ones(n),
+            memory_bytes=np.ones(n, dtype=np.int64),
+        )
+        return TraceBundle(region="T1", requests=requests,
+                           pods=PodTable.empty(), functions=FunctionTable.empty())
+
+    @pytest.mark.parametrize("user_ids,function_ids", [
+        # User id 0 next to the largest function id int64 holds.
+        ([0, 1, 7], [0, 3, np.iinfo(np.int64).max]),
+        # Region-blocked ids as R5 numbers them: user * (max function + 1)
+        # would not fit in int64.
+        ([5_000_000_000, 5_000_000_003], [5_000_000_000, 5_000_000_001,
+                                          5_000_000_009]),
+        ([-4, 0, 2], [-9, -1, 6]),
+    ])
+    def test_counts_match_row_unique(self, user_ids, function_ids):
+        rng = np.random.default_rng(0)
+        user = rng.choice(np.array(user_ids, dtype=np.int64), size=200)
+        function = rng.choice(np.array(function_ids, dtype=np.int64), size=200)
+        pairs = np.unique(np.stack([user, function], axis=1), axis=0)
+        _, want = np.unique(pairs[:, 0], return_counts=True)
+        got = _functions_per_user_counts(self._bundle(user, function))
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster.lifecycle import (
     DEFAULT_KEEPALIVE_S,
+    MAX_PODS_PER_FUNCTION,
     FixedKeepAlive,
     PodLifecycle,
     peak_inflight,
@@ -127,6 +128,23 @@ class TestAutoscaledRegime:
         execs = rng.uniform(10, 60, size=500)
         life = reconstruct_function_pods(arrivals, execs)
         assert (np.diff(life.pod_start_ts) >= 0).all()
+
+
+class TestPodBound:
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_window_demand_clips_at_max_pods(self, concurrency):
+        # Every request keeps a pod busy for the whole minute, so the window
+        # asks for 100 more pods than the bound allows.
+        n = (MAX_PODS_PER_FUNCTION + 100) * concurrency
+        arrivals = np.linspace(0.0, 59.0, n)
+        life = reconstruct_function_pods(
+            arrivals, np.full(n, 60.0), concurrency=concurrency
+        )
+        assert life.n_pods == MAX_PODS_PER_FUNCTION
+        assert life.pod_n_requests.sum() == n
+        # Round-robin over the clipped slots: loads differ by at most one.
+        assert np.ptp(life.pod_n_requests) <= 1
+        assert (life.pod_start_ts == arrivals[:MAX_PODS_PER_FUNCTION]).all()
 
 
 class TestValidation:
