@@ -18,15 +18,6 @@ polluted by the other channel's high-water mark): transfer-inclusive wall
 time, the parent's Python-heap peak (tracemalloc — where pickle's byte
 buffers live), and the parent's peak RSS. The header-vs-payload pickle
 sizes quantify what stopped crossing the pipe.
-
-``test_input_channel_and_arena`` measures the other direction plus the
-pooled arena: :func:`~repro.runtime.executor.analyze_bundle_chunks` ships
-parent-resident trace chunks to workers, so with ``channel="shm"`` each
-dispatch parks its chunk in an arena-leased block and pickles only the
-handle, and result blocks are recycled across shards instead of
-created/unlinked per shard. Asserted: dispatch wire bytes drop >= 10x,
-arena lease reuse >= 80 % after warm-up, and merges stay bit-identical.
-Machine-readable numbers land in ``results/BENCH_shm_channel.json``.
 """
 
 from __future__ import annotations
@@ -172,155 +163,3 @@ def test_shm_channel(emit):
         f"pickle's {pickle_transfer_s * 1e3:.1f} ms"
     )
 
-
-#: Chunk width for the input-channel bench: 2 h windows over 6 days give
-#: ~72 shards — enough turnover that arena warm-up stops dominating the
-#: reuse rate.
-BENCH_INPUT_CHUNK_S = 2 * 3600.0
-
-
-def test_input_channel_and_arena(emit):
-    """Dispatch direction + pooled arena: parked inputs, recycled blocks."""
-    import time
-    import tracemalloc
-
-    import pytest
-
-    from repro.obs.telemetry import profiled
-    from repro.runtime import (
-        analyze_bundle_chunks,
-        discard_shm,
-        shm_available,
-        to_shm,
-    )
-    from repro.runtime.executor import AnalysisChunkTask
-    from repro.runtime.stream import iter_bundle_chunks
-    from repro.workload.generator import generate_region
-
-    if not shm_available():
-        pytest.skip("no shared-memory mount")
-
-    bundle = generate_region(BENCH_REGION, seed=BENCH_SEED, days=BENCH_DAYS,
-                             scale=BENCH_SCALE)
-
-    runs = {}
-    for channel in ("pickle", "shm"):
-        tracemalloc.start()
-        with profiled() as tel:
-            started = time.perf_counter()
-            merged = analyze_bundle_chunks(
-                bundle, chunk_s=BENCH_INPUT_CHUNK_S, jobs=BENCH_JOBS,
-                channel=channel,
-            )
-            wall = time.perf_counter() - started
-            volatile = dict(tel.volatile)
-            gauges = dict(tel.gauges)
-        _, heap_peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        runs[channel] = {
-            "wall_s": wall, "heap_peak_mb": heap_peak / 1e6,
-            "volatile": volatile, "gauges": gauges,
-            "summary": merged.summary(),
-        }
-
-    # What replaces each parked chunk on the pipe: the handle's pickle.
-    chunk = next(iter_bundle_chunks(bundle, chunk_s=BENCH_INPUT_CHUNK_S))
-    task = AnalysisChunkTask(region=bundle.region, index=chunk.index,
-                             functions=bundle.functions,
-                             meta=dict(bundle.meta), chunk=chunk)
-    handle = to_shm(task, min_bytes=0)
-    handle_bytes = len(pickle.dumps(handle, protocol=5))
-    discard_shm(handle)
-
-    shm_vol = runs["shm"]["volatile"]
-    parked = int(shm_vol.get("runtime/dispatch/parked", 0))
-    parked_bytes = shm_vol.get("runtime/dispatch/parked_bytes", 0)
-    inline_bytes = shm_vol.get("runtime/dispatch/pickled_bytes", 0)
-    shm_wire_bytes = inline_bytes + parked * handle_bytes
-    pickle_wire_bytes = runs["pickle"]["volatile"].get(
-        "runtime/dispatch/pickled_bytes", 0
-    )
-
-    leases = int(shm_vol.get("runtime/arena/leases", 0))
-    reuses = int(shm_vol.get("runtime/arena/reuses", 0))
-    allocs = int(shm_vol.get("runtime/arena/allocs", 0))
-    reuse_rate = reuses / leases if leases else 0.0
-    high_water_mb = runs["shm"]["gauges"].get(
-        "runtime/arena/high_water_bytes", 0
-    ) / 1e6
-
-    emit(
-        "shm_input_arena",
-        f"chunk dispatch ({parked + int(shm_vol.get('runtime/dispatch/inline', 0))}"
-        f" shards, jobs={BENCH_JOBS}):"
-        + f"\n  pickle channel wire bytes   {pickle_wire_bytes / 1e6:>8.1f} MB"
-        + f"\n  shm channel wire bytes      {shm_wire_bytes / 1e6:>8.1f} MB "
-        f"({parked} handles of {handle_bytes / 1e3:.1f} KB; "
-        f"{parked_bytes / 1e6:.1f} MB of chunk arrays stayed in shared memory)"
-        + f"\n  reduction                   {pickle_wire_bytes / max(shm_wire_bytes, 1):>8.1f}x"
-        + f"\narena: {leases} leases, {reuses} reuses "
-        f"({reuse_rate:.1%} reuse; {allocs} fresh blocks), "
-        f"high-water {high_water_mb:.1f} MB"
-        + f"\nparent heap peak: pickle {runs['pickle']['heap_peak_mb']:.1f} MB, "
-        f"shm {runs['shm']['heap_peak_mb']:.1f} MB"
-        + f"\nwall: pickle {runs['pickle']['wall_s']:.2f}s, "
-        f"shm {runs['shm']['wall_s']:.2f}s",
-    )
-    _RESULTS_DIR = Path(__file__).parent / "results"
-    _RESULTS_DIR.mkdir(exist_ok=True)
-    (_RESULTS_DIR / "BENCH_shm_channel.json").write_text(
-        json.dumps(
-            {
-                "workload": {
-                    "region": BENCH_REGION, "days": BENCH_DAYS,
-                    "scale": BENCH_SCALE, "seed": BENCH_SEED,
-                    "chunk_s": BENCH_INPUT_CHUNK_S, "jobs": BENCH_JOBS,
-                },
-                "dispatch": {
-                    "shards": parked
-                    + int(shm_vol.get("runtime/dispatch/inline", 0)),
-                    "pickle_wire_bytes": int(pickle_wire_bytes),
-                    "shm_wire_bytes": int(shm_wire_bytes),
-                    "parked": parked,
-                    "parked_bytes": int(parked_bytes),
-                    "handle_bytes": handle_bytes,
-                    "reduction_x": round(
-                        pickle_wire_bytes / max(shm_wire_bytes, 1), 1
-                    ),
-                },
-                "arena": {
-                    "leases": leases, "reuses": reuses, "allocs": allocs,
-                    "adopted": int(shm_vol.get("runtime/arena/adopted", 0)),
-                    "recycled": int(shm_vol.get("runtime/arena/recycled", 0)),
-                    "reuse_rate": round(reuse_rate, 3),
-                    "high_water_mb": round(high_water_mb, 1),
-                },
-                "parent": {
-                    channel: {
-                        "wall_s": round(stats["wall_s"], 2),
-                        "heap_peak_mb": round(stats["heap_peak_mb"], 1),
-                    }
-                    for channel, stats in runs.items()
-                },
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-
-    # The channel and arena must be invisible in results.
-    assert runs["shm"]["summary"] == runs["pickle"]["summary"]
-    # Nearly every chunk should clear shm_min_bytes and park.
-    assert parked > 0.9 * (
-        parked + int(shm_vol.get("runtime/dispatch/inline", 0))
-    ), f"expected most chunks to park, got {parked}"
-    # The headline: dispatch stops pickling payloads.
-    assert pickle_wire_bytes >= 10 * shm_wire_bytes, (
-        f"expected >= 10x dispatch-byte reduction, got "
-        f"{pickle_wire_bytes / max(shm_wire_bytes, 1):.1f}x"
-    )
-    # After warm-up the pool serves leases from recycled blocks.
-    assert reuse_rate >= 0.8, (
-        f"expected >= 80% arena lease reuse, got {reuse_rate:.1%} "
-        f"({reuses}/{leases}, {allocs} fresh)"
-    )

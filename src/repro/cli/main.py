@@ -23,7 +23,6 @@ from repro.runtime.faults import (
     SHARD_TIMEOUT_ENV,
     FaultPlan,
 )
-from repro.runtime.arena import ARENA_ENV, DEFAULT_ARENA_MB
 from repro.runtime.executor import DEFAULT_SHARD_RETRIES
 from repro.core.findings import extract_findings
 from repro.core.study import StreamingTraceStudy, TraceStudy
@@ -83,14 +82,6 @@ def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
                               "shm parks their arrays in shared-memory blocks "
                               "(pickle-free, for very large shards). Never "
                               "changes results, only how they travel")
-    runtime.add_argument("--shm-arena-mb", type=int, default=None, metavar="MB",
-                         help="cap (MiB) of the pooled shared-memory arena "
-                              "used with --channel shm: task payloads ship "
-                              "as zero-copy handles into leased blocks and "
-                              "shard results recycle blocks across shards "
-                              f"(default {DEFAULT_ARENA_MB}; 0 disables the "
-                              "arena and the shm input channel). Never "
-                              "changes results")
     runtime.add_argument("--shard-timeout", type=float, default=None, metavar="S",
                          help="wall-clock seconds a shard may run without a "
                               "heartbeat before the supervisor declares it "
@@ -579,9 +570,9 @@ def _supervision_env(args: argparse.Namespace):
 
     Commands build :class:`~repro.runtime.executor.ParallelExecutor`
     instances several layers down (study, generator, stream); rather than
-    threading four parameters through every call site, the executor's
+    threading three parameters through every call site, the executor's
     constructor reads ``REPRO_INJECT_FAULTS`` / ``REPRO_SHARD_TIMEOUT`` /
-    ``REPRO_SHARD_RETRIES`` / ``REPRO_SHM_ARENA_MB`` as fallbacks. Prior
+    ``REPRO_SHARD_RETRIES`` as fallbacks. Prior
     values are restored on exit so ``main()`` stays re-entrant for tests.
     """
     pairs: list[tuple[str, str]] = []
@@ -602,11 +593,6 @@ def _supervision_env(args: argparse.Namespace):
         if retries < 0:
             raise SystemExit("--shard-retries must be >= 0")
         pairs.append((SHARD_RETRIES_ENV, str(retries)))
-    arena_mb = getattr(args, "shm_arena_mb", None)
-    if arena_mb is not None:
-        if arena_mb < 0:
-            raise SystemExit("--shm-arena-mb must be >= 0 (0 disables)")
-        pairs.append((ARENA_ENV, str(arena_mb)))
     saved = {name: os.environ.get(name) for name, _ in pairs}
     for name, value in pairs:
         os.environ[name] = value
@@ -648,8 +634,7 @@ def _dispatch(args: argparse.Namespace, argv: list[str] | None) -> int:
     meta = {"command": args.command,
             "argv": list(argv) if argv is not None else sys.argv[1:]}
     for key in ("jobs", "channel", "engine", "seed", "days", "scale",
-                "shard_timeout", "shard_retries", "inject_faults",
-                "shm_arena_mb"):
+                "shard_timeout", "shard_retries", "inject_faults"):
         if hasattr(args, key) and getattr(args, key) is not None:
             meta[key] = getattr(args, key)
     doc = build_profile(snapshot, meta)

@@ -200,45 +200,6 @@ def _render_faults_section(volatile: dict) -> list[str]:
     return lines
 
 
-def _render_arena_section(volatile: dict, gauges: dict) -> list[str]:
-    """Pooled shm-arena summary from the ``runtime/arena/*`` family the
-    block pool emits (see ``runtime.arena``). All volatile: reuse depends
-    on jobs/channel/shard timing, never on results."""
-    if not any(k.startswith("runtime/arena/") for k in volatile):
-        return []
-    leases = int(volatile.get("runtime/arena/leases", 0))
-    reuses = int(volatile.get("runtime/arena/reuses", 0))
-    allocs = int(volatile.get("runtime/arena/allocs", 0))
-    lines = ["shm arena (pooled block reuse):"]
-    if leases:
-        lines.append(
-            f"  lease reuse rate        {reuses / leases:>13.1%}"
-            f"  ({reuses:,} of {leases:,} leases; {allocs:,} fresh blocks)"
-        )
-    rows = [
-        ("blocks adopted", "runtime/arena/adopted"),
-        ("leases recycled", "runtime/arena/recycled"),
-        ("blocks evicted", "runtime/arena/evicted"),
-        ("leases declined", "runtime/arena/declined"),
-        ("busy blocks swept", "runtime/arena/swept"),
-        ("bytes allocated", "runtime/arena/alloc_bytes"),
-        ("dispatches parked", "runtime/dispatch/parked"),
-        ("dispatch bytes parked", "runtime/dispatch/parked_bytes"),
-        ("dispatches inline", "runtime/dispatch/inline"),
-        ("dispatch bytes pickled", "runtime/dispatch/pickled_bytes"),
-    ]
-    for label, key in rows:
-        count = volatile.get(key, 0)
-        if count:
-            lines.append(f"  {label:<22}  {int(count):>14,}")
-    high_water = gauges.get("runtime/arena/high_water_bytes")
-    if high_water:
-        lines.append(
-            f"  pool high-water mark    {high_water / (1024 * 1024):>12.1f}MB"
-        )
-    return lines
-
-
 def render_report(doc: dict) -> str:
     """Human-readable profile summary (the ``repro profile`` subcommand)."""
     lines: list[str] = []
@@ -254,7 +215,6 @@ def render_report(doc: dict) -> str:
                      f"({dominant[1]:.3f}s accumulated)")
     lines.extend(_render_tick_section(doc["counters"]))
     lines.extend(_render_faults_section(doc["volatile"]))
-    lines.extend(_render_arena_section(doc["volatile"], doc["gauges"]))
     if doc["counters"]:
         lines.append("counters (deterministic):")
         width = max(len(k) for k in doc["counters"])

@@ -16,34 +16,24 @@ natural axes:
 * :mod:`~repro.runtime.merge` — associative reducers with documented
   per-metric equality guarantees, plus the shared-memory (pickle-free)
   shard-result codec (:func:`~repro.runtime.merge.to_shm` /
-  :func:`~repro.runtime.merge.from_shm`);
-* :mod:`~repro.runtime.arena` — the pooled shm arena
-  (:class:`~repro.runtime.arena.ShmArena`): size-classed blocks leased
-  per shard for dispatched inputs and results, recycled on merge instead
-  of created/unlinked per shard.
+  :func:`~repro.runtime.merge.from_shm`): each worker parks its result
+  in a fresh block under a ledgered name, and the parent rebuilds
+  zero-copy views and unlinks the block on read. Task payloads always
+  travel by pickle.
 """
 
-from repro.runtime.arena import (
-    ARENA_ENV,
-    DEFAULT_ARENA_MB,
-    ArenaLease,
-    ShmArena,
-)
 from repro.runtime.executor import (
     DEFAULT_SHARD_RETRIES,
     MAX_POOL_REBUILDS,
     RESULT_CHANNELS,
-    AnalysisChunkTask,
     CrossRegionResult,
     CrossRegionTask,
     EvaluationTask,
     ParallelExecutor,
-    analyze_bundle_chunks,
     evaluate_cross_region,
     evaluate_policies,
     make_policy_evaluator,
     run_analysis_shard,
-    run_chunk_analysis,
     run_chunk_directory_analysis,
     run_cross_region_shard,
     run_directory_analysis,
@@ -56,7 +46,6 @@ from repro.runtime.faults import (
     FaultPlan,
     InjectedFault,
     ShardError,
-    ShardInputError,
 )
 from repro.runtime.merge import (
     SHM_MIN_BYTES,
@@ -70,12 +59,10 @@ from repro.runtime.merge import (
     merge_counts,
     merge_eval_metrics,
     merge_shard_results,
-    pack_into,
     register_reducer,
     register_shm_type,
     shm_available,
     to_shm,
-    to_shm_leased,
     unlink_shm_block,
 )
 from repro.runtime.shards import (
@@ -100,15 +87,11 @@ from repro.runtime.stream import (
 )
 
 __all__ = [
-    "ARENA_ENV",
-    "AnalysisChunkTask",
-    "ArenaLease",
     "CHUNK_FORMAT_VERSION",
     "ChunkDirectoryError",
     "ChunkedBundleWriter",
     "CrossRegionResult",
     "CrossRegionTask",
-    "DEFAULT_ARENA_MB",
     "DEFAULT_SHARD_RETRIES",
     "EvaluationTask",
     "FAULT_KINDS",
@@ -121,15 +104,12 @@ __all__ = [
     "RESULT_CHANNELS",
     "SHM_MIN_BYTES",
     "ShardError",
-    "ShardInputError",
     "ShardPlan",
     "ShardSpec",
-    "ShmArena",
     "ShmResult",
     "StreamingSummary",
     "TraceChunk",
     "WINDOW_ID_STRIDE",
-    "analyze_bundle_chunks",
     "dedupe_functions",
     "discard_shm",
     "from_shm",
@@ -146,16 +126,13 @@ __all__ = [
     "merge_counts",
     "merge_eval_metrics",
     "merge_shard_results",
-    "pack_into",
     "partition_days",
     "read_chunk_manifest",
     "register_reducer",
     "register_shm_type",
     "shm_available",
     "to_shm",
-    "to_shm_leased",
     "run_analysis_shard",
-    "run_chunk_analysis",
     "run_chunk_directory_analysis",
     "run_cross_region_shard",
     "run_directory_analysis",

@@ -30,13 +30,11 @@ from dataclasses import dataclass
 from repro.mitigation.base import EvalMetrics
 from repro.obs import telemetry as obs
 from repro.obs.telemetry import TelemetryEnvelope
-from repro.runtime.arena import ARENA_ENV, DEFAULT_ARENA_MB, ShmArena
 from repro.runtime.faults import (
     SHARD_RETRIES_ENV,
     SHARD_TIMEOUT_ENV,
     FaultPlan,
     ShardError,
-    ShardInputError,
     describe_item,
     fire_worker_fault,
 )
@@ -45,11 +43,9 @@ from repro.runtime.merge import (
     ShmResult,
     discard_shm,
     from_shm,
-    pack_into,
     register_shm_type,
     shm_available,
     to_shm,
-    to_shm_leased,
     unlink_shm_block,
 )
 from repro.runtime.shards import WINDOW_ID_STRIDE, ShardSpec
@@ -182,13 +178,6 @@ def _succeeded(future) -> bool:
             and future.exception() is None)
 
 
-def _raw_handle(raw) -> ShmResult | None:
-    """The :class:`ShmResult` inside a worker return value, if any."""
-    if type(raw) is TelemetryEnvelope:
-        raw = raw.result
-    return raw if type(raw) is ShmResult else None
-
-
 class _HeartbeatBoard:
     """Parent-side view of worker start/end stamps.
 
@@ -284,8 +273,7 @@ class _SupervisedTask:
     """
 
     def __init__(self, fn: Callable, index: int, attempt: int, channel: str,
-                 min_bytes: int, shm_name: str | None, fault, label: str,
-                 lease: tuple[str, int] | None = None):
+                 min_bytes: int, shm_name: str | None, fault, label: str):
         self.fn = fn
         self.index = index
         self.attempt = attempt
@@ -294,26 +282,12 @@ class _SupervisedTask:
         self.shm_name = shm_name
         self.fault = fault
         self.label = label
-        #: ``(block name, capacity)`` of the parent's pre-leased arena block
-        #: for this shard's result, if one was taken.
-        self.lease = lease
 
     def __call__(self, item):
         _post_heartbeat("start", self.index, self.attempt)
         try:
             if self.fault is not None:
                 fire_worker_fault(self.fault, shard=self.label)
-            if type(item) is ShmResult:
-                # The shm input channel: rebuild zero-copy views of the
-                # parent-owned block. Read-only, so a retried shard rereads
-                # the same bytes; never unlinked (the parent's lease).
-                try:
-                    item = from_shm(item, writable=False)
-                except Exception as exc:
-                    raise ShardInputError(
-                        f"shard {self.label} could not rebuild its "
-                        f"shared-memory input ({type(exc).__name__}: {exc})"
-                    ) from exc
             result = self.fn(item)
             if self.channel == "shm":
                 result = self._park(result)
@@ -324,21 +298,13 @@ class _SupervisedTask:
     def _park(self, result):
         if self.fault is not None and self.fault.kind == "deny-shm":
             return _ChannelFallback(result)
-        handle = None
-        if self.lease is not None:
-            # Arena fast path: write into the parent's pre-leased block.
-            # ``None`` (result too small / outgrew the lease / block swept)
-            # falls through to the fresh-block path below.
-            handle = pack_into(result, self.lease[0], self.lease[1],
-                               min_bytes=self.min_bytes)
-        if handle is None:
-            try:
-                handle = to_shm(result, min_bytes=self.min_bytes,
-                                name=self.shm_name, strict=True)
-            except Exception:
-                # Allocation failed (shm mount full/missing): degrade this
-                # one result to the pickle pipe rather than losing the shard.
-                return _ChannelFallback(result)
+        try:
+            handle = to_shm(result, min_bytes=self.min_bytes,
+                            name=self.shm_name, strict=True)
+        except Exception:
+            # Allocation failed (shm mount full/missing): degrade this
+            # one result to the pickle pipe rather than losing the shard.
+            return _ChannelFallback(result)
         if (self.fault is not None
                 and self.fault.kind == "corrupt-shm-header"
                 and isinstance(handle, ShmResult)):
@@ -424,19 +390,10 @@ class ParallelExecutor:
     ``multiprocessing.shared_memory`` block (see
     :func:`repro.runtime.merge.to_shm`) and pickles only a small header —
     results smaller than ``shm_min_bytes`` fall back to pickle per result.
-    The channel never changes results, only how they travel.
-
-    With ``channel="shm"`` the run additionally owns a block pool
-    (:class:`~repro.runtime.arena.ShmArena`, capped at ``arena_mb`` MiB;
-    default from ``REPRO_SHM_ARENA_MB`` / ``--shm-arena-mb``, 0 disables)
-    that completes the zero-copy loop in *both* directions: large task
-    payloads are parked parent-side and dispatched as KB handles (the shm
-    input channel — workers rebuild read-only zero-copy views), and shard
-    results land in pre-leased pooled blocks that recycle on merge instead
-    of a create/unlink per shard. Payloads below ``shm_min_bytes`` (or
-    whose lease is declined under the cap) travel inline, and every rung
-    degrades to pickle exactly like the result channel does — the arena
-    never changes results either.
+    Each parked result lands in a fresh block under a deterministic,
+    ledgered name; the parent rebuilds zero-copy views from it and unlinks
+    the name on read. Task payloads always travel by pickle. The channel
+    never changes results, only how they travel.
 
     Pooled runs are *supervised* (see :class:`_SupervisedMap`): worker
     crashes, hangs (with ``shard_timeout_s`` armed), and raised exceptions
@@ -458,8 +415,7 @@ class ParallelExecutor:
                  shm_min_bytes: int = SHM_MIN_BYTES,
                  shard_timeout_s: float | None = None,
                  shard_retries: int | None = None,
-                 faults: FaultPlan | None = None,
-                 arena_mb: int | None = None):
+                 faults: FaultPlan | None = None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if channel not in RESULT_CHANNELS:
@@ -489,12 +445,6 @@ class ParallelExecutor:
             shard_retries = _int_env(SHARD_RETRIES_ENV, DEFAULT_SHARD_RETRIES)
         if shard_retries < 0:
             raise ValueError(f"shard_retries must be >= 0, got {shard_retries}")
-        if arena_mb is None:
-            arena_mb = _int_env(ARENA_ENV, DEFAULT_ARENA_MB)
-        if arena_mb < 0:
-            raise ValueError(
-                f"arena_mb must be >= 0 (0 disables the arena), got {arena_mb}"
-            )
         self.jobs = jobs
         self.channel = channel
         self.start_method = start_method
@@ -502,7 +452,6 @@ class ParallelExecutor:
         self.shard_timeout_s = shard_timeout_s
         self.shard_retries = shard_retries
         self.faults = faults if faults is not None else FaultPlan.from_env()
-        self.arena_mb = arena_mb
 
     def imap(self, fn: Callable, items: Sequence) -> Iterator:
         """Yield ``fn(item)`` per item, in input order, streaming.
@@ -545,29 +494,20 @@ class ParallelExecutor:
 class _Shard:
     """Parent-side supervision record for one work item.
 
-    ``item`` always keeps the *original* work item — retries, the serial
-    drain, and the inline-pickle fallback all dispatch from it.
-    ``input_channel`` starts at the executor's channel and degrades to
-    ``"pickle"`` per shard (payload too small, lease declined, or the
-    worker could not rebuild the handle). ``input_name``/``lease_name``
-    track the arena leases for the dispatched input and the pre-leased
-    result block; both are *renewed* across retries — the input block is
-    immutable, the result block is simply overwritten.
+    ``item`` is the work item every attempt dispatches, retries and the
+    serial drain included. ``channel`` is the shard's *result* transport:
+    it starts at the executor's channel and degrades to ``"pickle"`` for
+    this shard alone after an undecodable shm result.
     """
 
     index: int
     item: object
     label: str
     channel: str
-    input_channel: str = "pickle"
     attempt: int = 0
     future: object | None = None
     submitted_at: float = 0.0
     shm_name: str | None = None
-    input_handle: object | None = None
-    input_name: str | None = None
-    lease_name: str | None = None
-    lease_capacity: int = 0
 
 
 class _ShardTimeout(Exception):
@@ -599,15 +539,10 @@ class _SupervisedMap:
       handoff and swept after worker death, interruption, or abandonment,
       so no fault path leaves orphans in ``/dev/shm``;
     * an undecodable shm result (corrupt header) degrades that shard to
-      the pickle channel and re-executes it; an undecodable shm *input*
-      (:class:`~repro.runtime.faults.ShardInputError`) degrades that
-      shard's dispatch to inline pickle and re-executes from the original
-      item;
-    * with the arena enabled, input leases are renewed across retries
-      (the block is immutable) and returned when the shard's result is
-      consumed; result pre-leases return via view finalizers, and
-      :meth:`_cleanup` closes the whole pool, so no fault path leaves
-      ``/dev/shm`` residue.
+      the pickle channel and re-executes it; a result the worker could not
+      park (denied or failed allocation) arrives by pickle instead. Both
+      fallbacks warn once per run and count every shard in
+      ``runtime/faults/channel_fallbacks``.
     """
 
     def __init__(self, executor: ParallelExecutor, fn: Callable, items: list,
@@ -619,7 +554,7 @@ class _SupervisedMap:
         self.token = uuid.uuid4().hex[:8]
         self.shards = [
             _Shard(index=i, item=item, label=describe_item(item),
-                   channel=executor.channel, input_channel=executor.channel)
+                   channel=executor.channel)
             for i, item in enumerate(items)
         ]
         self.workers = min(executor.jobs, len(items))
@@ -632,13 +567,6 @@ class _SupervisedMap:
         self.pool_rebuilds = 0
         self.serial = False
         self.reaped = 0
-        # One block pool per run: inputs park into leased blocks, results
-        # land in pre-leased ones sized to the running high-water mark.
-        self.arena = (
-            ShmArena(executor.arena_mb * 1024 * 1024, token=self.token)
-            if executor.channel == "shm" and executor.arena_mb > 0 else None
-        )
-        self.result_hw = 0
         self._warned: set[str] = set()
 
     # -- pool and submission -------------------------------------------
@@ -657,63 +585,20 @@ class _SupervisedMap:
         ex = self.executor
         tel = obs.get_telemetry()
         fault = ex.faults.resolve(shard.index, shard.label, shard.attempt)
-        deny = fault is not None and fault.kind == "deny-shm"
-        payload = shard.item
-        input_corrupted = False
-        if (self.arena is not None and shard.input_channel == "shm"
-                and not deny):
-            if shard.input_handle is None:
-                # Park once; retries re-use the lease (contents immutable).
-                shard.input_handle = to_shm_leased(
-                    shard.item, self.arena, min_bytes=ex.shm_min_bytes
-                )
-                if shard.input_handle is None:
-                    # Too small, lease declined, or write failed: this
-                    # shard's dispatch stays inline for the whole run.
-                    shard.input_channel = "pickle"
-                else:
-                    shard.input_name = shard.input_handle.shm_name
-            if shard.input_handle is not None:
-                payload = shard.input_handle
-                if fault is not None and fault.kind == "corrupt-shm-header":
-                    # Input direction of the corruption fault: the worker
-                    # must fail to rebuild and the supervisor must degrade
-                    # this shard's dispatch to pickle. The result header
-                    # stays intact (the worker-side corruption would
-                    # otherwise fire on the retry too).
-                    payload = dataclasses.replace(
-                        payload,
-                        header=("obj", "<injected-corrupt-input-header>", {}),
-                    )
-                    input_corrupted = True
-        if payload is shard.input_handle and payload is not None:
-            tel.vcount("runtime/dispatch/parked")
-            tel.vcount("runtime/dispatch/parked_bytes", payload.nbytes)
-        else:
-            tel.vcount("runtime/dispatch/inline")
-            if tel.enabled:
-                # Profiled runs pay one extra pickle to report what inline
-                # dispatch costs on the wire.
-                try:
-                    tel.vcount("runtime/dispatch/pickled_bytes",
-                               len(pickle.dumps(payload, protocol=5)))
-                except Exception:
-                    pass
-        lease = None
-        if self.arena is not None and shard.channel == "shm" and not deny:
-            if shard.lease_name is None and self.result_hw:
-                got = self.arena.lease(self.result_hw)
-                if got is not None:
-                    shard.lease_name = got.name
-                    shard.lease_capacity = got.capacity
-            if shard.lease_name is not None:
-                lease = (shard.lease_name, shard.lease_capacity)
+        tel.vcount("runtime/dispatch/inline")
+        if tel.enabled:
+            # Profiled runs pay one extra pickle to report what dispatch
+            # costs on the wire.
+            try:
+                tel.vcount("runtime/dispatch/pickled_bytes",
+                           len(pickle.dumps(shard.item, protocol=5)))
+            except Exception:
+                pass
         shard.shm_name = None
         if shard.channel == "shm":
             # Deterministic name, ledgered *before* handoff: a block parked
             # by a worker that dies before the parent consumes it can still
-            # be reaped by name. With a pre-lease this is the fallback
-            # target for results that outgrow the leased block.
+            # be reaped by name.
             shard.shm_name = (
                 f"repro-{self.token}-i{shard.index}a{shard.attempt}"
             )
@@ -721,15 +606,13 @@ class _SupervisedMap:
         task = _SupervisedTask(
             self.fn, index=shard.index, attempt=shard.attempt,
             channel=shard.channel, min_bytes=ex.shm_min_bytes,
-            shm_name=shard.shm_name,
-            fault=None if input_corrupted else fault, label=shard.label,
-            lease=lease,
+            shm_name=shard.shm_name, fault=fault, label=shard.label,
         )
         if self.profiled:
             task = _ProfiledTask(task, shard.channel)
         shard.future = None
         shard.submitted_at = time.time()
-        shard.future = self.pool.submit(task, payload)
+        shard.future = self.pool.submit(task, shard.item)
 
     def _refill(self) -> None:
         if self.next_index >= len(self.shards):
@@ -872,30 +755,12 @@ class _SupervisedMap:
                 hung.append(shard)
         return hung
 
-    def _from_worker(self, raw):
-        """Rebuild one shm handle, routing its block through the arena.
-
-        Leased handles (the worker wrote into a pre-leased block) rebuild
-        with a release hook: the lease returns to the pool when the last
-        view into it dies. Fresh worker-created blocks are *adopted* into
-        the pool when the cap allows — recycled instead of unlinked — and
-        fall back to PR 3's unlink-on-read otherwise. On a decode failure
-        :func:`from_shm` itself returns the lease (exactly once), so the
-        caller must not release again.
-        """
-        if type(raw) is not ShmResult:
-            return raw
-        if self.arena is not None and (
-                raw.lease or self.arena.adopt(raw.shm_name, raw.nbytes)):
-            return from_shm(raw, release=self.arena.release)
-        return from_shm(raw)
-
     def _decode(self, raw):
-        value = self._from_worker(raw)
+        value = from_shm(raw)
         envelope = None
         if type(value) is TelemetryEnvelope:
             envelope = value
-            value = self._from_worker(envelope.result)
+            value = from_shm(envelope.result)
         fell_back = type(value) is _ChannelFallback
         if fell_back:
             value = value.result
@@ -905,33 +770,6 @@ class _SupervisedMap:
             # stack on top of a half-consumed first attempt.
             obs.get_telemetry().merge(envelope.telemetry)
         return value, fell_back
-
-    def _settle(self, shard: _Shard, raw) -> None:
-        """Arena bookkeeping once a shard's result is consumed.
-
-        Feeds the result high-water mark that sizes future pre-leases,
-        returns an unused pre-lease (the result was small or outgrew it),
-        and returns the input lease — a consumed shard never re-executes.
-        A *used* pre-lease is not released here: the finalizers attached
-        at rebuild own it and fire when the merged views die.
-        """
-        if self.arena is None:
-            return
-        handle = _raw_handle(raw)
-        if handle is not None and handle.nbytes > self.result_hw:
-            self.result_hw = handle.nbytes
-        if shard.lease_name is not None:
-            if handle is None or handle.shm_name != shard.lease_name:
-                self.arena.release(shard.lease_name)
-            shard.lease_name = None
-            shard.lease_capacity = 0
-        self._drop_input_lease(shard)
-
-    def _drop_input_lease(self, shard: _Shard) -> None:
-        if self.arena is not None and shard.input_name is not None:
-            self.arena.release(shard.input_name)
-        shard.input_name = None
-        shard.input_handle = None
 
     def _warn_channel(self, rung: str, message: str) -> None:
         """Count an shm→pickle fallback; warn only once per run per rung.
@@ -990,25 +828,6 @@ class _SupervisedMap:
                     )
                     self._rebuild("worker death", blamed, cause=exc)
                     continue
-                except ShardInputError as exc:
-                    # The worker could not rebuild its shm input (corrupt
-                    # handle, block swept): degrade this shard's *dispatch*
-                    # to the pickle pipe and re-execute from the original
-                    # item.
-                    self._reap(head)
-                    self._drop_input_lease(head)
-                    head.input_channel = "pickle"
-                    self._bump(head, "input decode failure", exc,
-                               retryable=True)
-                    tel.vcount("runtime/faults/retries")
-                    self._warn_channel(
-                        "input-decode",
-                        f"shard {head.label} could not rebuild its "
-                        f"shared-memory input; its dispatch degraded to the "
-                        f"pickle channel",
-                    )
-                    self._submit(head)
-                    continue
                 except Exception as exc:
                     # Raised inside the worker; the pool itself is healthy.
                     self._reap(head)
@@ -1026,16 +845,8 @@ class _SupervisedMap:
                     value, fell_back = self._decode(raw)
                 except Exception as exc:
                     # Undecodable shm result: degrade this one shard to the
-                    # pickle channel and re-execute it. A used pre-lease was
-                    # already returned by from_shm's failure path; an unused
-                    # one is returned here (the retry travels by pickle).
+                    # pickle channel and re-execute it.
                     self._reap(head)
-                    if head.lease_name is not None:
-                        handle = _raw_handle(raw)
-                        if handle is None or handle.shm_name != head.lease_name:
-                            self.arena.release(head.lease_name)
-                        head.lease_name = None
-                        head.lease_capacity = 0
                     self._warn_channel(
                         "result-decode",
                         f"shard {head.label} returned an undecodable "
@@ -1050,7 +861,6 @@ class _SupervisedMap:
                     continue
                 self.inflight.popleft()
                 self.ledger.pop(head.index, None)
-                self._settle(head, raw)
                 self._refill()
                 if fell_back:
                     self._warn_channel(
@@ -1133,10 +943,7 @@ class _SupervisedMap:
                 leftover = shard.future.result()
                 if type(leftover) is TelemetryEnvelope:
                     leftover = leftover.result
-                if not (isinstance(leftover, ShmResult) and leftover.lease):
-                    # Leased blocks belong to the arena and are unlinked
-                    # by its close() below.
-                    discard_shm(leftover)
+                discard_shm(leftover)
                 self.ledger.pop(shard.index, None)
             except Exception:
                 failures += 1
@@ -1152,10 +959,6 @@ class _SupervisedMap:
             except Exception:  # pragma: no cover - hostile shm mount
                 failures += 1
         self.reaped += swept
-        if self.arena is not None:
-            # Unlinks every pooled block, busy or free: already-merged
-            # views keep their (anonymous) mappings, /dev/shm ends empty.
-            self.arena.close()
         if self.board is not None:
             self.board.close()
         if failures:
@@ -1267,103 +1070,6 @@ def run_directory_analysis(directory):
     if (directory / "manifest.json").is_file():
         return run_chunk_directory_analysis(directory)
     return RegionAccumulator.from_bundle(load_bundle(directory))
-
-
-@dataclass(frozen=True)
-class AnalysisChunkTask:
-    """One in-memory trace chunk plus the context to reduce it.
-
-    The dispatch payload of :func:`analyze_bundle_chunks` — and the
-    canonical *large-input* shard: the chunk's request/pod columns dominate
-    the task's size, so with ``channel="shm"`` and the arena enabled the
-    whole task ships as a KB handle into a leased block instead of a
-    pickle of every row.
-    """
-
-    region: str
-    index: int
-    functions: object
-    meta: dict
-    chunk: object
-    figures: tuple | None = None
-
-    def describe(self) -> str:
-        return f"{self.region}/chunk{self.index}"
-
-    def _shm_state(self) -> dict:
-        return {
-            "region": self.region, "index": self.index,
-            "functions": self.functions, "meta": dict(self.meta),
-            "chunk": self.chunk, "figures": self.figures,
-        }
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "AnalysisChunkTask":
-        return cls(**state)
-
-
-register_shm_type(AnalysisChunkTask)
-
-
-def run_chunk_analysis(task: AnalysisChunkTask):
-    """Reduce one shipped trace chunk to a region accumulator."""
-    from repro.analysis.accumulators import RegionAccumulator
-
-    acc = RegionAccumulator(
-        task.region, functions=task.functions, meta=dict(task.meta),
-        figures=task.figures,
-    )
-    acc.update(task.chunk)
-    return acc
-
-
-def analyze_bundle_chunks(
-    bundle: TraceBundle,
-    chunk_s: float = 6 * 3600.0,
-    figures=None,
-    jobs: int = 1,
-    channel: str = "pickle",
-    shm_min_bytes: int = SHM_MIN_BYTES,
-    shard_timeout_s: float | None = None,
-    shard_retries: int | None = None,
-    faults: FaultPlan | None = None,
-    shm_arena_mb: int | None = None,
-):
-    """Fan an in-memory bundle's chunks out to workers; merged accumulator.
-
-    Unlike :func:`run_analysis_shard` (workers regenerate their windows
-    from a tiny spec), here the parent already holds the trace — the rows
-    themselves must cross the process boundary. With ``channel="shm"``
-    every chunk travels through the shm input channel (zero-copy views in
-    the worker, arena-leased blocks recycled across chunks); any ``jobs``,
-    channel, and arena setting merges bit-identically to
-    :meth:`RegionAccumulator.from_bundle` because chunks reduce in time
-    order either way.
-    """
-    from repro.runtime.stream import iter_bundle_chunks
-
-    tasks = [
-        AnalysisChunkTask(
-            region=bundle.region, index=chunk.index,
-            functions=bundle.functions, meta=dict(bundle.meta),
-            chunk=chunk, figures=tuple(figures) if figures is not None else None,
-        )
-        for chunk in iter_bundle_chunks(bundle, chunk_s=chunk_s)
-    ]
-    if not tasks:
-        from repro.analysis.accumulators import RegionAccumulator
-
-        return RegionAccumulator(bundle.region, functions=bundle.functions,
-                                 meta=dict(bundle.meta), figures=figures)
-    executor = ParallelExecutor(jobs=jobs, channel=channel,
-                                shm_min_bytes=shm_min_bytes,
-                                shard_timeout_s=shard_timeout_s,
-                                shard_retries=shard_retries, faults=faults,
-                                arena_mb=shm_arena_mb)
-    merged = None
-    for acc in executor.imap(run_chunk_analysis, tasks):
-        merged = acc if merged is None else merged.merge(acc)
-    return merged
 
 
 @dataclass(frozen=True)
@@ -1482,7 +1188,6 @@ def evaluate_policies(
     shard_timeout_s: float | None = None,
     shard_retries: int | None = None,
     faults: FaultPlan | None = None,
-    shm_arena_mb: int | None = None,
 ) -> dict[str, EvalMetrics]:
     """Sharded policy evaluation: merge per-policy metrics over all groups.
 
@@ -1514,8 +1219,7 @@ def evaluate_policies(
     executor = ParallelExecutor(jobs=jobs, channel=channel,
                                 shm_min_bytes=shm_min_bytes,
                                 shard_timeout_s=shard_timeout_s,
-                                shard_retries=shard_retries, faults=faults,
-                                arena_mb=shm_arena_mb)
+                                shard_retries=shard_retries, faults=faults)
     merged: dict[str, EvalMetrics] | None = None
     for part in executor.imap(run_evaluation_shard, tasks):
         if merged is None:
@@ -1653,7 +1357,6 @@ def evaluate_cross_region(
     shard_timeout_s: float | None = None,
     shard_retries: int | None = None,
     faults: FaultPlan | None = None,
-    shm_arena_mb: int | None = None,
 ) -> CrossRegionResult:
     """Sharded §5 cross-region replay with a deterministic merge.
 
@@ -1695,8 +1398,7 @@ def evaluate_cross_region(
     executor = ParallelExecutor(jobs=jobs, channel=channel,
                                 shm_min_bytes=shm_min_bytes,
                                 shard_timeout_s=shard_timeout_s,
-                                shard_retries=shard_retries, faults=faults,
-                                arena_mb=shm_arena_mb)
+                                shard_retries=shard_retries, faults=faults)
     merged = EvalMetrics(name=f"xregion:{policy}")
     home_name = ""
     for part in executor.imap(run_cross_region_shard, tasks):

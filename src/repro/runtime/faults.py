@@ -32,16 +32,15 @@ Fault kinds:
 ``raise``
     the worker raises :class:`InjectedFault` — exercises bounded retry;
 ``corrupt-shm-header``
-    the shard's shared-memory header is undecodable — on the *result* the
-    worker returns a corrupt handle (exercises the parent-side shm→pickle
-    decode fallback); when the shard's *input* travelled through the shm
-    input channel, the parent corrupts the dispatched input handle instead
-    (the worker raises :class:`ShardInputError` and the supervisor retries
-    that shard with an inline-pickle input);
+    the worker returns a shard *result* handle whose header is undecodable
+    — exercises the parent-side shm→pickle decode fallback (the shard
+    re-executes on the pickle channel);
 ``deny-shm``
-    shared memory is refused in both directions: the parent ships the
-    shard's input inline instead of parking it, and the worker refuses to
-    park its result — exercising the shm→pickle allocation fallbacks.
+    the worker refuses to park its *result* in shared memory — exercises
+    the shm→pickle allocation fallback (the result travels by pickle).
+
+Both shm kinds act on results only (task payloads always travel by
+pickle) and are no-ops on the pickle channel.
 
 Faults fire only in pooled workers (``jobs > 1``); the serial path ignores
 the plan, since a crash there would take down the parent under test.
@@ -100,18 +99,6 @@ class ShardError(RuntimeError):
 
 def _rebuild_shard_error(message, shard, attempts, kind):
     return ShardError(message, shard=shard, attempts=attempts, kind=kind)
-
-
-class ShardInputError(RuntimeError):
-    """A worker could not rebuild its shared-memory *input* payload.
-
-    Raised worker-side when :func:`repro.runtime.merge.from_shm` fails on a
-    dispatched input handle (corrupt header, block swept under the worker).
-    Deliberately *retryable* — unlike the :data:`_NON_RETRYABLE` families —
-    because the supervisor's response is to degrade that shard's dispatch
-    to the inline-pickle channel and re-execute, which by construction
-    cannot hit the same failure again.
-    """
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ unique users/pods      exact (set union, see StreamingSummary).
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Number
@@ -77,8 +76,6 @@ __all__ = [
     "dedupe_functions",
     "discard_shm",
     "from_shm",
-    "pack_into",
-    "to_shm_leased",
     "merge_bundles",
     "merge_eval_metrics",
     "merge_counts",
@@ -335,10 +332,6 @@ class ShmResult:
     header: object
     arrays: tuple[tuple[str, tuple, int], ...]
     nbytes: int
-    #: Block belongs to a parent-owned :class:`~repro.runtime.arena.ShmArena`
-    #: lease: readers must not unlink it — the lease returns to the pool
-    #: when its views die (see :func:`from_shm`).
-    lease: bool = False
 
 
 def _pack_value(value, arrays: list):
@@ -392,97 +385,6 @@ def _unregister_from_tracker(raw_name: str) -> None:
         pass
 
 
-def _plan_block(result):
-    """Split ``result`` into (header, arrays, descriptors, total bytes).
-
-    The measurement half of :func:`to_shm`, shared with the leased-block
-    writers: callers size an arena lease from ``total`` before any block
-    exists. ``ascontiguousarray`` inside the pack is a no-copy for the
-    already-contiguous arrays shard results are made of.
-    """
-    arrays: list[np.ndarray] = []
-    header = _pack_value(result, arrays)
-    descriptors: list[tuple[str, tuple, int]] = []
-    total = 0
-    for array in arrays:
-        offset = -(-total // _SHM_ALIGN) * _SHM_ALIGN
-        descriptors.append((array.dtype.str, array.shape, offset))
-        total = offset + array.nbytes
-    return header, arrays, tuple(descriptors), total
-
-
-def _write_into(name: str, arrays, descriptors) -> None:
-    """Copy planned arrays into the *existing* block ``name`` at their
-    offsets, then detach (close fd + unregister from the resource tracker,
-    which on 3.11 registers on attach and would otherwise unlink the
-    pooled block at this process's exit)."""
-    from multiprocessing import shared_memory
-
-    block = shared_memory.SharedMemory(name=name)
-    raw_name = getattr(block, "_name", block.name)
-    try:
-        for array, (_, _, offset) in zip(arrays, descriptors):
-            dest = np.ndarray(array.shape, dtype=array.dtype,
-                              buffer=block.buf, offset=offset)
-            dest[...] = array
-    finally:
-        block.close()
-        _unregister_from_tracker(raw_name)
-
-
-def pack_into(result, name: str, capacity: int,
-              min_bytes: int = SHM_MIN_BYTES):
-    """Park ``result`` in the pre-leased block ``name``; handle or ``None``.
-
-    The worker half of the arena's result path: the parent leased the
-    block and passed (name, capacity) with the task. Returns ``None`` —
-    caller falls back to :func:`to_shm`'s fresh-block or inline path —
-    when the arrays don't reach ``min_bytes``, outgrow ``capacity``, or
-    the block cannot be attached (e.g. already swept by a teardown racing
-    this worker).
-    """
-    header, arrays, descriptors, total = _plan_block(result)
-    if not arrays or total < min_bytes or total > capacity:
-        return None
-    try:
-        _write_into(name, arrays, descriptors)
-    except Exception:
-        return None
-    tel = get_telemetry()
-    if tel.enabled:
-        tel.vcount("runtime/payload_bytes", total)
-        tel.vcount("runtime/shm/bytes", total)
-    return ShmResult(shm_name=name, header=header, arrays=descriptors,
-                     nbytes=total, lease=True)
-
-
-def to_shm_leased(value, arena, min_bytes: int = SHM_MIN_BYTES):
-    """Park ``value`` in a freshly leased arena block; handle or ``None``.
-
-    The parent half of the shm *input* channel: ``arena`` is a
-    :class:`~repro.runtime.arena.ShmArena` (duck-typed: ``lease(nbytes)``
-    returning a named lease or ``None``, plus ``release(name)``). A
-    declined lease or failed write reports ``None`` — the caller falls
-    back to shipping the value inline through the pool's pickle pipe.
-    """
-    header, arrays, descriptors, total = _plan_block(value)
-    if not arrays or total < min_bytes:
-        return None
-    lease = arena.lease(total)
-    if lease is None:
-        return None
-    try:
-        _write_into(lease.name, arrays, descriptors)
-    except Exception:
-        arena.release(lease.name)
-        return None
-    tel = get_telemetry()
-    if tel.enabled:
-        tel.vcount("runtime/shm/bytes", total)
-    return ShmResult(shm_name=lease.name, header=header, arrays=descriptors,
-                     nbytes=total, lease=True)
-
-
 def to_shm(result, min_bytes: int = SHM_MIN_BYTES, name: str | None = None,
            strict: bool = False):
     """Park ``result``'s arrays in a shared-memory block; return the handle.
@@ -500,7 +402,14 @@ def to_shm(result, min_bytes: int = SHM_MIN_BYTES, name: str | None = None,
     reaped by name; a stale block left by a killed earlier attempt under
     the same name is replaced.
     """
-    header, arrays, descriptors, total = _plan_block(result)
+    arrays: list[np.ndarray] = []
+    header = _pack_value(result, arrays)
+    descriptors: list[tuple[str, tuple, int]] = []
+    total = 0
+    for array in arrays:
+        offset = -(-total // _SHM_ALIGN) * _SHM_ALIGN
+        descriptors.append((array.dtype.str, array.shape, offset))
+        total = offset + array.nbytes
     tel = get_telemetry()
     if not arrays or total < min_bytes:
         if tel.enabled:
@@ -533,7 +442,7 @@ def to_shm(result, min_bytes: int = SHM_MIN_BYTES, name: str | None = None,
                               buffer=block.buf, offset=offset)
             dest[...] = array
         handle = ShmResult(shm_name=block.name, header=header,
-                           arrays=descriptors, nbytes=total)
+                           arrays=tuple(descriptors), nbytes=total)
     except Exception:
         block.close()
         block.unlink()
@@ -544,57 +453,14 @@ def to_shm(result, min_bytes: int = SHM_MIN_BYTES, name: str | None = None,
     return handle
 
 
-def _release_when_dead(arrays, release, name: str) -> None:
-    """Call ``release(name)`` once the last of ``arrays`` is collected.
-
-    The lease-return hook: numpy slices keep their source array alive via
-    ``.base``, so a finalizer on each top-level rebuilt array fires only
-    when no view into the block remains — the recycled block can never be
-    overwritten under live data. Finalizers run on whatever thread drops
-    the last reference (including at interpreter exit); ``release`` must
-    be thread-safe and idempotent, which the arena's is.
-    """
-    import weakref
-
-    lock = threading.Lock()
-    remaining = [len(arrays)]
-
-    def _one_died() -> None:
-        with lock:
-            remaining[0] -= 1
-            done = remaining[0] == 0
-        if done:
-            release(name)
-
-    for array in arrays:
-        weakref.finalize(array, _one_died)
-
-
-def from_shm(result, copy: bool = False, release=None, writable: bool = True):
-    """Rebuild a result parked by :func:`to_shm` / the leased writers.
+def from_shm(result):
+    """Rebuild a result parked by :func:`to_shm`.
 
     Non-:class:`ShmResult` values (the pickle fallback) pass through
-    unchanged.
-
-    By default the rebuilt arrays *view* the mapped block — no payload-sized
-    copy is ever made. What happens to the block depends on ownership:
-
-    * **Unleased** (``result.lease`` false, no ``release``): the block's
-      name is unlinked immediately and its fd closed, so nothing leaks; the
-      mapping lives exactly as long as the arrays referencing it (PR 3
-      behaviour).
-    * **Leased / adopted** (``result.lease`` true, or a ``release``
-      callback given): the name survives — the owning arena recycles it.
-      With ``release``, the callback fires with the block name once the
-      last rebuilt array dies (see :func:`_release_when_dead`); a worker
-      rebuilding a parent-owned *input* passes no callback and simply must
-      not unlink.
-
-    ``writable=False`` marks the views read-only — the input channel uses
-    it so a retried shard can reread the same block knowing no earlier
-    attempt mutated it. Pass ``copy=True`` to detach from shared memory
-    entirely (one extra copy of every array; a lease is then released
-    immediately).
+    unchanged. The rebuilt arrays *view* the mapped block — no
+    payload-sized copy is ever made — and the block's name is unlinked
+    immediately and its fd closed, so nothing leaks; the mapping lives
+    exactly as long as the arrays referencing it.
     """
     if not isinstance(result, ShmResult):
         return result
@@ -602,71 +468,36 @@ def from_shm(result, copy: bool = False, release=None, writable: bool = True):
 
     from multiprocessing import shared_memory
 
-    keep = result.lease or release is not None
-    try:
-        block = shared_memory.SharedMemory(name=result.shm_name)
-    except Exception:
-        # Exactly-once lease return, failure half: the caller handed
-        # responsibility for the lease to this call, so an unattachable
-        # block (swept under us) must return it here — the caller never
-        # releases a lease it passed in.
-        if keep and release is not None:
-            release(result.shm_name)
-        raise
-    if keep:
-        # On 3.11 attaching registers with the resource tracker, which
-        # would unlink the pooled block at this process's exit.
-        _unregister_from_tracker(getattr(block, "_name", block.name))
-    detached = False
+    block = shared_memory.SharedMemory(name=result.shm_name)
     try:
         arrays = [
             np.ndarray(shape, dtype=np.dtype(dtype_str),
                        buffer=block.buf, offset=offset)
             for dtype_str, shape, offset in result.arrays
         ]
-        if not copy:
-            # Hand the mapping over to the views: each array's ``base`` is
-            # the block's mmap object, which unmaps only when the last view
-            # dies — but SharedMemory.__del__ calls close(), which would
-            # unmap it under the views' feet. Neuter the block (close its
-            # fd, drop its mmap/buffer references) so close() becomes a
-            # no-op and the views own the mapping outright.
-            try:
-                fd = block._fd
-                assert block._mmap is not None
-                block._buf = None
-                block._mmap = None
-                if fd >= 0:
-                    os.close(fd)
-                    block._fd = -1
-                detached = True
-            except Exception:  # pragma: no cover - unexpected stdlib layout
-                detached = False
-        if not detached:
+        # Hand the mapping over to the views: each array's ``base`` is the
+        # block's mmap object, which unmaps only when the last view dies —
+        # but SharedMemory.__del__ calls close(), which would unmap it under
+        # the views' feet. Neuter the block (close its fd, drop its
+        # mmap/buffer references) so close() becomes a no-op and the views
+        # own the mapping outright.
+        try:
+            fd = block._fd
+            assert block._mmap is not None
+            block._buf = None
+            block._mmap = None
+            if fd >= 0:
+                os.close(fd)
+                block._fd = -1
+        except Exception:  # pragma: no cover - unexpected stdlib layout
             arrays = [array.copy() for array in arrays]
-        if not writable and detached:
-            for array in arrays:
-                array.flags.writeable = False
-        rebuilt = _unpack_value(result.header, arrays)
-        if detached and keep and release is not None:
-            # Success half: only now do finalizers own the lease. Attaching
-            # them before the rebuild would double-return on a corrupt
-            # header (finalizer *and* the except below).
-            _release_when_dead(arrays, release, result.shm_name)
-    except Exception:
-        if keep and release is not None:
-            release(result.shm_name)
-        raise
+        return _unpack_value(result.header, arrays)
     finally:
-        if not keep:
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover - already freed
-                pass
+        try:
+            block.unlink()
+        except FileNotFoundError:  # pragma: no cover - already freed
+            pass
         block.close()  # no-op once detached; frees the mapping otherwise
-    if keep and release is not None and not detached:
-        release(result.shm_name)  # data copied out; the lease returns now
-    return rebuilt
 
 
 def discard_shm(result) -> None:

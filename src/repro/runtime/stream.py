@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.runtime.merge import register_shm_type
 from repro.trace.io import read_table_npz, write_table_npz
 from repro.trace.tables import (
     ColumnTable,
@@ -48,22 +47,6 @@ class TraceChunk:
 
     def __len__(self) -> int:
         return len(self.requests) + len(self.pods)
-
-    def _shm_state(self) -> dict:
-        return {
-            "region": self.region, "index": self.index,
-            "start_s": self.start_s, "end_s": self.end_s,
-            "requests": self.requests, "pods": self.pods,
-        }
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "TraceChunk":
-        return cls(**state)
-
-
-# Chunks ride the shm channel in *both* directions: as dispatched inputs
-# (analyze_bundle_chunks) and inside shard results.
-register_shm_type(TraceChunk)
 
 
 def iter_table_chunks(table: ColumnTable, max_rows: int) -> Iterator[ColumnTable]:
@@ -120,7 +103,6 @@ def stream_generation(
     shard_timeout_s: float | None = None,
     shard_retries: int | None = None,
     faults=None,
-    shm_arena_mb: int | None = None,
 ) -> Iterator[tuple[object, TraceBundle]]:
     """Execute a generation plan, yielding ``(ShardSpec, bundle)`` lazily.
 
@@ -131,17 +113,14 @@ def stream_generation(
     window's arrays through shared memory instead of the pool's pickle pipe
     (see :class:`~repro.runtime.executor.ParallelExecutor`).
     ``shard_timeout_s``/``shard_retries``/``faults`` pass through to the
-    executor's supervision layer (crash/hang recovery, fault injection);
-    ``shm_arena_mb`` caps the pooled shm arena recycling result blocks
-    across windows (0 disables it).
+    executor's supervision layer (crash/hang recovery, fault injection).
     """
     from repro.runtime.executor import ParallelExecutor, run_generation_shard
 
     shards = list(plan)
     executor = ParallelExecutor(jobs=jobs, channel=channel,
                                 shard_timeout_s=shard_timeout_s,
-                                shard_retries=shard_retries, faults=faults,
-                                arena_mb=shm_arena_mb)
+                                shard_retries=shard_retries, faults=faults)
     results = executor.imap(run_generation_shard, shards)
     for spec, bundle in zip(shards, results):
         yield spec, bundle

@@ -275,6 +275,31 @@ class TestDegradationLadder:
             assert tel.volatile["runtime/faults/channel_fallbacks"] == 1
         assert got == [_CLEAN[i] for i in range(6)]
 
+    def test_plan_wide_fallback_warns_once_counts_every_shard(self):
+        """``deny-shm`` on every shard and attempt: one warning for the
+        run, one counted fallback per shard, results still bit-identical."""
+        if not shm_available():
+            pytest.skip("no shared-memory mount")
+        specs = list(ShardPlan.for_generation(("R3",), seed=3, days=4,
+                                              chunk_days=1, scale=0.05))
+        clean = [_dumps(b) for b in
+                 ParallelExecutor(jobs=1).run(run_generation_shard, specs)]
+        executor = ParallelExecutor(
+            jobs=2, channel="shm", shm_min_bytes=0,
+            faults=FaultPlan.parse("deny-shm@**inf"),
+        )
+        with profiled() as tel:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = _run(executor, run_generation_shard, specs)
+            parked = [w for w in caught
+                      if "could not park" in str(w.message)]
+            assert len(parked) == 1, "one warning per run per rung"
+            assert "channel_fallbacks" in str(parked[0].message)
+            assert tel.volatile["runtime/faults/channel_fallbacks"] == \
+                len(specs)
+        assert got == clean
+
     def test_corrupt_header_degrades_shard_and_retries(self):
         if not shm_available():
             pytest.skip("no shared-memory mount")

@@ -7,6 +7,9 @@ pickling payload arrays and never leaking shared-memory blocks.
 
 from __future__ import annotations
 
+import pickle
+from multiprocessing import get_all_start_methods
+
 import numpy as np
 import pytest
 
@@ -154,21 +157,37 @@ class TestExecutorChannel:
         with pytest.raises(ValueError, match="channel"):
             ParallelExecutor(jobs=2, channel="carrier-pigeon")
 
-    def test_generation_results_identical_across_channels(self):
+    @staticmethod
+    def _assert_generation_channels_agree(*, days, jobs, start_method=None):
         plan = ShardPlan.for_generation(
-            ("R3",), seed=5, days=2, chunk_days=1, scale=0.05
+            ("R3",), seed=5, days=days, chunk_days=1, scale=0.05
         )
         shards = list(plan)
         serial = ParallelExecutor(jobs=1).run(run_generation_shard, shards)
-        shm = ParallelExecutor(jobs=2, channel="shm", shm_min_bytes=0).run(
-            run_generation_shard, shards
-        )
+        shm = ParallelExecutor(
+            jobs=jobs, channel="shm", start_method=start_method,
+            shm_min_bytes=0,
+        ).run(run_generation_shard, shards)
+        assert len(shm) == len(serial)
         for a, b in zip(serial, shm):
             assert np.array_equal(
                 a.requests["timestamp_ms"], b.requests["timestamp_ms"]
             )
             assert np.array_equal(a.pods["cold_start_us"], b.pods["cold_start_us"])
             assert a.summary() == b.summary()
+            assert pickle.dumps(a) == pickle.dumps(b)
+
+    def test_generation_results_identical_across_channels(self):
+        self._assert_generation_channels_agree(days=2, jobs=2)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_start_methods_match_serial(self, start_method, jobs):
+        if start_method not in get_all_start_methods():
+            pytest.skip(f"{start_method} start method unavailable")
+        self._assert_generation_channels_agree(
+            days=4, jobs=jobs, start_method=start_method
+        )
 
     def test_abandoned_generator_does_not_leak_blocks(self):
         from pathlib import Path
