@@ -10,8 +10,8 @@ the 0.05-0.4 core band.
 from repro.analysis.report import format_cdf_rows, format_table
 
 
-def test_fig03a_requests_per_day(benchmark, study, emit):
-    cdfs = benchmark(study.fig03_requests_per_day)
+def test_fig03a_requests_per_day(benchmark, study, uncached, emit):
+    cdfs = benchmark(uncached("fig03_requests_per_day"))
     shares = study.fig03_share_at_least_1_per_minute()
     rows = format_cdf_rows(cdfs)
     for row in rows:
@@ -29,8 +29,8 @@ def test_fig03a_requests_per_day(benchmark, study, emit):
         assert cdf.median < 1440.0, name
 
 
-def test_fig03b_exec_time(benchmark, study, emit):
-    cdfs = benchmark(study.fig03_exec_time)
+def test_fig03b_exec_time(benchmark, study, uncached, emit):
+    cdfs = benchmark(uncached("fig03_exec_time"))
     emit("fig03b_exec_time", format_table(format_cdf_rows(cdfs)))
 
     medians = {name: cdf.median for name, cdf in cdfs.items()}
@@ -40,8 +40,8 @@ def test_fig03b_exec_time(benchmark, study, emit):
     assert medians["R1"] / medians["R5"] > 5.0
 
 
-def test_fig03c_cpu_usage(benchmark, study, emit):
-    cdfs = benchmark(study.fig03_cpu_usage)
+def test_fig03c_cpu_usage(benchmark, study, uncached, emit):
+    cdfs = benchmark(uncached("fig03_cpu_usage"))
     emit("fig03c_cpu_usage", format_table(format_cdf_rows(cdfs)))
 
     for name, cdf in cdfs.items():

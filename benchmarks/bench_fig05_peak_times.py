@@ -10,8 +10,8 @@ import numpy as np
 from repro.analysis.report import format_table
 
 
-def test_fig05_peak_times(benchmark, study, emit):
-    series = benchmark(study.fig05_request_series)
+def test_fig05_peak_times(benchmark, study, uncached, emit):
+    series = benchmark(uncached("fig05_request_series"))
     peak_hours = study.fig05_peak_hours()
 
     rows = []

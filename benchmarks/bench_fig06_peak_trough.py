@@ -11,8 +11,8 @@ import numpy as np
 from repro.analysis.report import format_table
 
 
-def test_fig06_peak_trough(benchmark, study, emit):
-    rows = benchmark(study.fig06_peak_trough, "R2")
+def test_fig06_peak_trough(benchmark, study, uncached, emit):
+    rows = benchmark(uncached("fig06_peak_trough"), "R2")
 
     ratios = np.array([row["peak_to_trough"] for row in rows])
     requests = np.array([row["requests_per_day"] for row in rows])

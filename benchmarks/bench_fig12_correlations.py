@@ -9,9 +9,11 @@ the cold-start count correlates positively with the total in R1.
 from repro.analysis.report import format_table
 
 
-def test_fig12_correlations(benchmark, study, emit):
+def test_fig12_correlations(benchmark, study, uncached, emit):
+    fig12 = uncached("fig12_correlations")
+
     def matrices():
-        return {name: study.fig12_correlations(name) for name in study.regions}
+        return {name: fig12(name) for name in study.regions}
 
     result = benchmark(matrices)
 

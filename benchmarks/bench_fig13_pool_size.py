@@ -9,8 +9,8 @@ code and dependency deployment take longer in large pods.
 from repro.analysis.report import format_table
 
 
-def test_fig13_pool_size_split(benchmark, study, emit):
-    result = benchmark(study.fig13_pool_split)
+def test_fig13_pool_size_split(benchmark, study, uncached, emit):
+    result = benchmark(uncached("fig13_pool_split"))
 
     rows = []
     for region, metrics in result.items():

@@ -11,8 +11,8 @@ import numpy as np
 from repro.analysis.report import format_table
 
 
-def test_fig14_requests_vs_cold_starts(benchmark, study, emit):
-    rows = benchmark(study.fig14_requests_vs_cold_starts, "R2")
+def test_fig14_requests_vs_cold_starts(benchmark, study, uncached, emit):
+    rows = benchmark(uncached("fig14_requests_vs_cold_starts"), "R2")
 
     requests = np.array([row["requests"] for row in rows], dtype=float)
     colds = np.array([row["cold_starts"] for row in rows], dtype=float)

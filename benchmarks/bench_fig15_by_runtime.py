@@ -11,8 +11,8 @@ from repro.analysis.coldstart_stats import mean_scheduling_dominates
 from repro.analysis.report import format_table
 
 
-def test_fig15_by_runtime(benchmark, study, emit):
-    cdfs = benchmark(study.fig15_by_runtime, "R2")
+def test_fig15_by_runtime(benchmark, study, uncached, emit):
+    cdfs = benchmark(uncached("fig15_by_runtime"), "R2")
 
     rows = []
     for runtime, metrics in sorted(cdfs.items()):

@@ -9,11 +9,13 @@ not the worst — the paper's central observation.
 from repro.analysis.report import format_table
 
 
-def test_fig17_utility_ratio(benchmark, study, emit):
+def test_fig17_utility_ratio(benchmark, study, uncached, emit):
+    fig17 = uncached("fig17_utility")
+
     def both():
         return (
-            study.fig17_utility(by="runtime", region="R2"),
-            study.fig17_utility(by="trigger", region="R2"),
+            fig17(by="runtime", region="R2"),
+            fig17(by="trigger", region="R2"),
         )
 
     by_runtime, by_trigger = benchmark(both)

@@ -8,6 +8,7 @@ rows/series survive the pytest capture.
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,17 @@ def study() -> TraceStudy:
         days=BENCH_DAYS,
         scale=BENCH_SCALE,
     )
+
+
+@pytest.fixture()
+def uncached(study):
+    """``uncached("figNN_...")``: a shared figure method without the
+    study's per-instance memo, so every benchmark round recomputes it."""
+
+    def _builder(name: str):
+        return functools.partial(getattr(TraceStudy, name).__wrapped__, study)
+
+    return _builder
 
 
 @pytest.fixture(scope="session")

@@ -1101,15 +1101,14 @@ class DistinctPairs:
         b = np.asarray(b, dtype=np.int64)
         if not a.size:
             return self
-        stacked = np.concatenate([self.pairs, np.stack([a, b], axis=1)])
-        self.pairs = np.unique(stacked, axis=0)
+        self.pairs = _distinct_rows(
+            np.concatenate([self.pairs, np.stack([a, b], axis=1)])
+        )
         return self
 
     def merge(self, other: "DistinctPairs") -> "DistinctPairs":
         if other.pairs.size:
-            self.pairs = np.unique(
-                np.concatenate([self.pairs, other.pairs]), axis=0
-            )
+            self.pairs = _distinct_rows(np.concatenate([self.pairs, other.pairs]))
         return self
 
     def counts_per_first(self) -> np.ndarray:
@@ -1127,6 +1126,16 @@ class DistinctPairs:
         out = cls()
         out.pairs = state["pairs"]
         return out
+
+
+def _distinct_rows(pairs: np.ndarray) -> np.ndarray:
+    """``np.unique(pairs, axis=0)`` for an (n, 2) int64 array: the distinct
+    rows sorted by first then second column, via one lexsort and a
+    run-boundary mask (no structured-dtype sort)."""
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    keep = np.ones(len(pairs), dtype=bool)
+    keep[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
+    return pairs[keep]
 
 
 class PodIntervalAccumulator:

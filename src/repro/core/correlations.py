@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from repro.analysis.timeseries import bin_counts, bin_means
 from repro.trace.tables import COMPONENT_COLUMNS, PodTable
@@ -87,6 +87,12 @@ def correlations_from_series(series: dict[str, np.ndarray]) -> CorrelationMatrix
     path, whose minute bins come from chunk-incremental accumulators.
     ``series`` must cover :data:`CORRELATION_FIELDS`, restricted to active
     (non-empty) minutes.
+
+    Each series is ranked once; every pair then repeats
+    :func:`scipy.stats.spearmanr`'s own arithmetic on the two rank vectors,
+    so each cell is bit-identical to a pairwise ``spearmanr`` call. A pair
+    with a constant or NaN-bearing series goes to ``spearmanr`` itself,
+    which keeps its warning and NaN result.
     """
     n_fields = len(CORRELATION_FIELDS)
     rho = np.eye(n_fields)
@@ -94,15 +100,32 @@ def correlations_from_series(series: dict[str, np.ndarray]) -> CorrelationMatrix
     n_minutes = int(next(iter(series.values())).size) if series else 0
     if n_minutes < 3:
         return CorrelationMatrix(CORRELATION_FIELDS, rho, np.ones((n_fields, n_fields)), n_minutes)
+    ranks = [_ranks_or_none(series[field]) for field in CORRELATION_FIELDS]
     for i, field_a in enumerate(CORRELATION_FIELDS):
-        for j, field_b in enumerate(CORRELATION_FIELDS):
-            if j < i:
-                rho[i, j] = rho[j, i]
-                pvalues[i, j] = pvalues[j, i]
-                continue
-            if i == j:
-                continue
-            result = stats.spearmanr(series[field_a], series[field_b])
-            rho[i, j] = float(result.statistic)
-            pvalues[i, j] = float(result.pvalue)
+        for j in range(i + 1, n_fields):
+            if ranks[i] is None or ranks[j] is None:
+                result = stats.spearmanr(series[field_a], series[CORRELATION_FIELDS[j]])
+                r, p = float(result.statistic), float(result.pvalue)
+            else:
+                r, p = _spearman_from_ranks(ranks[i], ranks[j], n_minutes - 2)
+            rho[i, j] = rho[j, i] = r
+            pvalues[i, j] = pvalues[j, i] = p
     return CorrelationMatrix(CORRELATION_FIELDS, rho, pvalues, n_minutes)
+
+
+def _ranks_or_none(values: np.ndarray) -> np.ndarray | None:
+    """Average ranks of ``values`` as ``spearmanr`` computes them (on the
+    float64 column it stacks), or None for a constant or NaN-bearing one."""
+    values = np.asarray(values, dtype=np.float64)
+    if (values[0] == values).all() or np.isnan(values).any():
+        return None
+    return stats.rankdata(values)
+
+
+def _spearman_from_ranks(ranks_a: np.ndarray, ranks_b: np.ndarray, dof: int) -> tuple[float, float]:
+    """``spearmanr``'s rho and two-sided p from two precomputed rank vectors."""
+    rs = np.corrcoef(np.column_stack((ranks_a, ranks_b)), rowvar=False)
+    with np.errstate(divide="ignore"):
+        t = rs * np.sqrt((dof / ((rs + 1.0) * (1.0 - rs))).clip(0))
+    p = 2 * special.stdtr(dof, -np.abs(t))
+    return float(rs[1, 0]), float(p[1, 0])

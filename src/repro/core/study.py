@@ -13,10 +13,21 @@ Two implementations share the figure API:
   fan out across worker processes. Counts, sums, key sets, and series are
   exact (floating sums to addition order); value-quantised CDFs/quantiles
   (Figs. 10/13/15/16) carry the sketch's one-bin tolerance.
+
+Both classes compute each shared figure at most once per study. A figure
+method whose result has a second reader (a renderer and a finding, or
+``fig05_peak_hours`` reading ``fig05_request_series``) is wrapped by
+:func:`_shared`, which keeps the result per bound argument set in the
+study's ``__dict__``, so the cache dies with the study. The contract:
+callers treat a returned figure result as read-only, and a study is
+immutable once built (do not add regions or change ``keepalive_s``
+afterwards).
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +85,29 @@ from repro.trace.tables import TraceBundle
 from repro.workload.generator import generate_multi_region
 
 _SECONDS_PER_DAY = 86_400.0
+
+
+def _shared(method):
+    """Memoize a figure method per study and bound argument set.
+
+    Defaults are applied before keying, so ``fig17_utility()`` and
+    ``fig17_utility(by="runtime")`` share one entry. The cache sits in the
+    instance ``__dict__``: ``functools.cache`` on a method would keep every
+    study alive.
+    """
+    signature = inspect.signature(method)
+
+    @functools.wraps(method)
+    def wrapper(self, *args, **kwargs):
+        bound = signature.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        key = (method.__name__, *list(bound.arguments.values())[1:])
+        results = vars(self).setdefault("_figure_results", {})
+        if key not in results:
+            results[key] = method(self, *args, **kwargs)
+        return results[key]
+
+    return wrapper
 
 
 class TraceStudy:
@@ -135,15 +169,18 @@ class TraceStudy:
 
     # ---- Figure 3 ------------------------------------------------------------
 
+    @_shared
     def fig03_requests_per_day(self) -> dict[str, Cdf]:
         return {
             name: empirical_cdf(requests_per_day_per_function(bundle))
             for name, bundle in self.bundles.items()
         }
 
+    @_shared
     def fig03_exec_time(self) -> dict[str, Cdf]:
         return {name: exec_time_per_minute_cdf(b) for name, b in self.bundles.items()}
 
+    @_shared
     def fig03_cpu_usage(self) -> dict[str, Cdf]:
         return {name: cpu_per_minute_cdf(b) for name, b in self.bundles.items()}
 
@@ -163,6 +200,7 @@ class TraceStudy:
 
     # ---- Figure 5 ----------------------------------------------------------------
 
+    @_shared
     def fig05_request_series(self, smooth_minutes: int = 60) -> dict[str, dict[str, np.ndarray]]:
         """Normalised per-minute request series + daily peak minutes."""
         out = {}
@@ -187,6 +225,7 @@ class TraceStudy:
 
     # ---- Figure 6 ------------------------------------------------------------------
 
+    @_shared
     def fig06_peak_trough(self, region: str | None = None) -> list[dict[str, object]]:
         """Per-function: median req/day, peak-to-trough ratio, cold starts."""
         rows: list[dict[str, object]] = []
@@ -262,11 +301,13 @@ class TraceStudy:
 
     # ---- Figure 12 --------------------------------------------------------------------
 
+    @_shared
     def fig12_correlations(self, region: str) -> CorrelationMatrix:
         return component_correlations(self.region(region).pods)
 
     # ---- Figure 13 --------------------------------------------------------------------
 
+    @_shared
     def fig13_pool_split(self, region: str | None = None) -> dict:
         if region is not None:
             return pool_size_quantiles(self.region(region))
@@ -274,9 +315,11 @@ class TraceStudy:
 
     # ---- Figures 14-16 ----------------------------------------------------------------
 
+    @_shared
     def fig14_requests_vs_cold_starts(self, region: str | None = None) -> list[dict[str, object]]:
         return requests_vs_cold_starts(self._deep_dive_region(region))
 
+    @_shared
     def fig15_by_runtime(self, region: str | None = None) -> dict[str, dict[str, Cdf]]:
         return component_cdfs_by(self._deep_dive_region(region), by="runtime")
 
@@ -285,6 +328,7 @@ class TraceStudy:
 
     # ---- Figure 17 --------------------------------------------------------------------
 
+    @_shared
     def fig17_utility(self, by: str = "runtime", region: str | None = None) -> dict:
         return utility_by_category(self._deep_dive_region(region), by=by)
 
@@ -429,6 +473,7 @@ class StreamingTraceStudy:
 
     # ---- Figure 3 ----------------------------------------------------------
 
+    @_shared
     def fig03_requests_per_day(self) -> dict[str, Cdf]:
         out = {}
         for name, acc in self.stats.items():
@@ -436,12 +481,14 @@ class StreamingTraceStudy:
             out[name] = empirical_cdf(per_function)
         return out
 
+    @_shared
     def fig03_exec_time(self) -> dict[str, Cdf]:
         return {
             name: _nan_free_cdf(acc.minute_exec.means_until())
             for name, acc in self.stats.items()
         }
 
+    @_shared
     def fig03_cpu_usage(self) -> dict[str, Cdf]:
         return {
             name: _nan_free_cdf(acc.minute_cpu.means_until())
@@ -473,6 +520,7 @@ class StreamingTraceStudy:
 
     # ---- Figure 5 ----------------------------------------------------------
 
+    @_shared
     def fig05_request_series(self, smooth_minutes: int = 60) -> dict[str, dict[str, np.ndarray]]:
         """Normalised per-minute request series + daily peak minutes. Exact."""
         out = {}
@@ -496,6 +544,7 @@ class StreamingTraceStudy:
 
     # ---- Figure 6 ----------------------------------------------------------
 
+    @_shared
     def fig06_peak_trough(self, region: str | None = None) -> list[dict[str, object]]:
         """Per-function peak/trough rows from the keyed minute matrix. Exact."""
         rows: list[dict[str, object]] = []
@@ -623,6 +672,7 @@ class StreamingTraceStudy:
 
     # ---- Figure 12 ---------------------------------------------------------
 
+    @_shared
     def fig12_correlations(self, region: str) -> CorrelationMatrix:
         acc = self.region(region)
         counts_series = acc.minute_pod["cold_start_s"]
@@ -641,6 +691,7 @@ class StreamingTraceStudy:
 
     # ---- Figure 13 ---------------------------------------------------------
 
+    @_shared
     def fig13_pool_split(self, region: str | None = None) -> dict:
         if region is not None:
             return pool_split_from_hists(self.region(region).category_hists)
@@ -651,6 +702,7 @@ class StreamingTraceStudy:
 
     # ---- Figures 14-16 -----------------------------------------------------
 
+    @_shared
     def fig14_requests_vs_cold_starts(self, region: str | None = None) -> list[dict[str, object]]:
         acc = self._deep_dive_region(region)
         function_ids = acc.per_function_day.keys
@@ -669,6 +721,7 @@ class StreamingTraceStudy:
             )
         return rows
 
+    @_shared
     def fig15_by_runtime(self, region: str | None = None) -> dict[str, dict[str, Cdf]]:
         return component_cdfs_from_hists(
             self._deep_dive_region(region).category_hists, by="runtime"
@@ -681,6 +734,7 @@ class StreamingTraceStudy:
 
     # ---- Figure 17 ---------------------------------------------------------
 
+    @_shared
     def fig17_utility(self, by: str = "runtime", region: str | None = None) -> dict:
         """Pod utility ratios (exact: the per-pod join is held in state)."""
         acc = self._deep_dive_region(region)

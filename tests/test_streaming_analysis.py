@@ -23,6 +23,7 @@ import pytest
 
 from repro.analysis.accumulators import (
     BinnedSeries,
+    DistinctPairs,
     GapTracker,
     GroupedCounts,
     KeyedBinnedCounts,
@@ -730,3 +731,54 @@ class TestAccumulatorPruning:
             full.minute_requests.counts_until(86_400.0),
         )
         assert merged.summary() == full.summary()
+
+
+class TestDistinctPairs:
+    """The lexsort dedupe must return exactly ``np.unique(axis=0)``'s rows."""
+
+    I64 = np.iinfo(np.int64)
+
+    def _chunks(self, seed):
+        rng = np.random.default_rng(seed)
+        extremes = np.array([self.I64.min, self.I64.min + 1, -1, 0, 1,
+                             self.I64.max - 1, self.I64.max], dtype=np.int64)
+        chunks = []
+        for size in (0, 40, 0, 1, 300, 25, 0, 120):
+            a = rng.integers(-6, 6, size=size).astype(np.int64)
+            b = rng.integers(-4, 4, size=size).astype(np.int64)
+            if size:
+                # Extremes in both columns, repeated across chunks.
+                at = rng.integers(0, size, size=min(size, 5))
+                a[at] = rng.choice(extremes, size=at.size)
+                b[at[::-1]] = rng.choice(extremes, size=at.size)
+            chunks.append((a, b))
+        return chunks
+
+    @staticmethod
+    def _assert_unique_rows(got, rows):
+        want = np.unique(rows, axis=0) if len(rows) else rows
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_add_matches_np_unique(self, seed):
+        acc = DistinctPairs()
+        seen = np.zeros((0, 2), dtype=np.int64)
+        for a, b in self._chunks(seed):
+            acc.add(a, b)
+            seen = np.concatenate([seen, np.stack([a, b], axis=1)])
+            self._assert_unique_rows(acc.pairs, seen)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_merge_matches_np_unique(self, seed):
+        chunks = self._chunks(seed)
+        left, right = DistinctPairs(), DistinctPairs()
+        for i, (a, b) in enumerate(chunks):
+            (left if i % 2 else right).add(a, b)
+        left.merge(right).merge(DistinctPairs())
+        rows = np.concatenate([np.stack(c, axis=1) for c in chunks])
+        self._assert_unique_rows(left.pairs, rows)
+        np.testing.assert_array_equal(
+            left.counts_per_first(),
+            np.unique(np.unique(rows, axis=0)[:, 0], return_counts=True)[1],
+        )
