@@ -23,9 +23,10 @@ StreamingMoments       O(1)
 LogHistogram           O(bins) (default 512 log-spaced bins; overflow
                        auto-widens by whole decades, 64 bins each)
 TDigest                O(compression) centroids
-BinnedSeries           O(covered time / bin width)
+BinnedSeries           O(covered window / bin width): bins start at the
+                       first one seen (``origin``), not at t = 0
 GroupedCounts          O(distinct keys)
-KeyedBinnedCounts      O(distinct keys x covered bins)
+KeyedBinnedCounts      O(distinct keys x covered window bins), same origin
 DistinctPairs          O(distinct pairs)
 PodIntervalAccumulator O(distinct pods)
 GapTracker             O(bins)
@@ -45,6 +46,7 @@ from (region, day-window) analysis shards.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -163,6 +165,15 @@ class StreamingMoments:
 # --- fixed-bin histogram / CDF sketch ---------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _lattice_edges(log_lo: float, step: float, first: int, count: int) -> np.ndarray:
+    """Lattice edges ``first .. first + count - 1``, shared and read-only;
+    every edge, binned or stored, comes from this one formula."""
+    edges = np.power(10.0, log_lo + np.arange(first, first + count) * step)
+    edges.flags.writeable = False
+    return edges
+
+
 class LogHistogram:
     """Log-spaced bins over ``[lo, hi)`` with under/overflow tails.
 
@@ -235,8 +246,21 @@ class LogHistogram:
     # -- adaptive widening ---------------------------------------------------
 
     def _edges_for(self, bins: int) -> np.ndarray:
-        offsets = np.arange(bins + 1) - self._lo_bins
-        return np.power(10.0, self._log_lo + offsets * self._step)
+        return _lattice_edges(self._log_lo, self._step, -self._lo_bins, bins + 1)
+
+    def _lattice_bins(self, values: np.ndarray) -> np.ndarray:
+        """Lattice bin ``k`` (``edge(k) <= v < edge(k + 1)``, 0 at the anchor)
+        of each value, by one ``searchsorted`` over the positive values'
+        span. Exact wherever the widening caps allow ``[lo, hi)``."""
+        positive = values[(values > 0.0) & (values < math.inf)]
+        if not positive.size:
+            return np.zeros(values.size, dtype=np.intp)
+        lo = max(float(positive.min()), min(self.WIDEN_CAP_LO, self.lo))
+        hi = min(float(positive.max()), max(self.WIDEN_CAP_HI, self.hi))
+        first = math.floor((math.log10(lo) - self._log_lo) / self._step) - 2
+        last = max(math.ceil((math.log10(hi) - self._log_lo) / self._step) + 2, first)
+        edges = _lattice_edges(self._log_lo, self._step, first, last - first + 1)
+        return np.searchsorted(edges, values, side="right") - 1 + first
 
     def _edge_at(self, index: int) -> float:
         """Edge ``index`` of the current grid (lattice formula, exact)."""
@@ -307,60 +331,43 @@ class LogHistogram:
     def add(self, values: np.ndarray) -> "LogHistogram":
         values = np.asarray(values, dtype=np.float64)
         values = values[~np.isnan(values)]
+        return self._add_binned(values, self._lattice_bins(values))
+
+    def _add_binned(self, values: np.ndarray, lattice: np.ndarray) -> "LogHistogram":
+        """Fold NaN-free ``values`` whose :meth:`_lattice_bins` are
+        ``lattice``: the one binning path. Lattice bins do not move when
+        the grid widens, so values can be binned before it does."""
         if not values.size:
             return self
         self.sum += float(values.sum())
         self.vmin = min(self.vmin, float(values.min()))
         self.vmax = max(self.vmax, float(values.max()))
-        self.n_zero += int((values == 0.0).sum())
-        positive = values[values > 0.0]
+        self.n_zero += int(np.count_nonzero(values == 0.0))
+        is_positive = values > 0.0
+        positive = values[is_positive]
         if positive.size:
-            finite_max = float(positive[np.isfinite(positive)].max(initial=0.0))
+            finite_max = float(positive.max())
+            if finite_max == math.inf:
+                finite_max = float(positive[np.isfinite(positive)].max(initial=0.0))
             if finite_max >= self.hi:
                 self._widen_to_cover(finite_max)
             positive_min = float(positive.min())
             if positive_min < self.lo:
                 self._widen_down_to_cover(positive_min)
-        self.n_under += int((positive < self.lo).sum())
-        self.n_over += int((positive >= self.hi).sum())
-        inside = positive[(positive >= self.lo) & (positive < self.hi)]
-        if inside.size:
-            idx = np.clip(
-                np.searchsorted(self.edges, inside, side="right") - 1,
-                0, self.bins - 1,
+        below, above = positive < self.lo, positive >= self.hi
+        self.n_under += int(np.count_nonzero(below))
+        self.n_over += int(np.count_nonzero(above))
+        inside = ~(below | above)
+        if inside.any():
+            idx = lattice[is_positive][inside] + self._lo_bins
+            self.counts += np.bincount(
+                np.minimum(np.maximum(idx, 0), self.bins - 1), minlength=self.bins
             )
-            self.counts += np.bincount(idx, minlength=self.bins).astype(np.int64)
         return self
 
     def add_one(self, value: float) -> "LogHistogram":
-        """Scalar fast path for event-at-a-time producers (evaluator loops).
-
-        Bins via the same ``searchsorted`` contract as :meth:`add`, without
-        the per-event numpy temporaries.
-        """
-        if math.isnan(value):
-            return self
-        self.sum += value
-        self.vmin = min(self.vmin, value)
-        self.vmax = max(self.vmax, value)
-        if value == 0.0:
-            self.n_zero += 1
-        elif value < 0.0:
-            pass  # vector path tallies negatives only into sum/min/max
-        else:
-            if value < self.lo:
-                self._widen_down_to_cover(value)
-            if value < self.lo:
-                self.n_under += 1
-                return self
-            if value >= self.hi:
-                self._widen_to_cover(value)
-            if value >= self.hi:
-                self.n_over += 1
-            else:
-                idx = int(np.searchsorted(self.edges, value, side="right")) - 1
-                self.counts[min(max(idx, 0), self.bins - 1)] += 1
-        return self
+        """One value, for event-at-a-time producers (the same binning)."""
+        return self.add(np.array([value], dtype=np.float64))
 
     def _check_compatible(self, other: "LogHistogram") -> None:
         if (self._log_lo, self._step) != (other._log_lo, other._step):
@@ -716,14 +723,30 @@ class TDigest:
 # --- fixed-width time bins --------------------------------------------------
 
 
+def _time_bins(times_s: np.ndarray, bin_s: float) -> np.ndarray:
+    """Bin index of each time on a ``bin_s`` grid (negative times to bin 0)."""
+    return np.maximum((times_s // bin_s).astype(np.int64), 0)
+
+
+def _grown_span(start: int, stop: int, first: int, end: int) -> tuple[int, int]:
+    """Bins a window-relative buffer spanning ``[start, stop)`` must span to
+    also hold ``[first, end)``; appends double the span so they amortise."""
+    if first >= end:
+        return start, stop
+    if start == stop:
+        return first, end
+    return min(first, start), (max(end, 2 * stop - start) if end > stop else stop)
+
+
 class BinnedSeries:
     """Per-bin event counts and (optionally) value sums on a fixed grid.
 
     The streaming counterpart of :func:`repro.analysis.timeseries.bin_counts`
-    / ``bin_sums`` / ``bin_means``: storage grows with covered time, and the
-    ``*_until`` finalizers reproduce those functions' horizon and clipping
-    semantics exactly (including the fold of beyond-horizon events into the
-    last bin).
+    / ``bin_sums`` / ``bin_means``. ``counts[i]`` is bin ``origin + i``: a
+    shard holds only its window. The ``*_until`` finalizers rebuild the
+    dense frame from bin 0 — ``frame`` bins long, grown as a doubling buffer
+    from bin 0 would be, so the fold of beyond-horizon events into the last
+    bin sums the same array — and reproduce those functions exactly.
     """
 
     def __init__(self, bin_s: float, track_sums: bool = True):
@@ -731,37 +754,46 @@ class BinnedSeries:
             raise ValueError("bin_s must be positive")
         self.bin_s = float(bin_s)
         self.track_sums = track_sums
+        self.origin = 0
+        self.frame = 0
         self.counts = np.zeros(0, dtype=np.float64)
         self.sums = np.zeros(0, dtype=np.float64) if track_sums else None
         self.max_time = -math.inf
         self.min_time = math.inf
 
-    def _grow(self, n_bins: int) -> None:
-        if n_bins <= self.counts.size:
-            return
-        new = max(n_bins, 2 * self.counts.size)
-        self.counts = np.concatenate(
-            [self.counts, np.zeros(new - self.counts.size)]
-        )
-        if self.sums is not None:
-            self.sums = np.concatenate([self.sums, np.zeros(new - self.sums.size)])
+    def _cover(self, first: int, end: int, frame: int) -> slice:
+        """Grow storage to hold bins ``[first, end)``; return their slice."""
+        if frame > self.frame:
+            self.frame = max(frame, 2 * self.frame)
+        stop = self.origin + self.counts.size
+        start, new_stop = _grown_span(self.origin, stop, first, end)
+        if (start, new_stop) != (self.origin, stop):
+            at = slice(self.origin - start, stop - start)
+            for name in ("counts", "sums") if self.sums is not None else ("counts",):
+                grown = np.zeros(new_stop - start)
+                grown[at] = getattr(self, name)
+                setattr(self, name, grown)
+            self.origin = start
+        return slice(first - self.origin, end - self.origin)
 
-    def add(self, times_s: np.ndarray, values: np.ndarray | None = None) -> "BinnedSeries":
+    def add(self, times_s: np.ndarray, values: np.ndarray | None = None,
+            bins: np.ndarray | None = None) -> "BinnedSeries":
+        """Fold events at ``times_s``; ``bins`` may pass their precomputed
+        :func:`_time_bins` when several series share one grid."""
         times_s = np.asarray(times_s, dtype=np.float64)
         if not times_s.size:
             return self
         self.max_time = max(self.max_time, float(times_s.max()))
         self.min_time = min(self.min_time, float(times_s.min()))
-        idx = np.maximum((times_s // self.bin_s).astype(np.int64), 0)
-        self._grow(int(idx.max()) + 1)
-        self.counts += np.bincount(idx, minlength=self.counts.size)
+        idx = _time_bins(times_s, self.bin_s) if bins is None else bins
+        first, end = int(idx.min()), int(idx.max()) + 1
+        at = self._cover(first, end, end)
+        self.counts[at] += np.bincount(idx - first)
         if self.sums is not None:
             if values is None:
                 raise ValueError("this series tracks sums; pass values")
             values = np.asarray(values, dtype=np.float64)
-            self.sums += np.bincount(
-                idx, weights=values, minlength=self.sums.size
-            )
+            self.sums[at] += np.bincount(idx - first, weights=values)
         return self
 
     def add_one(self, time_s: float, value: float | None = None) -> "BinnedSeries":
@@ -769,21 +801,21 @@ class BinnedSeries:
         self.max_time = max(self.max_time, time_s)
         self.min_time = min(self.min_time, time_s)
         idx = max(int(time_s // self.bin_s), 0)
-        self._grow(idx + 1)
-        self.counts[idx] += 1.0
+        pos = self._cover(idx, idx + 1, idx + 1).start
+        self.counts[pos] += 1.0
         if self.sums is not None:
             if value is None:
                 raise ValueError("this series tracks sums; pass a value")
-            self.sums[idx] += value
+            self.sums[pos] += value
         return self
 
     def merge(self, other: "BinnedSeries") -> "BinnedSeries":
         if self.bin_s != other.bin_s or self.track_sums != other.track_sums:
             raise ValueError("cannot merge series with different grids")
-        self._grow(other.counts.size)
-        self.counts[: other.counts.size] += other.counts
+        at = self._cover(other.origin, other.origin + other.counts.size, other.frame)
+        self.counts[at] += other.counts
         if self.sums is not None:
-            self.sums[: other.sums.size] += other.sums
+            self.sums[at] += other.sums
         self.max_time = max(self.max_time, other.max_time)
         self.min_time = min(self.min_time, other.min_time)
         return self
@@ -798,12 +830,19 @@ class BinnedSeries:
             )
         return max(int(np.ceil(horizon_s / self.bin_s)), 1)
 
-    def _finalize(self, dense: np.ndarray, n_bins: int) -> np.ndarray:
-        out = np.zeros(n_bins, dtype=np.float64)
-        take = min(n_bins, dense.size)
-        out[:take] = dense[:take]
-        if dense.size > n_bins:  # clip semantics: fold the tail into the last bin
-            out[n_bins - 1] += dense[n_bins:].sum()
+    def _dense(self, stored: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Bins ``[start, stop)`` of the dense frame."""
+        out = np.zeros(stop - start, dtype=np.float64)
+        lo = max(self.origin, start)
+        hi = max(min(self.origin + stored.size, stop), lo)
+        out[lo - start : hi - start] = stored[lo - self.origin : hi - self.origin]
+        return out
+
+    def _finalize(self, stored: np.ndarray, n_bins: int) -> np.ndarray:
+        out = self._dense(stored, 0, n_bins)
+        # clip semantics: fold the tail (unless eventless) into the last bin
+        if self.frame > n_bins and self.max_time // self.bin_s >= n_bins:
+            out[n_bins - 1] += self._dense(stored, n_bins, self.frame).sum()
         return out
 
     def counts_until(self, horizon_s: float | None = None) -> np.ndarray:
@@ -824,36 +863,31 @@ class BinnedSeries:
 
     def _shm_state(self) -> dict:
         return {"bin_s": self.bin_s, "track_sums": self.track_sums,
+                "origin": self.origin, "frame": self.frame,
                 "counts": self.counts, "sums": self.sums,
                 "max_time": self.max_time, "min_time": self.min_time}
 
     @classmethod
     def _from_shm_state(cls, state: dict) -> "BinnedSeries":
         out = cls(state["bin_s"], track_sums=state["track_sums"])
-        out.counts = state["counts"]
-        out.sums = state["sums"]
-        out.max_time = state["max_time"]
-        out.min_time = state["min_time"]
+        for name in ("origin", "frame", "counts", "sums", "max_time", "min_time"):
+            setattr(out, name, state[name])
         return out
 
     def __eq__(self, other) -> bool:
-        """Content equality, insensitive to buffer growth history."""
+        """Content equality, insensitive to origin and buffer growth."""
         if not isinstance(other, BinnedSeries):
             return NotImplemented
         if (self.bin_s, self.track_sums) != (other.bin_s, other.track_sums):
             return False
         if (self.max_time, self.min_time) != (other.max_time, other.min_time):
             return False
-        n = max(self.counts.size, other.counts.size)
-
-        def padded(a: np.ndarray) -> np.ndarray:
-            return np.concatenate([a, np.zeros(n - a.size)])
-
-        if not np.array_equal(padded(self.counts), padded(other.counts)):
-            return False
-        if self.sums is None:
-            return True
-        return np.array_equal(padded(self.sums), padded(other.sums))
+        n = max(self.origin + self.counts.size, other.origin + other.counts.size)
+        return all(
+            np.array_equal(self._dense(mine, 0, n), other._dense(theirs, 0, n))
+            for mine, theirs in ((self.counts, other.counts), (self.sums, other.sums))
+            if mine is not None
+        )
 
 
 class TickGauge:
@@ -1004,54 +1038,64 @@ class GroupedCounts:
         return out
 
 
+def _merge_positions(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the items of sorted runs ``a`` and ``b`` land in their merge;
+    ties keep ``a`` first, as a stable sort of ``a`` then ``b`` would."""
+    return (np.arange(a.size) + np.searchsorted(b, a, side="left"),
+            np.arange(b.size) + np.searchsorted(a, b, side="right"))
+
+
 class KeyedBinnedCounts:
     """Per-key event counts on a fixed time grid (function x day/minute).
 
     Backs the per-function median-day statistic (Fig. 3a) and the
     per-function minute series of the peak-to-trough analysis (Fig. 6).
-    State is a dense ``keys x bins`` int64 matrix — bounded by the function
-    population times the horizon, never by request rows.
+    State is a dense ``keys x bins`` int64 matrix whose column ``j`` is bin
+    ``origin + j`` — bounded by the function population times the covered
+    window, never by request rows.
     """
 
     def __init__(self, bin_s: float):
         if bin_s <= 0:
             raise ValueError("bin_s must be positive")
         self.bin_s = float(bin_s)
+        self.origin = 0
         self.keys = np.zeros(0, dtype=np.int64)
         self.matrix = np.zeros((0, 0), dtype=np.int64)
 
-    def _ensure(self, keys: np.ndarray, n_bins: int) -> np.ndarray:
-        """Grow rows/columns; return positions of ``keys`` in ``self.keys``."""
-        new = np.setdiff1d(keys, self.keys, assume_unique=False)
-        if new.size:
-            all_keys = np.union1d(self.keys, new)
-            matrix = np.zeros((all_keys.size, self.matrix.shape[1]), dtype=np.int64)
-            if self.keys.size:
-                matrix[np.searchsorted(all_keys, self.keys)] = self.matrix
-            self.keys, self.matrix = all_keys, matrix
-        if n_bins > self.matrix.shape[1]:
-            grown = max(n_bins, 2 * self.matrix.shape[1])
-            self.matrix = np.concatenate(
-                [self.matrix,
-                 np.zeros((self.matrix.shape[0], grown - self.matrix.shape[1]),
-                          dtype=np.int64)],
-                axis=1,
-            )
-        return np.searchsorted(self.keys, keys)
+    def _cover(self, keys: np.ndarray, first: int, end: int) -> tuple[np.ndarray, slice]:
+        """Grow rows for sorted unique ``keys`` and columns for bins
+        ``[first, end)``; return the keys' rows and the bins' columns."""
+        pos = np.minimum(np.searchsorted(self.keys, keys), max(self.keys.size - 1, 0))
+        new = keys[self.keys[pos] != keys] if self.keys.size else keys
+        stop = self.origin + self.matrix.shape[1]
+        start, new_stop = _grown_span(self.origin, stop, first, end)
+        if new.size or (start, new_stop) != (self.origin, stop):
+            old_rows, new_rows = _merge_positions(self.keys, new)
+            all_keys = np.empty(self.keys.size + new.size, dtype=np.int64)
+            all_keys[old_rows], all_keys[new_rows] = self.keys, new
+            matrix = np.zeros((all_keys.size, new_stop - start), dtype=np.int64)
+            matrix[old_rows, self.origin - start : stop - start] = self.matrix
+            self.keys, self.matrix, self.origin = all_keys, matrix, start
+        return np.searchsorted(self.keys, keys), slice(first - self.origin, end - self.origin)
 
     def add(self, keys: np.ndarray, times_s: np.ndarray) -> "KeyedBinnedCounts":
         keys = np.asarray(keys, dtype=np.int64)
-        times_s = np.asarray(times_s, dtype=np.float64)
         if not keys.size:
             return self
-        bins = np.maximum((times_s // self.bin_s).astype(np.int64), 0)
-        n_bins = int(bins.max()) + 1
         uniques = np.unique(keys)
-        self._ensure(uniques, n_bins)
-        rows = np.searchsorted(self.keys, keys)
-        # in-place scatter-add: work and temporaries stay proportional to
-        # the chunk, not to the full keys x bins matrix
-        np.add.at(self.matrix, (rows, bins), 1)
+        bins = _time_bins(np.asarray(times_s, dtype=np.float64), self.bin_s)
+        return self._add_coded(uniques, np.searchsorted(uniques, keys), bins)
+
+    def _add_coded(self, uniques: np.ndarray, inverse: np.ndarray,
+                   bins: np.ndarray) -> "KeyedBinnedCounts":
+        """Count events of keys ``uniques[inverse]`` (sorted, unique) at
+        time bins ``bins``: callers with several grids share the coding."""
+        first, end = int(bins.min()), int(bins.max()) + 1
+        rows, cols = self._cover(uniques, first, end)
+        width = end - first
+        cells = np.bincount(inverse * width + (bins - first), minlength=uniques.size * width)
+        self.matrix[rows, cols] += cells.reshape(uniques.size, width)
         return self
 
     def merge(self, other: "KeyedBinnedCounts") -> "KeyedBinnedCounts":
@@ -1059,9 +1103,10 @@ class KeyedBinnedCounts:
             raise ValueError("cannot merge keyed series with different grids")
         if not other.keys.size:
             return self
-        self._ensure(other.keys, other.matrix.shape[1])
-        rows = np.searchsorted(self.keys, other.keys)
-        self.matrix[rows, : other.matrix.shape[1]] += other.matrix
+        rows, cols = self._cover(
+            other.keys, other.origin, other.origin + other.matrix.shape[1]
+        )
+        self.matrix[rows, cols] += other.matrix
         return self
 
     def counts_matrix(self, n_bins: int) -> np.ndarray:
@@ -1071,18 +1116,21 @@ class KeyedBinnedCounts:
         """
         n_bins = max(n_bins, 1)
         out = np.zeros((self.keys.size, n_bins), dtype=np.int64)
-        take = min(n_bins, self.matrix.shape[1])
-        out[:, :take] = self.matrix[:, :take]
-        if self.matrix.shape[1] > n_bins:
-            out[:, n_bins - 1] += self.matrix[:, n_bins:].sum(axis=1)
+        width = self.matrix.shape[1]
+        start, stop = min(self.origin, n_bins), min(self.origin + width, n_bins)
+        out[:, start:stop] = self.matrix[:, : stop - start]
+        if self.origin + width > n_bins:
+            out[:, n_bins - 1] += self.matrix[:, max(n_bins - self.origin, 0) :].sum(axis=1)
         return out
 
     def _shm_state(self) -> dict:
-        return {"bin_s": self.bin_s, "keys": self.keys, "matrix": self.matrix}
+        return {"bin_s": self.bin_s, "origin": self.origin, "keys": self.keys,
+                "matrix": self.matrix}
 
     @classmethod
     def _from_shm_state(cls, state: dict) -> "KeyedBinnedCounts":
         out = cls(state["bin_s"])
+        out.origin = state["origin"]
         out.keys = state["keys"]
         out.matrix = state["matrix"]
         return out
@@ -1426,13 +1474,7 @@ class RegionAccumulator:
             acc.update(chunk)
         return acc
 
-    # -- category lookup ----------------------------------------------------
-
-    def _categories(self, kind: str, function_ids: np.ndarray) -> np.ndarray:
-        """Category label per row of ``function_ids`` (unknown-safe)."""
-        from repro.analysis.composition import categories_for
-
-        return categories_for(self.functions, function_ids, kind)
+    # -- category sketches ---------------------------------------------------
 
     def _hist(self, kind: str, category: str, metric: str) -> LogHistogram:
         key = (kind, category, metric)
@@ -1464,23 +1506,26 @@ class RegionAccumulator:
         self.req_ts_ms_max = hi if self.req_ts_ms_max is None else max(self.req_ts_ms_max, hi)
         functions = requests["function"]
         users = requests["user"]
+        minute, day = _time_bins(ts, 60.0), _time_bins(ts, _SECONDS_PER_DAY)
+        uniques = np.unique(functions)
+        inverse = np.searchsorted(uniques, functions)
         self.per_user.add(users)
         if self.user_functions is not None:
             self.user_functions.add(users, functions)
         if self.per_function_day is not None:
-            self.per_function_day.add(functions, ts)
+            self.per_function_day._add_coded(uniques, inverse, day)
         if self.per_function_minute is not None:
-            self.per_function_minute.add(functions, ts)
+            self.per_function_minute._add_coded(uniques, inverse, minute)
         if self.minute_requests is not None:
-            self.minute_requests.add(ts)
+            self.minute_requests.add(ts, bins=minute)
         if self.minute_exec is not None:
-            self.minute_exec.add(ts, requests.exec_time_s)
+            self.minute_exec.add(ts, requests.exec_time_s, minute)
         if self.minute_cpu is not None or self.day_cpu is not None:
             cores = requests["cpu_millicores"] / 1000.0
             if self.minute_cpu is not None:
-                self.minute_cpu.add(ts, cores)
+                self.minute_cpu.add(ts, cores, minute)
             if self.day_cpu is not None:
-                self.day_cpu.add(ts, cores)
+                self.day_cpu.add(ts, cores, day)
         if self.intervals is not None:
             self.intervals.add(requests)
 
@@ -1493,11 +1538,12 @@ class RegionAccumulator:
         functions = pods["function"]
         self.per_function_cold.add(functions)
         metrics = pod_metric_values(pods)
+        minute, hour = _time_bins(ts, 60.0), _time_bins(ts, 3600.0)
         for name, values in metrics.items():
             if self.minute_pod is not None:
-                self.minute_pod[name].add(ts, values)
+                self.minute_pod[name].add(ts, values, minute)
             if self.hour_pod is not None:
-                self.hour_pod[name].add(ts, values)
+                self.hour_pod[name].add(ts, values, hour)
             if self.component_sums is not None:
                 self.component_sums[name].add(values)
         cold_s = metrics["cold_start_s"]
@@ -1510,31 +1556,55 @@ class RegionAccumulator:
         # per-pod state for the Fig. 17 utility join
         if self._track_pod_join:
             order = np.argsort(pods["pod_id"])
-            ids = pods["pod_id"][order]
-            self._pod_ids = np.concatenate([self._pod_ids, ids])
-            self._pod_cold_s = np.concatenate([self._pod_cold_s, cold_s[order]])
-            self._pod_functions = np.concatenate([self._pod_functions, functions[order]])
-            if not np.all(np.diff(self._pod_ids) > 0):
-                sorter = np.argsort(self._pod_ids, kind="stable")
-                self._pod_ids = self._pod_ids[sorter]
-                self._pod_cold_s = self._pod_cold_s[sorter]
-                self._pod_functions = self._pod_functions[sorter]
-        # category sketches
+            self._join_pods(pods["pod_id"][order], cold_s[order], functions[order])
         if self.category_hists is not None:
-            for kind in ("runtime", "trigger", "size"):
-                categories = self._categories(kind, functions)
-                for name, values in metrics.items():
-                    sample = values
-                    if name == "deploy_dep_us":
-                        sample = values[values > 0]
-                        cats = categories[values > 0]
-                    else:
-                        cats = categories
-                    for category in np.unique(cats):
-                        self._hist(kind, str(category), name).add(sample[cats == category])
+            self._sketch_categories(functions, metrics)
+
+    def _sketch_categories(self, function_ids: np.ndarray, metrics: dict) -> None:
+        """Fold each metric into its per-category sketches. A metric drops
+        its NaNs (dependency deployment: its non-positive values) and is
+        binned once; a kind stable-sorts its codes once, so each category
+        gets a contiguous slice with the elements, in order, of
+        ``values[cats == c]`` (float sums agree). Sketches are created kind,
+        metric, sorted category, all-NaN ones included."""
+        from repro.analysis.composition import category_codes
+
+        grid = LogHistogram()
+        binned = {}
+        for name, values in metrics.items():
+            keep = values > 0 if name == "deploy_dep_us" else ~np.isnan(values)
+            binned[name] = keep, grid._lattice_bins(values)
+        for kind in ("runtime", "trigger", "size"):
+            names, codes = category_codes(self.functions, function_ids, kind)
+            order = np.argsort(codes, kind="stable")
             for name, values in metrics.items():
-                sample = values[values > 0] if name == "deploy_dep_us" else values
-                self._hist("all", "all", name).add(sample)
+                keep, lattice = binned[name]
+                rows = order[keep[order]]
+                bounds = np.searchsorted(codes[rows], np.arange(names.size + 1))
+                seen = codes[keep] if name == "deploy_dep_us" else codes
+                sample, sample_bins = values[rows], lattice[rows]
+                for code in np.flatnonzero(np.bincount(seen, minlength=names.size)):
+                    at = slice(bounds[code], bounds[code + 1])
+                    self._hist(kind, str(names[code]), name)._add_binned(
+                        sample[at], sample_bins[at]
+                    )
+        for name, values in metrics.items():
+            keep, lattice = binned[name]
+            self._hist("all", "all", name)._add_binned(values[keep], lattice[keep])
+
+    def _join_pods(self, *run: np.ndarray) -> None:
+        """Fold a run of pods sorted by id into the sorted Fig. 17 join
+        state: appended when it starts at or past the last id, else merged
+        (ties keep the held pods first, as a stable sort would)."""
+        held = (self._pod_ids, self._pod_cold_s, self._pod_functions)
+        if held[0].size and run[0].size and run[0][0] < held[0][-1]:
+            held_at, run_at = _merge_positions(held[0], run[0])
+            merged = [np.empty(h.size + r.size, dtype=h.dtype) for h, r in zip(held, run)]
+            for out, h, r in zip(merged, held, run):
+                out[held_at], out[run_at] = h, r
+        else:
+            merged = [np.concatenate(pair) for pair in zip(held, run)]
+        self._pod_ids, self._pod_cold_s, self._pod_functions = merged
 
     # -- merge ---------------------------------------------------------------
 
@@ -1605,15 +1675,7 @@ class RegionAccumulator:
                 else:
                     mine_hist.merge(hist)
         if self._track_pod_join:
-            self._pod_ids = np.concatenate([self._pod_ids, other._pod_ids])
-            self._pod_cold_s = np.concatenate([self._pod_cold_s, other._pod_cold_s])
-            self._pod_functions = np.concatenate(
-                [self._pod_functions, other._pod_functions]
-            )
-            sorter = np.argsort(self._pod_ids, kind="stable")
-            self._pod_ids = self._pod_ids[sorter]
-            self._pod_cold_s = self._pod_cold_s[sorter]
-            self._pod_functions = self._pod_functions[sorter]
+            self._join_pods(other._pod_ids, other._pod_cold_s, other._pod_functions)
         return self
 
     # -- shared finalizers ----------------------------------------------------

@@ -13,7 +13,7 @@ Also hosts the two fundamental joins every grouped analysis needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,6 +57,37 @@ class FunctionMetadata:
     cpu_mem: np.ndarray
     size_class: np.ndarray
 
+    def take(self, rows: np.ndarray) -> "FunctionMetadata":
+        return FunctionMetadata(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+def _labels_at(values: np.ndarray, used: np.ndarray, label, dtype: str) -> np.ndarray:
+    """``label`` of every ``used`` slot, called once per distinct value."""
+    out = np.zeros(values.size, dtype=dtype)
+    distinct, inverse = np.unique(values[used], return_inverse=True)
+    out[used] = np.array([label(v) for v in distinct], dtype=dtype)[inverse]
+    return out
+
+
+def function_labels(functions: FunctionTable, rows: np.ndarray) -> FunctionMetadata:
+    """Labels of every table row plus a trailing "unknown" slot. Only slots
+    in ``rows`` get a trigger label and a size class, so a malformed config
+    name no lookup touches is never parsed."""
+    runtime, trigger, cpu_mem = map(functions.label_slots, ("runtime", "trigger", "cpu_mem"))
+    used = np.zeros(len(functions) + 1, dtype=bool)
+    used[rows] = True
+    return FunctionMetadata(
+        runtime=runtime,
+        trigger=trigger,
+        trigger_label=_labels_at(trigger, used, aggregate_combo_label, "U12"),
+        cpu_mem=cpu_mem,
+        size_class=_labels_at(
+            cpu_mem, used,
+            lambda c: parse_config(c).size_class.value if c != "unknown" else SizeClass.SMALL.value,
+            "U8",
+        ),
+    )
+
 
 def function_metadata(
     functions: FunctionTable | TraceBundle, function_ids: np.ndarray
@@ -65,29 +96,12 @@ def function_metadata(
 
     Accepts the :class:`FunctionTable` directly (all the join needs — the
     streaming path has no bundle) or a whole :class:`TraceBundle` for
-    convenience.
+    convenience. Each function is labelled once; rows gather the labels.
     """
     if isinstance(functions, TraceBundle):
         functions = functions.functions
-    meta = functions.metadata_for(np.asarray(function_ids))
-    combos = meta["trigger"]
-    unique_combos, inverse = np.unique(combos, return_inverse=True)
-    labels = np.array([aggregate_combo_label(c) for c in unique_combos], dtype="U12")
-    unique_configs, config_inverse = np.unique(meta["cpu_mem"], return_inverse=True)
-    sizes = np.array(
-        [
-            parse_config(c).size_class.value if c != "unknown" else SizeClass.SMALL.value
-            for c in unique_configs
-        ],
-        dtype="U8",
-    )
-    return FunctionMetadata(
-        runtime=meta["runtime"],
-        trigger=combos,
-        trigger_label=labels[inverse],
-        cpu_mem=meta["cpu_mem"],
-        size_class=sizes[config_inverse],
-    )
+    rows = functions.rows_for(function_ids)
+    return function_labels(functions, rows).take(rows)
 
 
 @dataclass
@@ -133,25 +147,29 @@ def pod_intervals(bundle: TraceBundle) -> PodIntervals:
     )
 
 
-def categories_for(
+def category_codes(
     functions: FunctionTable | TraceBundle, function_ids: np.ndarray, by: str
-) -> np.ndarray:
-    """Per-row category labels for an id column, for any grouping kind."""
-    meta = function_metadata(functions, function_ids)
-    if by == "trigger":
-        return meta.trigger_label
-    if by == "runtime":
-        return meta.runtime
-    if by == "config":
-        grouped = np.where(
-            np.isin(meta.cpu_mem, ("300-128", "400-256", "600-512", "1000-1024")),
-            meta.cpu_mem,
-            "other",
-        )
-        return grouped
-    if by == "size":
-        return meta.size_class
-    raise ValueError(f"unknown grouping {by!r}; use trigger/runtime/config/size")
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted category names, each id's index into them) for any grouping
+    kind: ``np.unique(categories, return_inverse=True)`` computed on the
+    function labels, never on a row-length string array."""
+    if isinstance(functions, TraceBundle):
+        functions = functions.functions
+    rows = functions.rows_for(function_ids)
+    meta = function_labels(functions, rows)
+    grouped = np.isin(meta.cpu_mem, ("300-128", "400-256", "600-512", "1000-1024"))
+    slots = {
+        "trigger": meta.trigger_label, "runtime": meta.runtime, "size": meta.size_class,
+        "config": np.where(grouped, meta.cpu_mem, "other"),
+    }.get(by)
+    if slots is None:
+        raise ValueError(f"unknown grouping {by!r}; use trigger/runtime/config/size")
+    used = np.zeros(slots.size, dtype=bool)
+    used[rows] = True
+    names, inverse = np.unique(slots[used], return_inverse=True)
+    codes = np.zeros(slots.size, dtype=np.intp)
+    codes[used] = inverse
+    return names, codes[rows]
 
 
 def pods_over_time_from(
@@ -168,10 +186,10 @@ def pods_over_time_from(
     chunk — both finish here.
     """
     horizon = float(intervals.last_end_s.max()) + keepalive_s if intervals.pod_id.size else bin_s
-    categories = categories_for(functions, intervals.function, by)
+    names, codes = category_codes(functions, intervals.function, by)
     out: dict[str, np.ndarray] = {}
-    for category in np.unique(categories):
-        mask = categories == category
+    for code, category in enumerate(names):
+        mask = codes == code
         out[str(category)] = presence_counts(
             intervals.start_s[mask],
             intervals.last_end_s[mask] + keepalive_s,
@@ -207,22 +225,24 @@ def proportions_from(
     the pod-level stream reduced to its function margin, which is all the
     share computation needs.
     """
-    pod_categories = categories_for(functions, intervals.function, by)
+    n_pods, n_cold_ids = intervals.function.size, cold_function_ids.size
+    names, codes = category_codes(
+        functions,
+        np.concatenate([intervals.function, cold_function_ids, functions["function"]]),
+        by,
+    )
+    pod_codes, cold_codes, func_codes = np.split(codes, [n_pods, n_pods + n_cold_ids])
     pod_seconds = np.maximum(intervals.useful_s(), 0.0) + 60.0
-    cold_categories = categories_for(functions, cold_function_ids, by)
-    func_categories = categories_for(functions, functions["function"], by)
 
     out: dict[str, dict[str, float]] = {}
     total_pod_seconds = float(pod_seconds.sum()) or 1.0
     n_cold = max(int(cold_counts.sum()), 1)
     n_funcs = max(len(functions), 1)
-    for category in np.unique(
-        np.concatenate([pod_categories, cold_categories, func_categories])
-    ):
+    for code, category in enumerate(names):
         out[str(category)] = {
-            "pods": float(pod_seconds[pod_categories == category].sum()) / total_pod_seconds,
-            "cold_starts": float(cold_counts[cold_categories == category].sum()) / n_cold,
-            "functions": float((func_categories == category).sum()) / n_funcs,
+            "pods": float(pod_seconds[pod_codes == code].sum()) / total_pod_seconds,
+            "cold_starts": float(cold_counts[cold_codes == code].sum()) / n_cold,
+            "functions": float((func_codes == code).sum()) / n_funcs,
         }
     return out
 

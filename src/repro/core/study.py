@@ -81,7 +81,7 @@ from repro.core.fits import (
     fit_weibull_weighted,
 )
 from repro.core.utility import utility_by_category, utility_by_category_from, utility_ratios_from
-from repro.trace.tables import TraceBundle
+from repro.trace.tables import COMPONENT_COLUMNS, TraceBundle
 from repro.workload.generator import generate_multi_region
 
 _SECONDS_PER_DAY = 86_400.0
@@ -298,6 +298,14 @@ class TraceStudy:
 
     def fig11_dominant_component(self) -> dict[str, str]:
         return {name: dominant_component(b.pods) for name, b in self.bundles.items()}
+
+    def fig11_component_stats(self) -> dict[str, dict[str, tuple[float, float]]]:
+        """(mean, median) seconds of each component, per region with pods."""
+        return {
+            name: {c: (float(v.mean()), float(np.median(v)))
+                   for c in COMPONENT_COLUMNS for v in [b.pods.component_s(c)]}
+            for name, b in self.bundles.items() if len(b.pods)
+        }
 
     # ---- Figure 12 --------------------------------------------------------------------
 
@@ -668,6 +676,19 @@ class StreamingTraceStudy:
                 if column != "cold_start_s"
             }
             out[name] = max(means, key=means.get)
+        return out
+
+    def fig11_component_stats(self) -> dict[str, dict[str, tuple[float, float]]]:
+        """(mean, median) seconds of each component, per region with pods;
+        medians to one sketch bin (dependency deployment's sketch skips
+        zeros, so they are counted back in)."""
+        out: dict[str, dict[str, tuple[float, float]]] = {}
+        for name, acc in self.stats.items():
+            for column in COMPONENT_COLUMNS if acc.n_cold_starts else ():
+                moments = acc.component_sums[column]
+                pooled = LogHistogram().merge(acc.category_hists[("all", "all", column)])
+                pooled.n_zero += moments.n - pooled.n
+                out.setdefault(name, {})[column] = (moments.mean, pooled.quantile(0.5))
         return out
 
     # ---- Figure 12 ---------------------------------------------------------

@@ -245,30 +245,34 @@ class FunctionTable(ColumnTable):
 
     schema = FUNCTION_SCHEMA
 
+    def rows_for(self, function_ids: np.ndarray) -> np.ndarray:
+        """Row of each id, by one ``searchsorted``; ids the table lacks map
+        to ``len(self)``, the "unknown" slot of :meth:`label_slots`."""
+        own = self._data["function"]
+        function_ids = np.asarray(function_ids)
+        if not len(own):
+            return np.zeros(len(function_ids), dtype=np.intp)
+        order = np.argsort(own)
+        sorted_ids = own[order]
+        pos = np.clip(np.searchsorted(sorted_ids, function_ids), 0, len(own) - 1)
+        return np.where(sorted_ids[pos] == function_ids, order[pos], len(own))
+
+    def label_slots(self, column: str) -> np.ndarray:
+        """``column`` per row plus a trailing ``"unknown"`` (cut to the
+        column's dtype, as assigning it into the column would)."""
+        if not len(self):
+            return np.full(1, "unknown", dtype="U24")
+        values = self._data[column]
+        return np.concatenate([values, np.array(["unknown"], dtype=values.dtype)])
+
     def metadata_for(self, function_ids: np.ndarray) -> dict[str, np.ndarray]:
         """Map ``function_ids`` to runtime/trigger/cpu_mem arrays.
 
         Unknown functions map to the string ``"unknown"`` for each field,
         mirroring the paper's note that some functions lack logged metadata.
         """
-        own = self._data["function"]
-        order = np.argsort(own)
-        sorted_ids = own[order]
-        pos = np.searchsorted(sorted_ids, function_ids)
-        pos = np.clip(pos, 0, max(len(own) - 1, 0))
-        if len(own):
-            found = sorted_ids[pos] == function_ids
-        else:
-            found = np.zeros(len(function_ids), dtype=bool)
-        out = {}
-        for column in ("runtime", "trigger", "cpu_mem"):
-            values = self._data[column][order][pos] if len(own) else np.full(
-                len(function_ids), "unknown", dtype="U24"
-            )
-            values = values.copy()
-            values[~found] = "unknown"
-            out[column] = values
-        return out
+        rows = self.rows_for(function_ids)
+        return {c: self.label_slots(c)[rows] for c in ("runtime", "trigger", "cpu_mem")}
 
 
 def dedupe_functions(tables: Sequence[FunctionTable]) -> FunctionTable:

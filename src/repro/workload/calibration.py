@@ -191,7 +191,14 @@ def _check_dominant_components(study: TraceStudy) -> tuple[bool, dict[str, float
     for name, allowed in expectations.items():
         if name in dominant:
             ok &= dominant[name] in allowed
-    return ok, {}
+    # the verdict ranks means; medians show when a mean rests on a tail
+    measured = {
+        f"{name}_{column.removesuffix('_us')}_{stat}_s": value
+        for name, stats in study.fig11_component_stats().items()
+        for column, pair in stats.items()
+        for stat, value in zip(("mean", "median"), pair)
+    }
+    return ok, measured
 
 
 def _check_custom_penalty(study: TraceStudy) -> tuple[bool, dict[str, float]]:

@@ -101,6 +101,22 @@ class TestCalibration:
             (r.target_id, r.passed) for r in check_calibration(streamed)
         ] == expected
 
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_dominant_components_report_means_and_medians(self, study, streamed):
+        if streamed:
+            study = StreamingTraceStudy.from_bundles(study.bundles)
+        by_id = {r.target_id: r for r in check_calibration(study)}
+        measured = by_id["fig11.dominant_components"].measured
+        dominant = study.fig11_dominant_component()
+        for name in study.regions:
+            means = {c: measured[f"{name}_{c}_mean_s"]
+                     for c in ("pod_alloc", "deploy_code", "deploy_dep", "scheduling")}
+            medians = [measured[f"{name}_{c}_median_s"] for c in means]
+            # the verdict ranks the reported means
+            assert f"{max(means, key=means.get)}_us" == dominant[name]
+            assert all(m >= 0.0 for m in medians)
+        assert len(measured) == 8 * len(study.regions)
+
     def test_calibration_passed_reduces(self):
         good = CalibrationResult("a", "f", "d", True)
         bad = CalibrationResult("b", "f", "d", False)
