@@ -199,13 +199,18 @@ def _last_tick_index(limit: float) -> int:
     return last_tick_index(limit, 60.0)
 
 
-def _prewarm_by_fn(tick, fid, target, spec_by_id) -> dict[int, tuple]:
-    """Per-function ``(tick, target)`` pre-warm slices of a schedule.
+#: The pre-warm slice of a function no schedule entry names.
+_NO_PREWARM = ((), ())
+
+
+def _prewarm_by_fn(tick, fid, target, spec_by_id, interval_s) -> dict[int, tuple]:
+    """Per-function pre-warm slices of a schedule: ``(tick times, targets)``.
 
     Takes the schedule's pre-warm entries as arrays in tick order (plan
     order within a tick) and mirrors the event engine's application rule:
     unknown function ids and non-positive targets are dropped; entries
-    keep (tick, plan) order.
+    keep (tick, plan) order. A tick's time is the engine's own
+    ``tick * interval_s`` product.
     """
     if not tick.size:
         return {}
@@ -218,10 +223,12 @@ def _prewarm_by_fn(tick, fid, target, spec_by_id) -> dict[int, tuple]:
     if not fn.size:
         return {}
     order = np.argsort(fn, kind="stable")
-    fn, tick, target = fn[order], tick[order].tolist(), target[order].tolist()
+    fn = fn[order]
+    tick_t = (tick[order] * interval_s).tolist()
+    target = target[order].tolist()
     cut = (np.flatnonzero(fn[1:] != fn[:-1]) + 1).tolist()
     return {
-        int(fn[lo]): tuple(zip(tick[lo:hi], target[lo:hi]))
+        int(fn[lo]): (tick_t[lo:hi], target[lo:hi])
         for lo, hi in zip([0] + cut, cut + [fn.size])
     }
 
@@ -609,7 +616,7 @@ class RegionEvaluator:
         n_decided = n_ticks
         slices = first_slices = _prewarm_by_fn(
             schedule.prewarm_tick, schedule.prewarm_fid,
-            schedule.prewarm_target, spec_by_id,
+            schedule.prewarm_target, spec_by_id, interval,
         )
 
         def covered_s() -> float:
@@ -623,7 +630,7 @@ class RegionEvaluator:
                 fn_t[i], fn_e[i], merged_pos[i], kas[i], concs[i],
                 self.queue_patience_s, samplers[i], congestion,
                 specs[i], sync[i], self.prewarm_grace_s,
-                interval, n_ticks, slices.get(i, ()), covered_s(),
+                interval, n_ticks, slices.get(i, _NO_PREWARM), covered_s(),
                 shave_schedule,
             )
             t = next(walker)
@@ -632,9 +639,9 @@ class RegionEvaluator:
                 grown, _ = decide(n_decided)
                 slices = _prewarm_by_fn(
                     grown.prewarm_tick, grown.prewarm_fid,
-                    grown.prewarm_target, spec_by_id,
+                    grown.prewarm_target, spec_by_id, interval,
                 )
-                t = walker.send((slices.get(i, ()), covered_s()))
+                t = walker.send((slices.get(i, _NO_PREWARM), covered_s()))
             return walker
 
         outcomes: list = [None] * n_fns
@@ -660,7 +667,7 @@ class RegionEvaluator:
             walkers[i] = walk(i)
         for i, walker in walkers.items():
             try:
-                walker.send((slices.get(i, ()), np.inf))
+                walker.send((slices.get(i, _NO_PREWARM), np.inf))
             except StopIteration as done:
                 outcomes[i] = done.value
         if machine is None and n_decided:

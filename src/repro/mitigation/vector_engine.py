@@ -1,10 +1,10 @@
 """Vectorized structure-of-arrays replay engine (the evaluator fast path).
 
 The event-driven evaluator walks every request through Python-level pod
-bookkeeping; this module replays the *uncoupled* policy configurations
-(per-function keep-alive, no pre-warming, no peak shaving — pod state of
-one function never depends on another) function by function with a
-precomputed structure-of-arrays walk instead:
+bookkeeping; this module replays function by function with precomputed
+structure-of-arrays walks instead. :func:`replay_function` replays the
+*uncoupled* configurations (per-function keep-alive, no pre-warming, no
+peak shaving — pod state of one function never depends on another):
 
 * **Steady idle-warm stretches** — each arrival finds its function's one
   pod idle, so the slot end is exactly ``t + e`` — are the common case by
@@ -23,6 +23,14 @@ precomputed structure-of-arrays walk instead:
   loop otherwise — handing back to the steady walk as soon as the pod
   population is one and idle.
 
+:func:`replay_function_coupled` replays one function under a tick
+decision schedule (pre-warm targets, shave directives) with the same
+kinds of regime: chain jumps over steady stretches of a calm pod set, a
+galloping batched slot-exhaustion sweep for busy multi-slot pods, and a
+slot-end heap for single-slot episodes. Pre-warm ticks are applied one
+gap between events at a time by one routine, which skips the ticks that
+pods already idle in the gap cover with one bisection.
+
 Every float operation along these paths is the same one the event engine
 performs per request — an idle warm hit ends at ``fl(t + e)``, a queued
 one at ``fl(E_prev + e)``, a pod dies at ``fl(E + ka)`` — which is what
@@ -31,13 +39,14 @@ Cold-start latencies come from per-function
 :class:`~repro.sim.latency.FunctionColdSampler` draws and congestion from
 the exogenous per-minute :class:`~repro.mitigation.evaluator
 .CongestionProfile`, both shared with the event engine
-(``tests/test_vector_engine.py`` pins the equivalence).
+(``tests/test_vector_engine.py`` and ``tests/test_properties_coupled.py``
+pin the equivalence).
 
-Per function the engine returns a :class:`FunctionReplay` — structure-of-
-arrays pod tables (creation time, death time) plus the cold-start events —
-from which the caller assembles gauge ticks, pod-second credits, and
-histogram updates in a canonical order independent of the engine that
-produced them.
+Per function the engine returns a :class:`FunctionReplay` (or
+:class:`CoupledReplay`) — structure-of-arrays pod tables (creation time,
+death time) plus the cold-start events — from which the caller assembles
+gauge ticks, pod-second credits, and histogram updates in a canonical
+order independent of the engine that produced them.
 """
 
 from __future__ import annotations
@@ -60,8 +69,8 @@ _SPEC_CHUNK = 1024
 #: exceeds the scalar path's cost).
 _SPEC_MIN_RUN = 8
 
-#: Arrivals examined per batched slot-exhaustion sweep in the coupled
-#: multi-slot walk (``replay_function_coupled``, conc > 1).
+#: Upper bound on arrivals examined per batched slot-exhaustion sweep in
+#: the coupled multi-slot walk (``replay_function_coupled``, conc > 1).
 _EP_CHUNK = 2048
 
 
@@ -83,6 +92,39 @@ class FunctionReplay:
     pod_created: np.ndarray
     pod_death: np.ndarray
     cold_idx: np.ndarray
+
+
+def _next_width(accepted: int, cap: int) -> int:
+    """The next block width of an adaptive walk: twice the prefix the last
+    block accepted, so a fully accepted block doubles and a violation
+    shrinks it, kept within ``[_SPEC_MIN_RUN, cap]``."""
+    return min(cap, max(_SPEC_MIN_RUN, 2 * accepted))
+
+
+def _candidates(t: np.ndarray, idle_end: np.ndarray, ka: float, conc: int) -> list[int]:
+    """Arrival positions where a steady one-pod walk may deviate, then ``n``.
+
+    Between candidates, a pod that serves every arrival at ``start = t``
+    ends each at ``idle_end = t + e`` and stays alive. A single-slot pod
+    deviates on any overlap with the previous request's end (or on its
+    death). A multi-slot pod serves sub-capacity overlap at once, so only
+    slot exhaustion — the steady in-flight count reaching the concurrency
+    — or a possible death deviates. The in-flight count before arrival k
+    is ``k - #{ends <= t_k}`` (an end j > k cannot precede t_k, and an end
+    at exactly t_k frees its slot, the strict ``end > now`` rule).
+    """
+    n = t.size
+    if n < 2:
+        return [n]
+    steady_prev = idle_end[:-1]
+    if conc == 1:
+        deviating = (t[1:] >= steady_prev + ka) | (t[1:] < steady_prev)
+    else:
+        inflight = np.arange(n) - np.searchsorted(
+            np.sort(idle_end), t, side="right"
+        )
+        deviating = (t[1:] >= steady_prev + ka) | (inflight[1:] >= conc)
+    return (np.flatnonzero(deviating) + 1).tolist() + [n]
 
 
 def _empty_replay() -> FunctionReplay:
@@ -163,41 +205,55 @@ def replay_function_coupled(
     grace: float,
     interval_s: float,
     n_ticks: int,
-    prewarm_ticks,
+    prewarm,
     covered_s: float,
     shave_schedule,
 ) -> Generator[float, tuple, CoupledReplay]:
     """Exact per-function replay under a fixed tick decision schedule.
 
-    A scalar port of the event engine's per-request pod bookkeeping for
-    *one* function — same slot-search rule (earliest feasible start, ties
-    to the earliest created pod), same queue-patience, pre-warm grace and
-    death-time semantics, same float operations per request — driven by
-    the function's own arrivals, its delayed re-arrivals, and the schedule
-    slice that concerns it: ``prewarm_ticks`` (ascending ``(tick,
-    target)`` pairs naming this function) and ``shave_schedule`` (the
-    per-tick shave directives, or ``None`` when no shaver runs). Given the
-    schedule, the function replays independently of every other function,
-    which is what lets the tick-partitioned vector engine replay only the
-    functions a decision actually touches.
+    The event engine's per-request pod rules for *one* function — same
+    slot-search rule (earliest feasible start, ties to the earliest
+    created pod), same queue-patience, pre-warm grace and death-time
+    semantics, same float operations per request — driven by the
+    function's own arrivals, its delayed re-arrivals, and the schedule
+    slice that concerns it: ``prewarm`` (the ascending tick times and
+    targets of the pre-warm entries naming this function, as a pair of
+    sequences) and ``shave_schedule`` (the per-tick shave directives, or
+    ``None`` when no shaver runs). Given the schedule, the function
+    replays independently of every other function, which is what lets the
+    tick-partitioned vector engine replay only the functions a decision
+    actually touches.
+
+    Most arrivals are retired in bulk, as by the uncoupled walk: steady
+    stretches of a calm (all idle) pod set by a chain jump, unsaturated
+    spans of a busy multi-slot pod by a galloping slot-exhaustion sweep,
+    and single-slot episodes with several pods (or one busy pod) from a
+    slot-end heap. Only the rest take the exact scalar step. Pre-warm
+    ticks are applied one gap between events at a time by one routine
+    (``prewarm_gap``), whatever regime the gap falls in.
 
     The replay is a generator, because delayed re-arrivals can run the
-    tick clock past the ticks the caller has decided. ``prewarm_ticks`` is
+    tick clock past the ticks the caller has decided. ``prewarm`` is
     complete for every tick before ``covered_s``; before an event at or
     past it the walker yields the event's time and expects to be sent
-    ``(prewarm_ticks, covered_s)`` of a schedule that covers it. After its
-    last event the walker yields ``inf`` and expects the slice of the
-    final schedule — only the ticks that fired, which depends on every
+    ``(prewarm, covered_s)`` of a schedule that covers it. After its last
+    event the walker yields ``inf`` and expects the slice of the final
+    schedule — only the ticks that fired, which depends on every
     function's events — for its trailing pre-warm sweep; it then returns
     the :class:`CoupledReplay`.
     """
     n = t.size
+    # Pod columns in creation order. ``untouched`` marks pre-warmed pods no
+    # request has reached yet: they live ``grace_ka`` past their last
+    # activity, every other pod ``ka``.
     created: list[float] = []
     ready: list[float] = []
     last: list[float] = []
-    ends: list[list[float]] = []
+    # In-flight slot ends. Pre-warmed pods share one empty tuple: every
+    # writer replaces a pod's entry rather than mutating it.
+    ends: list = []
     prewarmed: list[bool] = []
-    touched: list[bool] = []
+    untouched: list[bool] = []
     alive: list[int] = []
 
     warm_hits = prewarm_hits = prewarm_creations = 0
@@ -212,57 +268,118 @@ def replay_function_coupled(
     grace_ka = ka if ka > grace else grace
 
     def expire(now: float) -> None:
-        keep = []
-        for p in alive:
-            death = last[p] + (grace_ka if prewarmed[p] and not touched[p] else ka)
-            if now < death:
-                keep.append(p)
-        alive[:] = keep
+        alive[:] = [
+            p for p in alive
+            if now < last[p] + (grace_ka if untouched[p] else ka)
+        ]
 
-    def new_pod(created_at, ready_at, last_at, pod_ends, is_prewarmed):
-        p = len(created)
-        created.append(created_at)
-        ready.append(ready_at)
-        last.append(last_at)
-        ends.append(pod_ends)
-        prewarmed.append(is_prewarmed)
-        touched.append(not is_prewarmed)
-        alive.append(p)
+    def idle_windows(serving: int) -> list[tuple[float, float]]:
+        """The ``[last, death)`` idle window of every alive pod but
+        ``serving``: fixed while no request reaches the pod, since ``last``
+        bounds both its latest slot end and its readiness."""
+        return [
+            (last[p], last[p] + (grace_ka if untouched[p] else ka))
+            for p in alive
+            if p != serving
+        ]
 
-    def sweep_prewarm(t_limit: float) -> None:
-        """Apply every pending pre-warm tick at or before ``t_limit``.
+    def prewarm_gap(windows: list, busy_until: float, t_hi: float) -> None:
+        """Apply the pending pre-warm ticks at or before ``t_hi``, all in
+        one gap between events.
 
-        Between two events no pod is served, so each pod's idleness over
-        the swept ticks is a fixed window ``[last, death)`` — ``last``
-        bounds both its latest slot end and its readiness — and a tick's
-        idle count is a pair of comparisons per pod instead of a full
-        ``expire`` + slot-prune pass per tick.
+        Within a gap a tick's idle count is fixed by ``windows`` (the other
+        pods' idle windows, extended here by the pods this gap creates)
+        and the serving pod, idle from ``busy_until`` on (``inf``: none
+        serves). Every pod idle at a tick stays idle until its death, so
+        the ticks before the first such death whose targets ask for no
+        more than that count create nothing: they are skipped in one
+        bisection. The gap's pods are appended in one batch.
         """
         nonlocal pi, prewarm_creations
-        idle_spans = [
-            (
-                last[p],
-                last[p]
-                + (grace_ka if prewarmed[p] and not touched[p] else ka),
-            )
-            for p in alive
-        ]
-        while pi < n_pt:
-            tick_t = prewarm_ticks[pi][0] * interval_s
-            if tick_t > t_limit:
-                break
-            target = prewarm_ticks[pi][1]
+        stop = bisect.bisect_right(pw_t, t_hi, pi, n_pt)
+        made: list[float] = []  # the tick time of each pod this gap creates
+        while pi < stop:
+            tick_t = pw_t[pi]
+            kept = []
+            idle = 1 if busy_until <= tick_t else 0
+            cover = np.inf
+            for w in windows:
+                if w[1] > tick_t:
+                    kept.append(w)
+                    if w[0] <= tick_t:
+                        idle += 1
+                        if w[1] < cover:
+                            cover = w[1]
+            windows[:] = kept
+            k = pw_n[pi] - idle
+            if k > 0:
+                death = tick_t + grace_ka
+                made += [tick_t] * k
+                windows += [(tick_t, death)] * k
+                if death < cover:
+                    cover = death
+                idle += k
             pi += 1
-            idle_spans = [s for s in idle_spans if s[1] > tick_t]
-            idle = sum(1 for s in idle_spans if s[0] <= tick_t)
-            for _ in range(target - idle):
-                prewarm_creations += 1
-                new_pod(tick_t, tick_t, tick_t, [], True)
-                idle_spans.append((tick_t, tick_t + grace_ka))
+            run = bisect.bisect_left(pw_t, cover, pi, stop)
+            if run > pi and max(pw_n[pi:run]) <= idle:
+                pi = run
+        if made:
+            k = len(made)
+            p0 = len(created)
+            created.extend(made)
+            ready.extend(made)
+            last.extend(made)
+            ends.extend([()] * k)
+            prewarmed.extend([True] * k)
+            untouched.extend([True] * k)
+            alive.extend(range(p0, p0 + k))
+            prewarm_creations += k
+
+    def prewarm_span(b: int, lo: int, limit: int, busy_until, off: int) -> None:
+        """Pre-warm ticks inside arrivals ``[lo, limit)``, which pod ``b``
+        serves back to back: in the gap before arrival ``j`` it is busy
+        until ``busy_until[j - off]``."""
+        windows = idle_windows(b)
+        t_last = tl[limit - 1]
+        while pi < n_pt and pw_t[pi] <= t_last:
+            j = bisect.bisect_left(tl, pw_t[pi], lo + 1, limit)
+            prewarm_gap(windows, busy_until[j - off], tl[j])
+
+    def cold_start(now: float, exec_s: float, was_delayed: bool, mpos: int) -> bool:
+        """A request no pod can take: delay it if the shave directive in
+        force says so (False), else cold-start a new pod for it (True)."""
+        if shave_schedule is not None and not was_delayed and not sync:
+            directive = shave_schedule[tick_index_of(now, interval_s, n_ticks)]
+            if directive is not None:
+                delay = directive.delay_for(
+                    spec, now, congestion.at(now), len(delay_s_l)
+                )
+                if delay > 0:
+                    delay_t_l.append(now)
+                    delay_s_l.append(delay)
+                    delay_p_l.append(mpos)
+                    heapq.heappush(
+                        pending, (now + delay, len(delay_s_l), exec_s, mpos)
+                    )
+                    return False
+        cold = sampler.next_total(congestion.at(now))
+        cold_t_l.append(now)
+        cold_w_l.append(cold)
+        cold_d_l.append(was_delayed)
+        cold_m_l.append(mpos)
+        end = now + cold + exec_s
+        alive.append(len(created))
+        created.append(now)
+        ready.append(now + cold)
+        last.append(end)
+        ends.append([end])
+        prewarmed.append(False)
+        untouched.append(False)
+        return True
 
     def handle(now: float, exec_s: float, was_delayed: bool, mpos: int) -> None:
+        """The scalar step, on pods already expired at ``now``."""
         nonlocal warm_hits, prewarm_hits
-        expire(now)
         best = -1
         best_start = np.inf
         for p in alive:
@@ -279,9 +396,9 @@ def replay_function_coupled(
             if start < best_start:
                 best, best_start = p, start
         if best >= 0:
-            if prewarmed[best] and not touched[best]:
+            if untouched[best]:
                 prewarm_hits += 1
-            touched[best] = True
+                untouched[best] = False
             pod_ends = ends[best]
             if len(pod_ends) >= conc:
                 pod_ends.remove(min(pod_ends))
@@ -291,259 +408,229 @@ def replay_function_coupled(
                 last[best] = end
             warm_hits += 1
             return
-        if shave_schedule is not None and not was_delayed and not sync:
-            directive = shave_schedule[tick_index_of(now, interval_s, n_ticks)]
-            if directive is not None:
-                delay = directive.delay_for(
-                    spec, now, congestion.at(now), len(delay_s_l)
-                )
-                if delay > 0:
-                    delay_t_l.append(now)
-                    delay_s_l.append(delay)
-                    delay_p_l.append(mpos)
-                    heapq.heappush(
-                        pending, (now + delay, len(delay_s_l), exec_s, mpos)
-                    )
-                    return
-        cold = sampler.next_total(congestion.at(now))
-        cold_t_l.append(now)
-        cold_w_l.append(cold)
-        cold_d_l.append(was_delayed)
-        cold_m_l.append(mpos)
-        end = now + cold + exec_s
-        new_pod(now, now + cold, end, [end], False)
+        cold_start(now, exec_s, was_delayed, mpos)
+
+    def episode(i: int) -> int:
+        """Serve single-slot arrivals from ``i`` on while several pods are
+        alive, or one is busy; returns the first arrival not served.
+
+        Busy pods sit in a slot-end heap, idle ones in a pool served in
+        creation order — the scalar step's rule, since an idle pod starts
+        at once and a busy one at its slot end — so an arrival costs
+        O(log pods), not a pass over every pod. Hands back to the chain jump
+        or the scalar step once at most one idle pod is left, and stops
+        before a pre-warm tick, a delayed re-arrival or an undecided tick
+        comes due.
+        """
+        nonlocal warm_hits, prewarm_hits, episode_arrivals
+        now = tl[i]
+        heap = [(last[p], p) for p in alive if last[p] > now]
+        heapq.heapify(heap)
+        pool = [p for p in alive if last[p] <= now]  # ascending
+        t_stop = min(pw_t[pi], covered_s) if pi < n_pt else covered_s
+        i0 = i
+        while i < n:
+            now = tl[i]
+            if now >= t_stop or (pending and now > pending[0][0]):
+                break
+            while heap and heap[0][0] <= now:
+                bisect.insort(pool, heapq.heappop(heap)[1])
+            if not heap:
+                pool = [
+                    p for p in pool
+                    if now < last[p] + (grace_ka if untouched[p] else ka)
+                ]
+                if len(pool) <= 1:
+                    break
+            # Dead idle pods leave the pool when they reach its head.
+            while pool and now >= last[pool[0]] + (
+                grace_ka if untouched[pool[0]] else ka
+            ):
+                del pool[0]
+            if pool:
+                b = pool.pop(0)
+                if untouched[b]:
+                    prewarm_hits += 1
+                    untouched[b] = False
+                end = now + el[i]
+                last[b] = end
+                heapq.heappush(heap, (end, b))
+            else:
+                end, b = heap[0]
+                if end - now > patience:
+                    if cold_start(now, el[i], False, ml[i]):  # newest pod
+                        heapq.heappush(heap, (last[-1], len(last) - 1))
+                    i += 1
+                    continue
+                end = end + el[i]
+                last[b] = end
+                heapq.heapreplace(heap, (end, b))
+            warm_hits += 1
+            i += 1
+        for end, p in heap:
+            ends[p] = [end]
+        pool.extend(p for _, p in heap)
+        pool.sort()
+        alive[:] = pool
+        episode_arrivals += i - i0
+        return i
 
     tl = t.tolist()
     el = e.tolist()
     ml = merged_pos.tolist()
-    n_pt = len(prewarm_ticks)
+    pw_t, pw_n = prewarm
+    n_pt = len(pw_t)
     # Steady-chain jump (the PR 4 fast-walk trick, schedule-aware): runs
-    # of idle-warm single-pod arrivals end at exactly ``t + e``, never
+    # of arrivals a calm pod serves at once end at exactly ``t + e``, never
     # consult the shave schedule (only cold-bound arrivals read it) — so
     # they are consumed wholesale up to the next deviation candidate.
-    # Pre-warm ticks inside the jumped span are swept analytically: with
-    # every pod idle and the serving pod winning each slot tie, the only
-    # state a tick can observe is the idle count, which is derivable from
-    # the serving pod's busy window and the other pods' fixed death
-    # times — so a pre-warm tick reduces to "create when short".
-    if conc == 1 and n > 1:
-        idle_end = t + e
-        steady_prev = idle_end[:-1]
-        deviating = (t[1:] >= steady_prev + ka) | (t[1:] < steady_prev)
-        candidates = np.flatnonzero(deviating) + 1
-        cand_list = candidates.tolist()
-    else:
-        idle_end = t + e
-        cand_list = []
-    cand_list.append(n)  # sentinel
-    # Multi-slot sweeps assume ``end > t`` so an arrival can never be
+    # Multi-slot walks assume ``end > t`` so an arrival can never be
     # confused with an already-finished slot of a later arrival.
+    idle_end = t + e
     e_pos = conc > 1 and n > 0 and bool(np.all(e > 0.0))
+    cand_list = _candidates(t, idle_end, ka, conc) if conc == 1 or e_pos else [n]
+    sweep_w = 4 * _SPEC_MIN_RUN  # the slot sweep's block width; gallops
     ci = 0
     pi = 0
     ai = 0
-    jumped = swept = 0
+    jumped = swept = sweep_blocks = episode_arrivals = 0
     last_event_t = -np.inf
     while ai < n or pending:
         t_arrival = tl[ai] if ai < n else np.inf
         t_delayed = pending[0][0] if pending else np.inf
         t_event = t_arrival if t_arrival <= t_delayed else t_delayed
         if t_event >= covered_s:
-            prewarm_ticks, covered_s = yield t_event
-            n_pt = len(prewarm_ticks)
-        if pi < n_pt and prewarm_ticks[pi][0] * interval_s <= t_event:
-            sweep_prewarm(t_event)
+            (pw_t, pw_n), covered_s = yield t_event
+            n_pt = len(pw_t)
+        if pi < n_pt and pw_t[pi] <= t_event:
+            prewarm_gap(idle_windows(-1), np.inf, t_event)
+        expire(t_event)
         if t_delayed < t_arrival:
             now, _seq, exec_s, mpos = heapq.heappop(pending)
             handle(float(now), float(exec_s), True, int(mpos))
             last_event_t = float(now)
             continue
-        if conc == 1 and not pending:
-            tk = t_arrival
-            expire(tk)
-            if alive:
-                calm = True
-                for p in alive:
-                    if last[p] > tk:
-                        calm = False  # an in-flight pod: exact scalar step
-                        break
-                b = alive[0]
-                if calm and touched[b] and tk < last[b] + ka:
-                    # Every pod idle: the earliest-created pod keeps
-                    # winning the slot tie and serves each steady arrival
-                    # at exactly ``t + e`` — jump to the next deviation
-                    # candidate. Pre-warm ticks inside the span are swept
-                    # in place: at tick T the serving pod is idle iff its
-                    # previous arrival's end is <= T, every other alive
-                    # pod is idle until its (already fixed) death time,
-                    # and a pod created mid-sweep dies at T + grace, past
-                    # every earlier death — one ascending list suffices.
-                    while cand_list[ci] <= ai:
-                        ci += 1
-                    limit = cand_list[ci]
-                    t_span_end = tl[limit - 1]
-                    if (
-                        pi < len(prewarm_ticks)
-                        and prewarm_ticks[pi][0] * interval_s <= t_span_end
-                    ):
-                        deaths = sorted(
-                            last[p]
-                            + (
-                                grace_ka
-                                if prewarmed[p] and not touched[p]
-                                else ka
-                            )
-                            for p in alive
-                            if p != b
-                        )
-                        j = ai + 1
-                        while pi < len(prewarm_ticks):
-                            tick_t = prewarm_ticks[pi][0] * interval_s
-                            if tick_t > t_span_end:
-                                break
-                            target = prewarm_ticks[pi][1]
-                            pi += 1
-                            while j < limit and tl[j] < tick_t:
-                                j += 1
-                            d0 = 0
-                            while d0 < len(deaths) and deaths[d0] <= tick_t:
-                                d0 += 1
-                            if d0:
-                                del deaths[:d0]
-                            idle = len(deaths)
-                            if idle_end[j - 1] <= tick_t:
-                                idle += 1
-                            for _ in range(target - idle):
-                                prewarm_creations += 1
-                                new_pod(tick_t, tick_t, tick_t, [], True)
-                                deaths.append(tick_t + grace_ka)
-                    warm_hits += limit - ai
-                    jumped += limit - ai
-                    end = float(idle_end[limit - 1])
-                    last[b] = end
-                    ends[b] = [end]
-                    last_event_t = t_span_end
-                    ai = limit
-                    continue
-        elif e_pos and not pending:
+        tk = t_arrival
+        if not alive:
+            cold_start(tk, el[ai], False, ml[ai])
+            last_event_t = tk
+            ai += 1
+            continue
+        b = alive[0]
+        calm = True
+        for p in alive:
+            if last[p] > tk:
+                calm = False  # an in-flight pod
+                break
+        if calm and not pending and (conc == 1 or e_pos):
+            # Every pod idle: the earliest-created pod keeps winning the
+            # slot tie and serves each steady arrival at exactly ``t + e``
+            # — jump to the next deviation candidate. No pod was busy, so
+            # no earlier request hides in the candidates' in-flight counts.
+            # In the gap before arrival j the serving pod is busy until
+            # its latest end so far (a single slot's ends ascend).
+            if untouched[b]:
+                prewarm_hits += 1
+                untouched[b] = False
+            while cand_list[ci] <= ai:
+                ci += 1
+            limit = cand_list[ci]
+            t_last = tl[limit - 1]
+            if conc == 1:
+                busy_until, off = idle_end, 1
+                end = float(idle_end[limit - 1])
+                ends[b] = [end]
+            else:
+                seg = idle_end[ai:limit]
+                busy_until = np.concatenate(([last[b]], seg))
+                np.maximum.accumulate(busy_until, out=busy_until)
+                off = ai
+                end = float(busy_until[-1])
+                ends[b] = seg[seg > t_last].tolist()
+            if pi < n_pt and pw_t[pi] <= t_last:
+                prewarm_span(b, ai, limit, busy_until, off)
+            last[b] = end
+            warm_hits += limit - ai
+            jumped += limit - ai
+            last_event_t = t_last
+            ai = limit
+            continue
+        if conc == 1:
+            if len(alive) > 1 or not calm:
+                ai = episode(ai)
+                last_event_t = tl[ai - 1]
+                continue
+        elif e_pos and not pending and ready[b] <= tk:
             # Batched slot-exhaustion sweep (conc > 1): while the
-            # earliest-created pod has a free slot (and is ready), it
-            # wins every slot tie at ``start = now`` — even against
-            # idle pods later in scan order — so each arrival runs
-            # ``[t, t + e)`` on it regardless of overlap. The pod's
-            # in-flight count at arrival i is then a rank: the number
-            # of span ends still above ``t[i]`` (``e > 0`` makes ends
-            # of later arrivals invisible to earlier ranks). One sort
-            # + searchsorted per chunk finds the longest prefix that
-            # never exhausts the ``conc`` slots or outlives the pod.
-            tk = t_arrival
-            expire(tk)
-            if alive:
-                b = alive[0]
-                if touched[b] and ready[b] <= tk:
-                    e0 = [x for x in ends[b] if x > tk]
-                    ends[b] = e0
-                    if len(e0) < conc:
-                        lo = ai
-                        hi = lo + _EP_CHUNK
-                        if hi > n:
-                            hi = n
-                        t_ch = t[lo:hi]
-                        end_ch = idle_end[lo:hi]
-                        order = np.sort(end_ch)
-                        inflight = np.arange(t_ch.size) - np.searchsorted(
-                            order, t_ch, side="right"
-                        )
-                        if e0:
-                            e0s = np.sort(np.asarray(e0, dtype=np.float64))
-                            inflight += len(e0) - np.searchsorted(
-                                e0s, t_ch, side="right"
-                            )
-                        viol = inflight >= conc
-                        m_prev = np.maximum.accumulate(
-                            np.concatenate(([last[b]], end_ch[:-1]))
-                        )
-                        viol |= t_ch >= m_prev + ka
-                        nz = np.flatnonzero(viol)
-                        acc = int(nz[0]) if nz.size else t_ch.size
-                        limit = lo + acc
-                        t_last = tl[limit - 1]
-                        if (
-                            pi < len(prewarm_ticks)
-                            and prewarm_ticks[pi][0] * interval_s <= t_last
-                        ):
-                            # In-span pre-warm ticks, analytically: the
-                            # serving pod is idle at tick T iff no span
-                            # end is still above T; every other pod is
-                            # idle on a fixed ``[last, death)`` window.
-                            idle_spans = [
-                                (
-                                    last[p],
-                                    last[p]
-                                    + (
-                                        grace_ka
-                                        if prewarmed[p] and not touched[p]
-                                        else ka
-                                    ),
-                                )
-                                for p in alive
-                                if p != b
-                            ]
-                            while pi < len(prewarm_ticks):
-                                tick_t = prewarm_ticks[pi][0] * interval_s
-                                if tick_t > t_last:
-                                    break
-                                target = prewarm_ticks[pi][1]
-                                pi += 1
-                                idle_spans = [
-                                    s for s in idle_spans if s[1] > tick_t
-                                ]
-                                idle = sum(
-                                    1 for s in idle_spans if s[0] <= tick_t
-                                )
-                                jt = bisect.bisect_left(tl, tick_t, lo, limit)
-                                busy = (jt - lo) - int(
-                                    np.searchsorted(
-                                        order, tick_t, side="right"
-                                    )
-                                )
-                                if e0:
-                                    busy += sum(1 for x in e0 if x > tick_t)
-                                if busy == 0:
-                                    idle += 1
-                                for _ in range(target - idle):
-                                    prewarm_creations += 1
-                                    new_pod(tick_t, tick_t, tick_t, [], True)
-                                    idle_spans.append(
-                                        (tick_t, tick_t + grace_ka)
-                                    )
-                        keep = [x for x in e0 if x > t_last]
-                        keep.extend(
-                            x for x in end_ch[:acc].tolist() if x > t_last
-                        )
-                        ends[b] = keep
-                        m = float(end_ch[:acc].max())
-                        if m > last[b]:
-                            last[b] = m
-                        warm_hits += acc
-                        swept += acc
-                        last_event_t = t_last
-                        ai = limit
-                        continue
-        handle(tl[ai], el[ai], False, ml[ai])
-        last_event_t = tl[ai]
+            # earliest-created pod has a free slot (and is ready), it wins
+            # every slot tie at ``start = now`` — even against idle pods
+            # later in scan order — so each arrival runs ``[t, t + e)`` on
+            # it regardless of overlap. The pod's in-flight count at
+            # arrival i is then a rank: the number of span ends still
+            # above ``t[i]`` (``e > 0`` makes ends of later arrivals
+            # invisible to earlier ranks). One sort + searchsorted per
+            # block finds the longest prefix that never exhausts the
+            # ``conc`` slots or outlives the pod; blocks gallop like the
+            # uncoupled walk's speculation. A block pays only if the pod
+            # also takes the next arrival (a free slot, and alive).
+            e0 = [x for x in ends[b] if x > tk]
+            ends[b] = e0
+            t1 = tl[ai + 1] if ai + 1 < n else np.inf
+            end1 = float(idle_end[ai])
+            busy1 = sum(1 for x in e0 if x > t1) + (end1 > t1)
+            if len(e0) < conc and busy1 < conc and t1 < max(last[b], end1) + ka:
+                lo = ai
+                hi = lo + sweep_w
+                if hi > n:
+                    hi = n
+                t_ch = t[lo:hi]
+                end_ch = idle_end[lo:hi]
+                # Arrival k finds len(e0) + k - #(ends <= t[k]) slots busy.
+                freed = np.sort(np.concatenate((e0, end_ch))).searchsorted(
+                    t_ch, "right"
+                )
+                slack = len(e0) - conc
+                viol = np.arange(slack, slack + t_ch.size) >= freed
+                # busy_until[k]: the pod's latest slot end once the
+                # block's first k arrivals are served.
+                busy_until = np.concatenate(([last[b]], end_ch))
+                np.maximum.accumulate(busy_until, out=busy_until)
+                # The pod outlives the block's first arrival (``expire``);
+                # a later one may find it dead.
+                viol[1:] |= t_ch[1:] >= busy_until[1:-1] + ka
+                acc = int(viol.argmax()) if viol.any() else t_ch.size
+                sweep_blocks += 1
+                sweep_w = _next_width(acc, _EP_CHUNK)
+                if untouched[b]:
+                    prewarm_hits += 1
+                    untouched[b] = False
+                limit = lo + acc
+                t_last = tl[limit - 1]
+                if pi < n_pt and pw_t[pi] <= t_last:
+                    prewarm_span(b, lo, limit, busy_until, lo)
+                keep = [x for x in e0 if x > t_last]
+                keep.extend(x for x in end_ch[:acc].tolist() if x > t_last)
+                ends[b] = keep
+                last[b] = float(busy_until[acc])
+                warm_hits += acc
+                swept += acc
+                last_event_t = t_last
+                ai = limit
+                continue
+        handle(tk, el[ai], False, ml[ai])
+        last_event_t = tk
         ai += 1
     # Ticks past this function's last event still fired globally (other
     # functions kept the clock running); apply their pre-warm targets once
     # every function's events have fixed which ticks fired.
-    prewarm_ticks, _ = yield np.inf
-    n_pt = len(prewarm_ticks)
+    (pw_t, pw_n), _ = yield np.inf
+    n_pt = len(pw_t)
     if pi < n_pt:
-        sweep_prewarm(np.inf)
+        prewarm_gap(idle_windows(-1), np.inf, np.inf)
 
     death = np.array(
         [
-            last[p] + (grace_ka if prewarmed[p] and not touched[p] else ka)
+            last[p] + (grace_ka if untouched[p] else ka)
             for p in range(len(created))
         ],
         dtype=np.float64,
@@ -552,9 +639,12 @@ def replay_function_coupled(
     if tel.enabled:
         tel.count_many((
             ("vector/coupled/replays", 1),
-            ("vector/coupled/scalar_arrivals", n - jumped - swept),
+            ("vector/coupled/scalar_arrivals",
+             n - jumped - swept - episode_arrivals),
             ("vector/coupled/chain_jumped", jumped),
             ("vector/coupled/slot_swept", swept),
+            ("vector/coupled/sweep_blocks", sweep_blocks),
+            ("vector/coupled/episode_arrivals", episode_arrivals),
         ))
     return CoupledReplay(
         requests=n,
@@ -612,28 +702,9 @@ def _replay_walk(t, e, ka, conc, patience, sampler, congestion) -> FunctionRepla
         spec_run = np.empty(n, dtype=np.int64)
         spec_run[-1] = 0
         spec_run[:-1] = next_stop - np.arange(n - 1)
-        steady_prev = idle_end_np[:-1]
-        if conc == 1:
-            # A single-slot pod deviates on any overlap with the previous
-            # request's end (or on its death).
-            deviating = (t[1:] >= steady_prev + ka) | (t[1:] < steady_prev)
-        else:
-            # A multi-slot pod serves sub-capacity overlap immediately (the
-            # slot end stays exactly t + e), so only slot exhaustion — the
-            # steady-state in-flight count reaching the concurrency — or a
-            # possible death deviates. The in-flight count before arrival k
-            # is ``k - #{ends <= t_k}`` (an end j > k cannot precede t_k,
-            # and an end at exactly t_k frees its slot, the strict
-            # ``end > now`` rule).
-            inflight = np.arange(n) - np.searchsorted(
-                np.sort(idle_end_np), t, side="right"
-            )
-            deviating = (t[1:] >= steady_prev + ka) | (inflight[1:] >= conc)
-        candidates = (np.flatnonzero(deviating) + 1).tolist()
     else:
         spec_run = np.zeros(1, dtype=np.int64)
-        candidates = []
-    candidates.append(n)  # sentinel
+    candidates = _candidates(t, idle_end_np, ka, conc)
     ci = 0
 
     cold_blocks: list[np.ndarray] = []  # (idx, wait) column pairs, in order
@@ -689,7 +760,7 @@ def _replay_walk(t, e, ka, conc, patience, sampler, congestion) -> FunctionRepla
                 accept = m if dead.all() else int(np.argmin(dead)) + 1
                 w_spec_blocks += 1
                 w_spec_accept += accept
-                spec_w = min(_SPEC_CHUNK, max(_SPEC_MIN_RUN, 2 * accept))
+                spec_w = _next_width(accept, _SPEC_CHUNK)
                 sampler.advance(accept)
                 flush_singles()
                 cold_blocks.append(np.arange(i, i + accept))

@@ -18,7 +18,16 @@ replay has to get exactly right:
   events stay governed by the last tick);
 * re-arrivals landing exactly on a tick edge;
 * closed-form and stepped (``_ObservingTimer``, a custom directive)
-  schedules.
+  schedules;
+* per-pod concurrency 1 to 4, and multi-slot bursts longer than the slot
+  sweep's first block and than its largest (``_EP_CHUNK``), so block
+  edges fall mid-burst;
+* long idle gaps that many pre-warm ticks fall into (a function warm on
+  one day and sparse on the next, or pre-warmed at every tick);
+* a stepped pre-warm policy asking for two or three pods, so skipping
+  the ticks earlier pods already cover must compare targets;
+* single-slot episodes in which an untouched pre-warmed pod ties with a
+  pod whose slot ends exactly at the arrival.
 """
 
 from __future__ import annotations
@@ -35,9 +44,11 @@ from repro.mitigation import (
     TickPolicy,
     TimerPrewarmPolicy,
 )
+from repro.mitigation.base import PrewarmPolicy
 from repro.mitigation.evaluator import CongestionProfile
 from repro.mitigation.tick import last_tick_index
-from repro.mitigation.vector_engine import replay_function_coupled
+from repro.mitigation.vector_engine import _EP_CHUNK, replay_function_coupled
+from repro.obs.telemetry import profiled
 from repro.workload.catalog import APIG_S, OBS_A, ResourceConfig, Runtime, TIMER_A
 from repro.workload.function import FunctionSpec
 from repro.workload.generator import FunctionTrace
@@ -77,6 +88,25 @@ class _EdgeShaver(TickPolicy):
         return TickAction(shave=_EdgeDirective())
 
 
+class _SteppedTargets(PrewarmPolicy):
+    """Pre-warms every function seen so far at five ticks in seven, two
+    or three pods by tick: a stepped schedule with targets above one."""
+
+    def __init__(self):
+        self._seen: tuple = ()
+
+    def observe_batch(self, cols):
+        if cols.arrive_fn.size:
+            fids = cols.function_ids[cols.arrive_fn].tolist()
+            self._seen = tuple(sorted(set(self._seen).union(fids)))
+
+    def decide(self, tick, now):
+        if tick % 7 in (4, 6):
+            return TickAction()
+        target = 3 if tick % 3 == 1 else 2
+        return TickAction(prewarm=tuple((f, target) for f in self._seen))
+
+
 #: Policy sets by name: ``make(max_delay_s, trigger)`` -> evaluator kwargs.
 _POLICY_SETS = {
     "timer": lambda d, g: dict(prewarm_policy=TimerPrewarmPolicy()),
@@ -102,6 +132,10 @@ _POLICY_SETS = {
     "stepped-timer+edge-shaver": lambda d, g: dict(
         prewarm_policy=_ObservingTimer(), peak_shaver=_EdgeShaver()
     ),
+    "stepped-targets": lambda d, g: dict(prewarm_policy=_SteppedTargets()),
+    "stepped-targets+shaving": lambda d, g: dict(
+        prewarm_policy=_SteppedTargets(), peak_shaver=_shaver(d, g)
+    ),
 }
 
 
@@ -115,20 +149,49 @@ def _timer_times(draw):
 
 
 @st.composite
+def _long_burst_times(draw):
+    """A burst longer than the slot sweep's first block, or than its
+    largest, crossing a tick edge."""
+    edge = draw(st.integers(1, 30)) * _TICK
+    gap = draw(st.sampled_from([0.001, 0.02, 0.05]))
+    count = draw(st.sampled_from([40, 70, _EP_CHUNK + 50, 2 * _EP_CHUNK + 7]))
+    return (edge - 0.5 + gap * np.arange(count)).tolist()
+
+
+@st.composite
+def _diurnal_times(draw):
+    """Dense arrivals over a window of day one, then a few in the same
+    window of day two: the histogram policy pre-warms every minute of it,
+    so long idle gaps hold many pre-warm ticks."""
+    start = draw(st.integers(0, 600)) * 60.0
+    width = draw(st.sampled_from([20, 90]))
+    step = draw(st.sampled_from([10.0, 30.0]))
+    dense = start + step * np.arange(int(width * 60.0 / step))
+    sparse = draw(st.lists(st.integers(0, width * 60), max_size=4))
+    return dense.tolist() + [86_400.0 + start + s for s in sparse]
+
+
+@st.composite
 def _function(draw):
-    kind = draw(st.sampled_from(["edges", "burst", "grid", "timer"]))
+    kind = draw(st.sampled_from(
+        ["edges", "burst", "grid", "timer", "long-burst", "diurnal"]
+    ))
     if kind == "edges":
         times = draw(_tick_edge_times())
     elif kind == "burst":
         times = draw(_burst_times()) + draw(_grid_times())
     elif kind == "grid":
         times = draw(_grid_times())
-    else:
+    elif kind == "timer":
         times = draw(_timer_times())
+    elif kind == "long-burst":
+        times = draw(_long_burst_times()) + draw(_grid_times())
+    else:
+        times = draw(_diurnal_times())
     return (
         kind == "timer", draw(st.booleans()), sorted(times),
-        draw(st.sampled_from([0.01, 0.5, 2.0, 30.0])),
-        draw(st.sampled_from([1, 1, 3])),
+        draw(st.sampled_from([0.01, 0.1, 0.5, 2.0, 30.0])),
+        draw(st.sampled_from([1, 1, 2, 3, 4])),
     )
 
 
@@ -196,11 +259,60 @@ _LATE_CLOCK = (
 )
 
 
+#: Multi-slot bursts at concurrency 2 and 4, pre-warmed at most ticks: one
+#: keeps its pod busy without filling its slots, so it is swept (not
+#: chain-jumped) past two of the sweep's largest blocks; one fills them
+#: and queues, so blocks stop short and restart.
+_LONG_BURSTS = (
+    "stepped-targets", 45.0, 0.0, 60.0, None, 2,
+    [
+        (False, True, (119.5 + 0.05 * np.arange(2 * _EP_CHUNK + 7)).tolist(),
+         0.1, 4),
+        (False, False, (59.5 + 0.001 * np.arange(_EP_CHUNK + 50)).tolist(),
+         0.01, 2),
+        (True, False, (120.0 * np.arange(12)).tolist(), 0.5, 1),
+    ],
+)
+
+#: A function warm over an hour and a half of day one and nearly idle in
+#: that window on day two, where the histogram policy pre-warms it every
+#: minute: long idle gaps each hold many pre-warm ticks.
+_IDLE_GAPS = (
+    "histogram", 45.0, 0.0, 10.0, None, 3,
+    [
+        (False, False,
+         (3_600.0 + 30.0 * np.arange(180)).tolist()
+         + [90_000.0 + 1_200.0, 90_000.0 + 4_000.0], 0.5, 1),
+        (False, True,
+         (3_600.0 + 10.0 * np.arange(540)).tolist() + [90_000.0 + 2_000.0],
+         2.0, 3),
+    ],
+)
+
+#: Two or three pre-warmed pods per tick. Arrival 120.5 takes the first
+#: (busy until 121.0), 120.7 a second, and at 121.0 the first pod's slot
+#: end ties with the untouched third: the earliest created wins.
+_EPISODE_TIE = (
+    "stepped-targets", 45.0, 0.0, 60.0, None, 0,
+    [
+        (False, False, [10.0, 120.5, 120.7, 121.0, 121.2, 121.5, 300.0],
+         0.5, 1),
+        (False, True, [30.0, 200.0, 200.25, 200.5, 200.5, 201.0], 0.5, 2),
+    ],
+)
+
+
 @_SETTINGS
 @given(case=cases())
 @example(case=_LATE_CLOCK)
 @example(case=("stepped-timer+shaving",) + _LATE_CLOCK[1:])
 @example(case=("stepped-timer+edge-shaver",) + _LATE_CLOCK[1:])
+@example(case=_LONG_BURSTS)
+@example(case=("stepped-targets+shaving", 45.0, -1.0) + _LONG_BURSTS[3:])
+@example(case=_IDLE_GAPS)
+@example(case=("stepped-targets",) + _IDLE_GAPS[1:])
+@example(case=_EPISODE_TIE)
+@example(case=("stepped-targets+shaving", 45.0, -1.0) + _EPISODE_TIE[3:])
 def test_vector_matches_event(case):
     event = _replay(case, "event")
     vector = _replay(case, "vector")
@@ -219,6 +331,24 @@ def test_late_clock_case_extends_past_the_last_arrival():
     assert metrics.prewarm_creations > no_delays.prewarm_creations
 
 
+def _counters(case) -> dict:
+    with profiled() as tel:
+        _replay(case, "vector")
+        return dict(tel.counters)
+
+
+def test_pinned_cases_reach_the_new_regimes():
+    """The hand-placed cases exercise what they are named for."""
+    bursts = _counters(_LONG_BURSTS)
+    assert bursts["vector/coupled/slot_swept"] > 2 * _EP_CHUNK
+    assert bursts["vector/coupled/sweep_blocks"] > 2
+    gaps = _replay(_IDLE_GAPS, "event")
+    assert gaps.prewarm_creations > 10
+    tie = _counters(_EPISODE_TIE)
+    assert tie["vector/coupled/episode_arrivals"] > 0
+    assert _replay(_EPISODE_TIE, "event").prewarm_hits > 0
+
+
 def test_walker_asks_for_the_tick_an_event_lands_on():
     """An event exactly at the end of the decided ticks needs the tick
     that fires at it: the walker asks for it before handling the event,
@@ -228,12 +358,12 @@ def test_walker_asks_for_the_tick_an_event_lands_on():
     walker = replay_function_coupled(
         trace.arrivals, trace.exec_s, np.arange(2), 60.0, 1, 30.0,
         evaluator._sampler_for(trace.spec), CongestionProfile(np.zeros(1)),
-        trace.spec, False, 150.0, _TICK, 2, (), 2 * _TICK, None,
+        trace.spec, False, 150.0, _TICK, 2, ((), ()), 2 * _TICK, None,
     )
     assert next(walker) == 2 * _TICK
-    assert walker.send((((2, 1),), np.inf)) == np.inf
+    assert walker.send((([2 * _TICK], [1]), np.inf)) == np.inf
     try:
-        walker.send((((2, 1),), np.inf))
+        walker.send((([2 * _TICK], [1]), np.inf))
     except StopIteration as done:
         outcome = done.value
     assert outcome.prewarm_hits == 1
