@@ -51,6 +51,7 @@ import math
 
 import numpy as np
 
+from repro.analysis.region_stats import sorted_unique
 from repro.obs.telemetry import get_telemetry
 
 from repro.trace.tables import (
@@ -1149,9 +1150,18 @@ class DistinctPairs:
         b = np.asarray(b, dtype=np.int64)
         if not a.size:
             return self
-        self.pairs = _distinct_rows(
-            np.concatenate([self.pairs, np.stack([a, b], axis=1)])
-        )
+        # A chunk holds many rows but few distinct pairs: dedupe it on one
+        # int64 key, the pair's offset from the chunk's smallest ids, then
+        # merge the few survivors with the held pairs. Id ranges too wide
+        # for one key (only seen with synthetic extremes) dedupe row-wise.
+        a_lo, b_lo = int(a.min()), int(b.min())
+        span = int(b.max()) - b_lo + 1
+        if (int(a.max()) - a_lo + 1) * span <= 2**63:
+            key = sorted_unique((a - a_lo) * span + (b - b_lo))
+            chunk = np.stack([key // span + a_lo, key % span + b_lo], axis=1)
+        else:
+            chunk = np.stack([a, b], axis=1)
+        self.pairs = _distinct_rows(np.concatenate([self.pairs, chunk]))
         return self
 
     def merge(self, other: "DistinctPairs") -> "DistinctPairs":

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.analysis.cdf import Cdf, empirical_cdf, quantiles
 from repro.analysis.composition import function_metadata
-from repro.analysis.timeseries import bin_counts, bin_means
+from repro.analysis.timeseries import bin_counts_and_means
 from repro.trace.tables import COMPONENT_COLUMNS, PodTable, TraceBundle
 
 #: Human-readable component names in the paper's stacking order.
@@ -55,13 +57,11 @@ def hourly_component_means(
     ts = pods.timestamps_s
     if horizon_s is None:
         horizon_s = float(ts.max()) + 3600.0 if ts.size else 3600.0
-    out: dict[str, np.ndarray] = {
-        "count": bin_counts(ts, 3600.0, horizon_s),
-        "cold_start_s": bin_means(ts, pods.cold_start_s, 3600.0, horizon_s),
-    }
-    for column in COMPONENT_COLUMNS:
-        out[column] = bin_means(ts, pods.component_s(column), 3600.0, horizon_s)
-    return out
+    columns = itertools.chain(
+        [pods.cold_start_s], (pods.component_s(c) for c in COMPONENT_COLUMNS)
+    )
+    counts, means = bin_counts_and_means(ts, columns, 3600.0, horizon_s)
+    return {"count": counts, **dict(zip(("cold_start_s",) + COMPONENT_COLUMNS, means))}
 
 
 def dominant_component(pods: PodTable) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.timeseries import moving_average
+from repro.analysis.timeseries import moving_average, resolve_bins
 
 MINUTES_PER_DAY = 1440
 
@@ -37,7 +37,10 @@ def detect_peaks(series: np.ndarray, smooth_window: int = 60) -> np.ndarray:
 def daily_peak_minutes(
     per_minute: np.ndarray, smooth_window: int = 60
 ) -> np.ndarray:
-    """Minute-of-day of the largest smoothed peak in each full day (Fig. 5)."""
+    """Minute-of-day of the largest smoothed peak in each full day (Fig. 5).
+
+    Pass ``smooth_window=1`` for a series that is already smoothed.
+    """
     smoothed = moving_average(per_minute, smooth_window)
     n_days = smoothed.size // MINUTES_PER_DAY
     peaks = np.empty(n_days, dtype=np.int64)
@@ -45,6 +48,27 @@ def daily_peak_minutes(
         window = smoothed[day * MINUTES_PER_DAY : (day + 1) * MINUTES_PER_DAY]
         peaks[day] = int(np.nanargmax(window)) if np.isfinite(window).any() else 0
     return peaks
+
+
+def function_minute_matrix(
+    function_ids: np.ndarray,
+    functions: np.ndarray,
+    times_s: np.ndarray,
+    horizon_s: float,
+) -> np.ndarray:
+    """Per-minute request counts of each function (rows follow the sorted
+    ``function_ids``; ``functions`` and ``times_s`` are the request rows).
+
+    One ``bincount`` over (function code, minute); row ``i`` equals
+    ``bin_counts`` of function ``i``'s timestamps over ``horizon_s``. The
+    counts stay int64: :func:`peak_trough_rows` converts one row at a time.
+    """
+    n_bins, key = resolve_bins(np.asarray(times_s, dtype=np.float64), 60.0, horizon_s)
+    code = np.searchsorted(function_ids, functions)
+    code *= n_bins
+    key += code
+    counts = np.bincount(key, minlength=function_ids.size * n_bins)
+    return counts.reshape(function_ids.size, n_bins)
 
 
 def peak_trough_rows(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.cdf import Cdf, empirical_cdf
-from repro.analysis.timeseries import bin_means
+from repro.analysis.timeseries import bin_counts_and_means
 from repro.trace.tables import TraceBundle
 
 _SECONDS_PER_DAY = 86_400.0
@@ -37,19 +37,45 @@ def requests_per_day_per_function(bundle: TraceBundle) -> np.ndarray:
     first or after its last request still count as zero-days, matching a
     median over the full trace for registered functions.
     """
+    return median_day_requests(bundle)[1]
+
+
+def median_day_requests(bundle: TraceBundle) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted function ids, each one's requests on its median day).
+
+    The statistic of :func:`requests_per_day_per_function`, with the ids it
+    is aligned to. The studies share this result between Fig. 3a, the
+    share-per-minute check and Fig. 6.
+    """
     requests = bundle.requests
     if not len(requests):
-        return np.zeros(0)
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
     days = max(int(np.ceil(requests.span_days())), 1)
-    function_ids = requests["function"]
-    uniques, inverse = np.unique(function_ids, return_inverse=True)
+    function_ids, code = dense_codes(requests["function"])
     day_idx = np.clip(
         (requests.timestamps_s // _SECONDS_PER_DAY).astype(np.int64), 0, days - 1
     )
-    flat = inverse * days + day_idx
-    counts = np.bincount(flat, minlength=uniques.size * days)
-    matrix = counts.reshape(uniques.size, days)
-    return np.median(matrix, axis=1)
+    counts = np.bincount(code * days + day_idx, minlength=function_ids.size * days)
+    return function_ids, np.median(counts.reshape(function_ids.size, days), axis=1)
+
+
+def dense_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` for a column of few keys:
+    the sorted keys, then each row's key position by binary search (the
+    inverse would argsort every row)."""
+    keys = sorted_unique(values)
+    return keys, np.searchsorted(keys, values)
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by one value sort and a run-boundary mask.
+
+    Since numpy 2.3 ``np.unique`` finds int64 keys through a hash table;
+    numpy's vectorised sort is several times faster on request columns
+    (about 1 ms against 6-7 ms for 300k rows on an AVX-512 x86-64 core).
+    """
+    keys = np.sort(values)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
 def requests_per_day_cdf(bundle: TraceBundle) -> Cdf:
@@ -77,17 +103,25 @@ def share_at_least_one_per_minute(bundle: TraceBundle) -> float:
 
 def exec_time_per_minute_cdf(bundle: TraceBundle) -> Cdf:
     """CDF over minutes of the mean execution time in that minute (Fig. 3b)."""
-    requests = bundle.requests
-    means = bin_means(requests.timestamps_s, requests.exec_time_s, 60.0)
-    return empirical_cdf(means[~np.isnan(means)])
+    return per_minute_usage_cdfs(bundle)[0]
 
 
 def cpu_per_minute_cdf(bundle: TraceBundle) -> Cdf:
     """CDF over minutes of mean CPU usage in cores (Fig. 3c)."""
+    return per_minute_usage_cdfs(bundle)[1]
+
+
+def per_minute_usage_cdfs(bundle: TraceBundle) -> tuple[Cdf, Cdf]:
+    """Figs. 3b and 3c from one binning of the request timestamps: CDFs over
+    minutes of the mean execution time and of the mean CPU cores."""
     requests = bundle.requests
-    cores = requests["cpu_millicores"] / 1000.0
-    means = bin_means(requests.timestamps_s, cores, 60.0)
-    return empirical_cdf(means[~np.isnan(means)])
+    _, means = bin_counts_and_means(
+        requests.timestamps_s,
+        [requests.exec_time_s, requests["cpu_millicores"] / 1000.0],
+        60.0,
+    )
+    exec_cdf, cpu_cdf = (empirical_cdf(m[~np.isnan(m)]) for m in means)
+    return exec_cdf, cpu_cdf
 
 
 def _functions_per_user_counts(bundle: TraceBundle) -> np.ndarray:
@@ -95,17 +129,17 @@ def _functions_per_user_counts(bundle: TraceBundle) -> np.ndarray:
 
     The function-level stream of Table 1 carries no owner column; ownership
     is observable through the request stream, exactly as in the released
-    dataset.
+    dataset. Users come in sorted id order.
     """
     requests = bundle.requests
     if not len(requests):
         return np.zeros(0, dtype=np.int64)
-    # One int64 key per (user, function) pair, built from dense id ranks:
-    # raw ids (region-blocked, ~5e9 in R5) would overflow ``user * span``.
-    _, user = np.unique(requests["user"], return_inverse=True)
-    _, function = np.unique(requests["function"], return_inverse=True)
-    span = int(function.max()) + 1
-    pairs = np.unique(user * span + function)
+    # One int64 key per (user, function) pair, built from dense codes: raw
+    # ids (region-blocked, ~5e9 in R5) would overflow ``user * span``.
+    _, user = dense_codes(requests["user"])
+    functions, function = dense_codes(requests["function"])
+    span = functions.size
+    pairs = sorted_unique(user * span + function)
     return np.bincount(pairs // span)
 
 

@@ -4,9 +4,21 @@ The binning semantics here — horizon inference as ``max(times) + bin_s``,
 bin index ``clip(times // bin_s, 0, n_bins - 1)`` — are the contract the
 streaming accumulators (:mod:`repro.analysis.accumulators`) reproduce, so
 chunk-incremental series finalize to exactly these arrays.
+
+A timestamp column is binned once per figure: :func:`bin_counts_and_means`
+resolves the bin indices once and takes the counts and every value
+column's means from them, so a figure with five per-bin means bins its
+events once, not six or eleven times.
+
+:func:`moving_average` takes the window sums of an integer-valued,
+NaN-free series (per-minute counts, which every figure smooths) from
+prefix sums. Integer sums below 2**53 are exact in float64 in any order,
+so those floats equal the convolution's; any other series is convolved.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -66,24 +78,68 @@ def bin_means(
     horizon_s: float | None = None,
 ) -> np.ndarray:
     """Mean of ``values`` per bin; empty bins are NaN."""
-    sums = bin_sums(times_s, values, bin_s, horizon_s)
-    counts = bin_counts(times_s, bin_s, horizon_s)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    _, (means,) = bin_counts_and_means(times_s, [values], bin_s, horizon_s)
+    return means
+
+
+def bin_counts_and_means(
+    times_s: np.ndarray,
+    columns: Iterable[np.ndarray],
+    bin_s: float,
+    horizon_s: float | None = None,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Event counts per bin and the per-bin mean of each value column.
+
+    The bins are resolved once for all columns. Each result equals
+    :func:`bin_counts` or :func:`bin_means` on the same arguments.
+    ``columns`` is read one column at a time, so a generator keeps only
+    one value column alive.
+    """
+    times_s = np.asarray(times_s, dtype=np.float64)
+    n_bins, idx = resolve_bins(times_s, bin_s, horizon_s)
+    counts = np.bincount(idx, minlength=n_bins).astype(np.float64)
+    filled = counts > 0
+    divisor = np.maximum(counts, 1)
+    means = []
+    for values in columns:
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != times_s.shape:
+            raise ValueError("times and values must align")
+        sums = np.bincount(idx, weights=values, minlength=n_bins)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            means.append(np.where(filled, sums / divisor, np.nan))
+    return counts, means
 
 
 def moving_average(series: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average; NaNs are treated as missing."""
+    """Centered moving average; NaNs are treated as missing.
+
+    Sample ``i`` is the mean of the valid samples at ``i - window // 2``
+    through ``i + (window - 1) // 2``, clipped to the series, so the result
+    always has ``len(series)`` samples.
+    """
     series = np.asarray(series, dtype=np.float64)
     if window <= 0:
         raise ValueError("window must be positive")
-    if window == 1 or series.size == 0:
+    n = series.size
+    if window == 1 or n == 0:
         return series.copy()
+    if np.abs(series).sum() < 2.0**53 and (series == np.round(series)).all():
+        # Integer-valued and finite (NaN and inf fail the sum test): exact
+        # prefix sums give the convolution's floats.
+        prefix = np.concatenate(([0.0], np.cumsum(series)))
+        centre = np.arange(n)
+        hi = np.minimum(centre + (window - 1) // 2 + 1, n)
+        lo = np.maximum(centre - window // 2, 0)
+        return (prefix[hi] - prefix[lo]) / (hi - lo).astype(np.float64)
     valid = ~np.isnan(series)
-    filled = np.where(valid, series, 0.0)
+    # "same" mode returns max(n, window) samples: pad a short series with
+    # missing samples up to the window and keep its own n.
+    pad = np.zeros(max(window - n, 0))
+    filled = np.concatenate([np.where(valid, series, 0.0), pad])
     kernel = np.ones(window)
-    sums = np.convolve(filled, kernel, mode="same")
-    counts = np.convolve(valid.astype(np.float64), kernel, mode="same")
+    sums = np.convolve(filled, kernel, mode="same")[:n]
+    counts = np.convolve(np.concatenate([valid, pad]), kernel, mode="same")[:n]
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 

@@ -7,12 +7,13 @@ reports the Spearman rank correlation matrix, starring cells with p < 0.05.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special, stats
 
-from repro.analysis.timeseries import bin_counts, bin_means
+from repro.analysis.timeseries import bin_counts_and_means
 from repro.trace.tables import COMPONENT_COLUMNS, PodTable
 
 #: Matrix row/column order, matching the paper's figure.
@@ -69,14 +70,14 @@ def component_correlations(pods: PodTable, bin_s: float = 60.0) -> CorrelationMa
     """Per-minute-mean Spearman correlation matrix for one region."""
     ts = pods.timestamps_s
     horizon = float(ts.max()) + bin_s if ts.size else bin_s
-    counts = bin_counts(ts, bin_s, horizon)
+    columns = itertools.chain(
+        [pods.cold_start_s], (pods.component_s(c) for c in _FIELD_TO_COLUMN.values())
+    )
+    counts, means = bin_counts_and_means(ts, columns, bin_s, horizon)
     active = counts > 0
-    series = {
-        "cold_start_time": bin_means(ts, pods.cold_start_s, bin_s, horizon)[active],
-        "num_cold_starts": counts[active],
-    }
-    for field, column in _FIELD_TO_COLUMN.items():
-        series[field] = bin_means(ts, pods.component_s(column), bin_s, horizon)[active]
+    series = {"num_cold_starts": counts[active]}
+    for field, values in zip(("cold_start_time", *_FIELD_TO_COLUMN), means):
+        series[field] = values[active]
     return correlations_from_series(series)
 
 

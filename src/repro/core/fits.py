@@ -9,6 +9,15 @@ and offers them "for simulation purposes". This module reproduces the fits
 (maximum likelihood with location pinned at zero) and provides samplers so
 simulations can consume either the paper's parameters or freshly fitted
 ones.
+
+Each materialised fit reports its Kolmogorov-Smirnov statistic against the
+sample. :func:`ks_statistic` repeats :func:`scipy.stats.ks_1samp`'s
+two-sided arithmetic, so the statistic is bit-equal to
+``stats.kstest(...).statistic``, but it skips the exact p-value
+(``kolmogn``) that ``kstest`` computes and the fits would discard. On the
+100k cold starts of a five-region month at scale 0.05, ``kstest`` took
+0.12 s for the LogNormal fit and the statistic alone 0.008 s (one x86-64
+core, scipy 1.17).
 """
 
 from __future__ import annotations
@@ -102,9 +111,26 @@ def fit_cold_start_times(durations_s: np.ndarray, max_samples: int = 200_000) ->
         step = values.size // max_samples
         values = values[::step]
     shape, _loc, scale = stats.lognorm.fit(values, floc=0)
-    fit = LogNormalFit(mu=float(np.log(scale)), sigma=float(shape))
-    ks = stats.kstest(values, "lognorm", args=(shape, 0, scale)).statistic
-    return LogNormalFit(mu=fit.mu, sigma=fit.sigma, ks_statistic=float(ks), n=values.size)
+    ks = ks_statistic(values, stats.lognorm.cdf, (shape, 0, scale))
+    return LogNormalFit(
+        mu=float(np.log(scale)), sigma=float(shape), ks_statistic=ks, n=values.size
+    )
+
+
+def ks_statistic(values: np.ndarray, cdf, args: tuple = ()) -> float:
+    """Two-sided one-sample KS statistic of ``values`` against ``cdf(x, *args)``.
+
+    scipy's ``ks_1samp`` arithmetic without the p-value: sort, evaluate the
+    CDF, take ``D+ = max(i/n - F)`` and ``D- = max(F - (i-1)/n)`` and return
+    the larger, so the result equals ``stats.kstest(...).statistic`` bit
+    for bit.
+    """
+    x = np.sort(np.asarray(values, dtype=np.float64))
+    n = x.size
+    cdfvals = cdf(x, *args)
+    d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
+    d_minus = (cdfvals - np.arange(0.0, n) / n).max()
+    return float(d_plus if d_plus > d_minus else d_minus)
 
 
 def _ks_against(model_cdf, sample_cdf) -> float:
@@ -200,5 +226,5 @@ def fit_cold_start_iats(iats_s: np.ndarray, max_samples: int = 200_000) -> Weibu
         step = values.size // max_samples
         values = values[::step]
     c, _loc, scale = stats.weibull_min.fit(values, floc=0)
-    ks = stats.kstest(values, "weibull_min", args=(c, 0, scale)).statistic
-    return WeibullFit(k=float(c), lam=float(scale), ks_statistic=float(ks), n=values.size)
+    ks = ks_statistic(values, stats.weibull_min.cdf, (c, 0, scale))
+    return WeibullFit(k=float(c), lam=float(scale), ks_statistic=ks, n=values.size)

@@ -18,10 +18,15 @@ Both classes compute each shared figure at most once per study. A figure
 method whose result has a second reader (a renderer and a finding, or
 ``fig05_peak_hours`` reading ``fig05_request_series``) is wrapped by
 :func:`_shared`, which keeps the result per bound argument set in the
-study's ``__dict__``, so the cache dies with the study. The contract:
-callers treat a returned figure result as read-only, and a study is
-immutable once built (do not add regions or change ``keepalive_s``
-afterwards).
+study's ``__dict__``, so the cache dies with the study. So are the few
+per-region statistics that several figures read (``_day_counts``, the
+median-day requests per function, and ``_minute_usage``, Figs. 3b/3c from
+one binning). Only small per-function, per-user or per-figure results
+are kept: row-length arrays (dense codes, bin indices, timestamp columns,
+pod intervals) are built per call and dropped, so the memo does not raise
+a study's memory high-water mark. The contract: callers treat a returned
+figure result as read-only, and a study is immutable once built (do not
+add regions or change ``keepalive_s`` afterwards).
 """
 
 from __future__ import annotations
@@ -54,16 +59,14 @@ from repro.analysis.composition import (
     trigger_mix_by_runtime,
 )
 from repro.analysis.holiday import HolidayEffect, holiday_effect, holiday_effect_from_series
-from repro.analysis.peaks import daily_peak_minutes, peak_trough_rows
+from repro.analysis.peaks import daily_peak_minutes, function_minute_matrix, peak_trough_rows
 from repro.analysis.region_stats import (
-    cpu_per_minute_cdf,
-    exec_time_per_minute_cdf,
     functions_per_user_cdf,
+    median_day_requests,
+    per_minute_usage_cdfs,
     region_sizes,
-    requests_per_day_per_function,
     requests_per_user_cdf,
     share_at_least_one_from,
-    share_at_least_one_per_minute,
 )
 from repro.analysis.timeseries import bin_counts, moving_average, normalize_max, presence_counts
 from repro.core.correlations import (
@@ -170,28 +173,36 @@ class TraceStudy:
     # ---- Figure 3 ------------------------------------------------------------
 
     @_shared
+    def _day_counts(self, region: str) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted function ids, median-day requests) of one region."""
+        return median_day_requests(self.region(region))
+
+    @_shared
+    def _minute_usage(self, region: str) -> tuple[Cdf, Cdf]:
+        """One region's Figs. 3b and 3c CDFs from one binning."""
+        return per_minute_usage_cdfs(self.region(region))
+
+    @_shared
     def fig03_requests_per_day(self) -> dict[str, Cdf]:
-        return {
-            name: empirical_cdf(requests_per_day_per_function(bundle))
-            for name, bundle in self.bundles.items()
-        }
+        return {name: empirical_cdf(self._day_counts(name)[1]) for name in self.regions}
 
     @_shared
     def fig03_exec_time(self) -> dict[str, Cdf]:
-        return {name: exec_time_per_minute_cdf(b) for name, b in self.bundles.items()}
+        return {name: self._minute_usage(name)[0] for name in self.regions}
 
     @_shared
     def fig03_cpu_usage(self) -> dict[str, Cdf]:
-        return {name: cpu_per_minute_cdf(b) for name, b in self.bundles.items()}
+        return {name: self._minute_usage(name)[1] for name in self.regions}
 
     def fig03_share_at_least_1_per_minute(self) -> dict[str, float]:
         return {
-            name: share_at_least_one_per_minute(bundle)
-            for name, bundle in self.bundles.items()
+            name: share_at_least_one_from(self._day_counts(name)[1])
+            for name in self.regions
         }
 
     # ---- Figure 4 --------------------------------------------------------------
 
+    @_shared
     def fig04_functions_per_user(self) -> dict[str, Cdf]:
         return {name: functions_per_user_cdf(b) for name, b in self.bundles.items()}
 
@@ -207,11 +218,10 @@ class TraceStudy:
         for name, bundle in self.bundles.items():
             ts = bundle.requests.timestamps_s
             horizon = float(bundle.meta.get("days", int(np.ceil(bundle.requests.span_days())))) * _SECONDS_PER_DAY
-            per_minute = bin_counts(ts, 60.0, horizon)
-            smoothed = moving_average(per_minute, smooth_minutes)
+            smoothed = moving_average(bin_counts(ts, 60.0, horizon), smooth_minutes)
             out[name] = {
                 "normalised": normalize_max(smoothed),
-                "daily_peak_minute": daily_peak_minutes(per_minute, smooth_minutes),
+                "daily_peak_minute": daily_peak_minutes(smoothed, smooth_window=1),
             }
         return out
 
@@ -235,16 +245,14 @@ class TraceStudy:
             requests = bundle.requests
             ts = requests.timestamps_s
             horizon = float(ts.max()) + 60.0 if len(requests) else 60.0
-            per_day = requests_per_day_per_function(bundle)
-            uniques = np.unique(requests["function"])
+            function_ids, per_day = self._day_counts(name)
             cold_funcs, cold_counts = np.unique(bundle.pods["function"], return_counts=True)
             cold_map = dict(zip(cold_funcs.tolist(), cold_counts.tolist()))
-            minute_matrix = [
-                bin_counts(ts[idx], 60.0, horizon)
-                for idx in _group_indices(requests["function"], uniques)
-            ]
+            minute_matrix = function_minute_matrix(
+                function_ids, requests["function"], ts, horizon
+            )
             rows.extend(
-                peak_trough_rows(name, uniques, per_day, minute_matrix, cold_map)
+                peak_trough_rows(name, function_ids, per_day, minute_matrix, cold_map)
             )
         return rows
 
@@ -339,15 +347,6 @@ class TraceStudy:
     @_shared
     def fig17_utility(self, by: str = "runtime", region: str | None = None) -> dict:
         return utility_by_category(self._deep_dive_region(region), by=by)
-
-
-def _group_indices(values: np.ndarray, uniques: np.ndarray) -> list[np.ndarray]:
-    """Index arrays per unique value, aligned with ``uniques`` (sorted)."""
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    bounds = np.searchsorted(sorted_vals, uniques)
-    bounds = np.append(bounds, values.size)
-    return [order[bounds[i] : bounds[i + 1]] for i in range(uniques.size)]
 
 
 class StreamingTraceStudy:
@@ -482,12 +481,13 @@ class StreamingTraceStudy:
     # ---- Figure 3 ----------------------------------------------------------
 
     @_shared
+    def _day_counts(self, region: str) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted function ids, median-day requests) of one region."""
+        return self.region(region).requests_per_day_per_function()
+
+    @_shared
     def fig03_requests_per_day(self) -> dict[str, Cdf]:
-        out = {}
-        for name, acc in self.stats.items():
-            _, per_function = acc.requests_per_day_per_function()
-            out[name] = empirical_cdf(per_function)
-        return out
+        return {name: empirical_cdf(self._day_counts(name)[1]) for name in self.regions}
 
     @_shared
     def fig03_exec_time(self) -> dict[str, Cdf]:
@@ -504,14 +504,14 @@ class StreamingTraceStudy:
         }
 
     def fig03_share_at_least_1_per_minute(self) -> dict[str, float]:
-        out = {}
-        for name, acc in self.stats.items():
-            _, per_function = acc.requests_per_day_per_function()
-            out[name] = share_at_least_one_from(per_function)
-        return out
+        return {
+            name: share_at_least_one_from(self._day_counts(name)[1])
+            for name in self.regions
+        }
 
     # ---- Figure 4 ----------------------------------------------------------
 
+    @_shared
     def fig04_functions_per_user(self) -> dict[str, Cdf]:
         return {
             name: empirical_cdf(
@@ -535,11 +535,10 @@ class StreamingTraceStudy:
         for name, acc in self.stats.items():
             days = float(acc.meta.get("days", int(np.ceil(acc.span_days()))))
             horizon = days * _SECONDS_PER_DAY
-            per_minute = acc.minute_requests.counts_until(horizon)
-            smoothed = moving_average(per_minute, smooth_minutes)
+            smoothed = moving_average(acc.minute_requests.counts_until(horizon), smooth_minutes)
             out[name] = {
                 "normalised": normalize_max(smoothed),
-                "daily_peak_minute": daily_peak_minutes(per_minute, smooth_minutes),
+                "daily_peak_minute": daily_peak_minutes(smoothed, smooth_window=1),
             }
         return out
 
@@ -561,7 +560,7 @@ class StreamingTraceStudy:
             acc = self.region(name)
             horizon = acc.req_max_ts_s + 60.0 if acc.n_requests else 60.0
             n_bins = max(int(np.ceil(horizon / 60.0)), 1)
-            function_ids, per_day = acc.requests_per_day_per_function()
+            function_ids, per_day = self._day_counts(name)
             minute_matrix = acc.per_function_minute.counts_matrix(n_bins)
             rows.extend(
                 peak_trough_rows(

@@ -106,6 +106,16 @@ class TestTimeseries:
         smoothed = moving_average(series, 3)
         assert smoothed[1] == pytest.approx(2.0)
 
+    def test_moving_average_short_series_keeps_length(self):
+        # np.convolve(mode="same") returned max(n, window) samples here
+        series = np.arange(10.0)
+        for values in (series, series + 0.5):
+            smoothed = moving_average(values, 60)
+            assert smoothed.shape == (10,)
+            assert np.allclose(smoothed, values.mean())
+        smoothed = moving_average(np.array([1.0, np.nan, 3.0, 8.0]), 5)
+        assert smoothed.tolist() == [2.0, 4.0, 4.0, 5.5]
+
     def test_normalize_max(self):
         assert normalize_max(np.array([1.0, 2.0, 4.0])).max() == 1.0
         assert normalize_max(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]

@@ -5,6 +5,9 @@ A figure method with a second reader is memoized per study
 :func:`~repro.core.findings.extract_findings`:
 
 * no figure builder runs twice for the same bound arguments;
+* each per-region statistic several figures read (median-day requests
+  per function, Figs. 3b/3c's binning, functions per user) is computed
+  once per region;
 * the text does not depend on the order the consumers run in;
 * no consumer mutates a shared result;
 * the cache dies with the study.
@@ -21,13 +24,26 @@ import weakref
 
 import pytest
 
+from repro.analysis.accumulators import RegionAccumulator
 from repro.core import study as study_module
 from repro.core.findings import extract_findings
 from repro.core.study import StreamingTraceStudy, TraceStudy
 from repro.viz.figures import FIGURES, render
+from repro.workload.calibration import check_calibration
 
 _ARGS = dict(regions=("R2", "R3"), seed=11, days=2, scale=0.05)
 _CLASSES = (TraceStudy, StreamingTraceStudy)
+_SHARED_FIGURES = {
+    "fig03_requests_per_day", "fig03_exec_time", "fig03_cpu_usage",
+    "fig04_functions_per_user", "fig05_request_series", "fig06_peak_trough",
+    "fig12_correlations", "fig13_pool_split", "fig14_requests_vs_cold_starts",
+    "fig15_by_runtime", "fig17_utility",
+}
+#: Shared per-region statistics that are not figures themselves.
+_SHARED_STATISTICS = {
+    TraceStudy: {"_day_counts", "_minute_usage"},
+    StreamingTraceStudy: {"_day_counts"},
+}
 
 
 def _fresh(cls):
@@ -70,9 +86,11 @@ def test_no_builder_runs_twice(cls, monkeypatch):
     calls: collections.Counter = collections.Counter()
     memoized = set()
     for name, attr in list(vars(cls).items()):
-        if not name.startswith("fig"):
+        if not inspect.isfunction(attr):
             continue
         builder = getattr(attr, "__wrapped__", None)
+        if not name.startswith("fig") and builder is None:
+            continue
         if builder is None:
             monkeypatch.setattr(cls, name, _counting(attr, calls))
         else:
@@ -81,14 +99,48 @@ def test_no_builder_runs_twice(cls, monkeypatch):
     _consume(study)
     repeated = {key: n for key, n in calls.items() if n > 1}
     assert not repeated, f"builders ran more than once: {repeated}"
-    assert memoized == {
-        "fig03_requests_per_day", "fig03_exec_time", "fig03_cpu_usage",
-        "fig05_request_series", "fig06_peak_trough", "fig12_correlations",
-        "fig13_pool_split", "fig14_requests_vs_cold_starts",
-        "fig15_by_runtime", "fig17_utility",
-    }
+    assert memoized == _SHARED_FIGURES | _SHARED_STATISTICS[cls]
+    for name in _SHARED_STATISTICS[cls]:
+        assert sorted(key[1] for key in calls if key[0] == name) == sorted(study.regions)
     # ``fig17_utility()`` and ``fig17_utility(by="runtime")`` are one entry.
     assert study.fig17_utility() is study.fig17_utility(by="runtime", region=None)
+
+
+#: The helper behind each shared per-region statistic, per study class.
+_STATISTIC_HELPERS = {
+    TraceStudy: [
+        (study_module, "median_day_requests"),
+        (study_module, "per_minute_usage_cdfs"),
+        (study_module, "functions_per_user_cdf"),
+    ],
+    StreamingTraceStudy: [
+        (RegionAccumulator, "requests_per_day_per_function"),
+    ],
+}
+
+
+@pytest.mark.parametrize("cls", _CLASSES, ids=lambda c: c.__name__)
+def test_shared_statistics_run_once_per_region(cls, monkeypatch):
+    """Renders, findings and the calibration checks together compute each
+    shared per-region statistic once per region."""
+    study = _fresh(cls)
+    calls: collections.Counter = collections.Counter()
+
+    def counting(owner, name):
+        helper = getattr(owner, name)
+
+        @functools.wraps(helper)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return helper(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in _STATISTIC_HELPERS[cls]:
+        counting(owner, name)
+    _consume(study)
+    check_calibration(study)
+    assert calls == {name: len(study.regions) for _, name in _STATISTIC_HELPERS[cls]}
 
 
 @pytest.mark.parametrize("cls", _CLASSES, ids=lambda c: c.__name__)
@@ -101,7 +153,8 @@ def test_consumers_do_not_mutate_shared_results(cls):
     study = _fresh(cls)
     shared = [
         study.fig03_requests_per_day(), study.fig03_exec_time(),
-        study.fig03_cpu_usage(), study.fig05_request_series(),
+        study.fig03_cpu_usage(), study.fig04_functions_per_user(),
+        study.fig05_request_series(),
         study.fig06_peak_trough(), study.fig13_pool_split(),
         study.fig14_requests_vs_cold_starts(), study.fig15_by_runtime(),
         study.fig17_utility(by="runtime"), study.fig17_utility(by="trigger"),

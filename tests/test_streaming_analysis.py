@@ -769,6 +769,22 @@ class TestDistinctPairs:
             seen = np.concatenate([seen, np.stack([a, b], axis=1)])
             self._assert_unique_rows(acc.pairs, seen)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_add_region_blocked_ids_matches_np_unique(self, seed):
+        # Narrow id ranges far from zero dedupe on one offset key; a chunk
+        # with an extreme id falls back to the row-wise dedupe.
+        rng = np.random.default_rng(seed)
+        acc = DistinctPairs()
+        seen = np.zeros((0, 2), dtype=np.int64)
+        for size in (0, 1, 500, 2000, 3, 800):
+            a = 5_000_000_000 + 7 * rng.integers(0, 9, size=size)
+            b = 5_000_000_000 + rng.integers(0, 40, size=size)
+            if size == 3:
+                a[1], b[2] = self.I64.min, self.I64.max
+            acc.add(a, b)
+            seen = np.concatenate([seen, np.stack([a, b], axis=1)])
+            self._assert_unique_rows(acc.pairs, seen)
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_merge_matches_np_unique(self, seed):
         chunks = self._chunks(seed)
