@@ -2,11 +2,12 @@
 
 Two committed properties:
 
-* **uncoupled** (``test_vector_engine_speedup``) — the structure-of-arrays
-  fast path beats the event engine by >= 5x serial on the committed
-  baseline workloads, bit-identically;
-* **coupled** (``test_coupled_policy_speedup``) — the tick-partitioned
-  vector mode replays the coupled tick-phase policies (timer pre-warming,
+* **policy-free** (``test_vector_engine_speedup``) — the vector engine
+  runs the baseline on the empty decision schedule, every function on the
+  per-function walk, and beats the event engine by >= 5x serial on the
+  committed baseline workloads, bit-identically;
+* **coupled** (``test_coupled_policy_speedup``) — the same vector driver
+  replays the coupled tick-phase policies (timer pre-warming,
   async peak shaving, their combination, and histogram pre-warming)
   bit-identically and >= 3x faster serial over the committed
   coupled-policy workload. Every one decides in closed form
@@ -74,7 +75,7 @@ def coupled_workload():
     """A full-scale one-week Region-2 workload (~2.2M requests): the
     coupled-policy benchmark. Density matters — the vector engine's gain
     is per arrival, while its fixed costs (the closed-form schedules, the
-    uncoupled walk of functions no decision touches) are per tick or per
+    per-function walk of functions no decision touches) are per tick or per
     function."""
     return build_workload("R2", seed=42, days=7, scale=1.0)
 

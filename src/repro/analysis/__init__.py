@@ -11,7 +11,6 @@ from repro.analysis.accumulators import (
     RegionAccumulator,
     StreamingMoments,
     TickGauge,
-    merge_accumulators,
 )
 from repro.analysis.cdf import (
     Cdf,
@@ -69,7 +68,6 @@ __all__ = [
     "RegionAccumulator",
     "StreamingMoments",
     "TickGauge",
-    "merge_accumulators",
     "Cdf",
     "cdf_from_counts",
     "empirical_cdf",

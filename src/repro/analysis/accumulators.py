@@ -22,7 +22,6 @@ Accumulator            State bound
 StreamingMoments       O(1)
 LogHistogram           O(bins) (default 512 log-spaced bins; overflow
                        auto-widens by whole decades, 64 bins each)
-TDigest                O(compression) centroids
 BinnedSeries           O(covered window / bin width): bins start at the
                        first one seen (``origin``), not at t = 0
 GroupedCounts          O(distinct keys)
@@ -39,9 +38,10 @@ sums), i.e. to ~1e-12 relative; quantiles/CDFs read from
 bin (default spacing ~3.7 %, the documented "bin tolerance").
 
 :class:`RegionAccumulator` composes everything Figures 1-17 need for one
-region; :mod:`repro.runtime.merge` registers these types so
-:class:`~repro.runtime.executor.ParallelExecutor` workers can return them
-from (region, day-window) analysis shards.
+region; :mod:`repro.runtime.merge` registers these types with its
+shared-memory channel so :class:`~repro.runtime.executor.ParallelExecutor`
+workers can return them from (region, day-window) analysis shards, and the
+parent folds them with ``merge``.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from repro.trace.tables import (
 __all__ = [
     "StreamingMoments",
     "LogHistogram",
-    "TDigest",
     "BinnedSeries",
     "GroupedCounts",
     "KeyedBinnedCounts",
@@ -74,25 +73,9 @@ __all__ = [
     "GapTracker",
     "TickGauge",
     "RegionAccumulator",
-    "merge_accumulators",
 ]
 
 _SECONDS_PER_DAY = 86_400.0
-
-
-def merge_accumulators(parts):
-    """Left-fold ``merge`` over ``parts`` (plan order), returning the first.
-
-    The generic reducer the runtime registers for every accumulator type;
-    parts must be non-empty and homogeneous.
-    """
-    parts = list(parts)
-    if not parts:
-        raise ValueError("need at least one accumulator to merge")
-    first = parts[0]
-    for part in parts[1:]:
-        first.merge(part)
-    return first
 
 
 # --- scalar moments ---------------------------------------------------------
@@ -518,206 +501,6 @@ class LogHistogram:
         out.sum = state["sum"]
         out.vmin = state["vmin"]
         out.vmax = state["vmax"]
-        return out
-
-
-# --- t-digest quantile sketch ------------------------------------------------
-
-
-class TDigest:
-    """Merging t-digest: bounded-memory quantiles with tail-accurate error.
-
-    Complements :class:`LogHistogram` where a fixed log grid is the wrong
-    shape — signed values (deltas), unknown dynamic range, or analyses
-    that need tight *tail* quantiles rather than one-bin value tolerance.
-    Centroid count is bounded by the compression factor; absolute rank
-    error of :meth:`quantile` is ``O(sqrt(q(1-q))/compression)``, so
-    extreme quantiles sharpen instead of saturating a tail bin.
-
-    ``merge`` folds another digest in place and is order-insensitive in
-    rank-error terms (any merge grouping honours the same bound), which
-    is the contract shard reduction needs; exact centroid layout, like
-    any t-digest, depends on fold order. ``n``/``sum``/``vmin``/``vmax``
-    are exact under every grouping.
-    """
-
-    __slots__ = ("compression", "n", "sum", "vmin", "vmax",
-                 "_means", "_weights", "_buffer")
-
-    def __init__(self, compression: int = 200):
-        if compression < 10:
-            raise ValueError("compression must be at least 10")
-        self.compression = int(compression)
-        self.n = 0
-        self.sum = 0.0
-        self.vmin = math.inf
-        self.vmax = -math.inf
-        self._means = np.zeros(0, dtype=np.float64)
-        self._weights = np.zeros(0, dtype=np.float64)
-        self._buffer: list[float] = []
-
-    def add(self, values: np.ndarray) -> "TDigest":
-        values = np.asarray(values, dtype=np.float64)
-        values = values[~np.isnan(values)]
-        if not values.size:
-            return self
-        self.n += int(values.size)
-        self.sum += float(values.sum())
-        self.vmin = min(self.vmin, float(values.min()))
-        self.vmax = max(self.vmax, float(values.max()))
-        self._buffer.extend(values.tolist())
-        if len(self._buffer) >= 4 * self.compression:
-            self._compress()
-        return self
-
-    def add_one(self, value: float) -> "TDigest":
-        """Scalar fast path mirroring :meth:`LogHistogram.add_one`."""
-        if math.isnan(value):
-            return self
-        self.n += 1
-        self.sum += value
-        self.vmin = min(self.vmin, value)
-        self.vmax = max(self.vmax, value)
-        self._buffer.append(value)
-        if len(self._buffer) >= 4 * self.compression:
-            self._compress()
-        return self
-
-    def _compress(self) -> None:
-        if self._buffer:
-            means = np.concatenate(
-                [self._means, np.asarray(self._buffer, dtype=np.float64)]
-            )
-            weights = np.concatenate(
-                [self._weights, np.ones(len(self._buffer))]
-            )
-            self._buffer = []
-        elif self._means.size > 2 * self.compression:
-            means, weights = self._means, self._weights
-        else:
-            return
-        order = np.argsort(means, kind="stable")
-        means = means[order].tolist()
-        weights = weights[order].tolist()
-        total = float(self.n)
-        # Dunning's k1 scale: a cluster may span at most one unit of
-        # k(q) = (delta / 2pi) asin(2q - 1), so tails hold singletons,
-        # the middle holds O(n/delta) weight, and the centroid count is
-        # bounded by ~delta/2 regardless of n.
-        k_scale = self.compression / (2.0 * math.pi)
-        out_m = [means[0]]
-        out_w = [weights[0]]
-        cum = 0.0  # weight strictly before the open cluster
-        k_limit = k_scale * math.asin(-1.0) + 1.0
-        for m, w in zip(means[1:], weights[1:]):
-            q_new = (cum + out_w[-1] + w) / total
-            if q_new > 1.0:
-                q_new = 1.0
-            if k_scale * math.asin(2.0 * q_new - 1.0) <= k_limit:
-                merged = out_w[-1] + w
-                out_m[-1] += w * (m - out_m[-1]) / merged
-                out_w[-1] = merged
-            else:
-                cum += out_w[-1]
-                q0 = cum / total
-                if q0 > 1.0:
-                    q0 = 1.0
-                k_limit = k_scale * math.asin(2.0 * q0 - 1.0) + 1.0
-                out_m.append(m)
-                out_w.append(w)
-        self._means = np.asarray(out_m, dtype=np.float64)
-        self._weights = np.asarray(out_w, dtype=np.float64)
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count_many((("tdigest/compressions", 1),
-                            ("tdigest/centroids", self._means.size)))
-
-    def merge(self, other: "TDigest") -> "TDigest":
-        """Fold ``other`` in; compressions must agree (one error bound)."""
-        if self.compression != other.compression:
-            raise ValueError(
-                "cannot merge t-digests with different compressions"
-            )
-        self.n += other.n
-        self.sum += other.sum
-        self.vmin = min(self.vmin, other.vmin)
-        self.vmax = max(self.vmax, other.vmax)
-        if other._means.size:
-            self._means = np.concatenate([self._means, other._means])
-            self._weights = np.concatenate([self._weights, other._weights])
-        self._buffer.extend(other._buffer)
-        self._compress()
-        return self
-
-    def quantile(self, q: float) -> float:
-        """Value at cumulative probability ``q`` (midpoint interpolation)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        if self.n == 0:
-            return float("nan")
-        self._compress()
-        means, weights = self._means, self._weights
-        if means.size == 1:
-            return float(means[0])
-        target = q * self.n
-        # centroid k covers ranks around its midpoint cum_before + w/2
-        mids = np.cumsum(weights) - weights / 2.0
-        if target <= mids[0]:
-            # below the first midpoint: interpolate from the exact min
-            span = mids[0]
-            frac = target / span if span > 0 else 1.0
-            return float(self.vmin + frac * (means[0] - self.vmin))
-        if target >= mids[-1]:
-            span = self.n - mids[-1]
-            frac = (target - mids[-1]) / span if span > 0 else 0.0
-            return float(means[-1] + frac * (self.vmax - means[-1]))
-        hi = int(np.searchsorted(mids, target, side="left"))
-        lo = hi - 1
-        span = mids[hi] - mids[lo]
-        frac = (target - mids[lo]) / span if span > 0 else 0.0
-        return float(means[lo] + frac * (means[hi] - means[lo]))
-
-    def quantiles(self, qs=(0.25, 0.5, 0.75)) -> dict:
-        """Named quantiles, mirroring :meth:`LogHistogram.quantiles`."""
-        return {float(q): self.quantile(q) for q in qs}
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.n if self.n else float("nan")
-
-    @property
-    def centroids(self) -> int:
-        self._compress()
-        return int(self._means.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TDigest):
-            return False
-        self._compress()
-        other._compress()
-        return (
-            (self.compression, self.n, self.sum, self.vmin, self.vmax)
-            == (other.compression, other.n, other.sum,
-                other.vmin, other.vmax)
-            and np.array_equal(self._means, other._means)
-            and np.array_equal(self._weights, other._weights)
-        )
-
-    def _shm_state(self) -> dict:
-        self._compress()
-        return {"compression": self.compression, "n": self.n,
-                "sum": self.sum, "vmin": self.vmin, "vmax": self.vmax,
-                "means": self._means, "weights": self._weights}
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "TDigest":
-        out = cls(state["compression"])
-        out.n = state["n"]
-        out.sum = state["sum"]
-        out.vmin = state["vmin"]
-        out.vmax = state["vmax"]
-        out._means = state["means"]
-        out._weights = state["weights"]
         return out
 
 

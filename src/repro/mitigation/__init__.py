@@ -39,7 +39,6 @@ from repro.mitigation.evaluator import (
 from repro.mitigation.keepalive import DynamicKeepAlive
 from repro.mitigation.prewarm import (
     HistogramPrewarmPolicy,
-    NoPrewarm,
     TimerPrewarmPolicy,
 )
 from repro.mitigation.peak_shaving import AsyncPeakShaver
@@ -71,7 +70,6 @@ __all__ = [
     "build_workload",
     "build_workload_shard",
     "DynamicKeepAlive",
-    "NoPrewarm",
     "HistogramPrewarmPolicy",
     "TimerPrewarmPolicy",
     "AsyncPeakShaver",

@@ -58,7 +58,7 @@ from repro.workload.catalog import SizeClass
 from repro.workload.generator import FunctionTrace
 from repro.workload.regions import RegionProfile
 
-from repro.mitigation.evaluator import ENGINES as _ENGINES
+from repro.mitigation.evaluator import ENGINES as _ENGINES, _arrival_columns
 
 DEFAULT_INTER_REGION_RTT_S = 0.120  # round trip, tens-to-hundreds of ms
 
@@ -361,14 +361,7 @@ class CrossRegionEvaluator:
     ) -> None:
         specs = [t.spec for t in traces]
         n_regions = len(self.profiles)
-        fn_t = [np.asarray(t.arrivals, dtype=np.float64) for t in traces]
-        fn_e = [np.asarray(t.exec_s, dtype=np.float64) for t in traces]
-        for arrivals in fn_t:
-            if arrivals.size and np.any(np.diff(arrivals) < 0):
-                raise ValueError(
-                    "the vector engine needs per-function arrivals sorted in "
-                    "time; use engine='event' for unsorted streams"
-                )
+        fn_t, fn_e = _arrival_columns(traces)
 
         all_t = np.concatenate(fn_t)
         order = np.argsort(all_t, kind="stable")

@@ -14,12 +14,12 @@ with the same keep-alive semantics as the trace generator.
 Two engines share one semantics:
 
 * ``engine="vector"`` (default) — the structure-of-arrays path
-  (:mod:`~repro.mitigation.vector_engine`): pure per-function numpy
-  walks for the uncoupled configurations, and a **tick-partitioned
-  mode** for coupled tick-phase policies (pre-warming, peak shaving):
-  policies whose decisions read only arrivals fix the per-tick decision
-  schedule before any replay, and every function then replays once,
-  independently (see :meth:`RegionEvaluator._run_vector_coupled`).
+  (:mod:`~repro.mitigation.vector_engine`), one driver for every
+  configuration whose tick policies decide from arrivals alone
+  (:meth:`RegionEvaluator._run_vector`): the per-tick decision schedule
+  is fixed before any replay (empty without policies), and every
+  function then replays once, independently — under its schedule slice
+  when a decision touches it, on the pure per-function walk otherwise.
   Policies whose decisions read the replay's own cold starts or pod
   gauge run on the event engine.
 * ``engine="event"`` — the sequential reference loop, driving the same
@@ -73,10 +73,8 @@ from repro.mitigation.tick import (
     tick_interval,
 )
 from repro.mitigation.vector_engine import (
-    FunctionReplay,
     _congestion_values,
-    lift_replay,
-    replay_function,
+    _replay_walk,
     replay_function_coupled,
 )
 from repro.obs.telemetry import get_telemetry
@@ -194,9 +192,19 @@ class CongestionProfile:
         return float(self.per_minute[idx])
 
 
-def _last_tick_index(limit: float) -> int:
-    """Largest k with ``k * 60.0 <= limit`` under exact float comparison."""
-    return last_tick_index(limit, 60.0)
+def _arrival_columns(traces) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-function ``(arrivals, exec_s)`` float64 columns for the vector
+    engines; raises ``ValueError`` unless each function's arrivals are
+    sorted in time."""
+    fn_t = [np.asarray(t.arrivals, dtype=np.float64) for t in traces]
+    for arrivals in fn_t:
+        if arrivals.size and np.any(np.diff(arrivals) < 0):
+            raise ValueError(
+                "the vector engine needs per-function arrivals sorted in "
+                "time (the generator always produces them sorted); use "
+                "engine='event' for unsorted streams"
+            )
+    return fn_t, [np.asarray(t.exec_s, dtype=np.float64) for t in traces]
 
 
 #: The pre-warm slice of a function no schedule entry names.
@@ -273,10 +281,11 @@ def _schedule_columns(actions) -> tuple[HorizonSchedule, list | None]:
 
 
 def _reads_shave(schedule, interval_s, congestion):
-    """Predicate: does an uncoupled outcome meet an active shave directive?
+    """Predicate: does a schedule-free walk's outcome meet an active shave
+    directive?
 
     A replay consults the shave schedule only at cold-bound original
-    arrivals, so an uncoupled outcome none of whose cold starts falls
+    arrivals, so a ``_replay_walk`` outcome none of whose cold starts falls
     under an *active* directive — the gauge flag set at its tick, or the
     congestion at its minute above the tick's trigger — is also the exact
     replay under the schedule.
@@ -346,26 +355,13 @@ class RegionEvaluator:
             profile.latency, self._rngs.stream(f"eval/{profile.name}")
         )
 
-    # -- engine selection ------------------------------------------------------
-
-    def coupled(self) -> bool:
-        """True when the configuration couples functions through shared state.
-
-        Pre-warm plans and peak shaving react to region-wide signals on a
-        shared tick clock; keep-alive policies and concurrency overrides
-        are per-function constants, so they stay uncoupled. Coupled
-        configurations replay on the tick-partitioned vector mode (or the
-        event loop) rather than the pure per-function fast path.
-        """
-        return self.prewarm_policy is not None or self.peak_shaver is not None
+    # -- shared per-run setup --------------------------------------------------
 
     def _tick_policies(self) -> list[TickPolicy]:
         """The run's policies, in the order the tick machine steps them."""
         return [
             p for p in (self.prewarm_policy, self.peak_shaver) if p is not None
         ]
-
-    # -- shared per-function setup ---------------------------------------------
 
     def _sampler_for(self, spec):
         # ``fresh`` (not the memoized ``stream``): every run rebuilds the
@@ -410,129 +406,35 @@ class RegionEvaluator:
                 (float(t.arrivals[-1]) for t in traces if t.arrivals.size), default=0.0
             ) + 120.0
         metrics = EvalMetrics(name=name or self._default_name())
-        if self.engine == "event":
-            self._run_event(traces, horizon_s, metrics, self._tick_policies())
-        elif not self.coupled():
-            self._run_vector(traces, horizon_s, metrics)
-        else:
-            policies = copy.deepcopy(self._tick_policies())
+        policies = self._tick_policies()
+        if self.engine == "vector":
+            policies = copy.deepcopy(policies)
             if all(p.outcome_free_decisions for p in policies):
-                self._run_vector_coupled(traces, horizon_s, metrics, policies)
-            else:
-                # Decisions fed by outcomes are only known in time order,
-                # which is the sequential engine's.
-                get_telemetry().count("tick/event_dispatches")
-                self._run_event(traces, horizon_s, metrics, policies)
+                self._run_vector(traces, horizon_s, metrics, policies)
+                return metrics
+            # Decisions fed by outcomes are only known in time order,
+            # which is the sequential engine's.
+            get_telemetry().count("tick/event_dispatches")
+        self._run_event(traces, horizon_s, metrics, policies)
         return metrics
 
-    # -- vectorized fast path --------------------------------------------------
+    # -- vectorized engine -----------------------------------------------------
 
     def _run_vector(
-        self, traces: list[FunctionTrace], horizon_s: float, metrics: EvalMetrics
-    ) -> None:
-        congestion = CongestionProfile.from_traces(traces, horizon_s)
-        t_last = max(
-            (float(t.arrivals[-1]) for t in traces if t.arrivals.size),
-            default=-1.0,
-        )
-        replays: list[FunctionReplay] = []
-        fn_last: list[float] = []
-        for trace in traces:
-            arrivals = np.asarray(trace.arrivals, dtype=np.float64)
-            if arrivals.size and np.any(np.diff(arrivals) < 0):
-                raise ValueError(
-                    "the vector engine needs per-function arrivals sorted in "
-                    "time (the generator always produces them sorted); use "
-                    "engine='event' for unsorted streams"
-                )
-            spec = trace.spec
-            replays.append(
-                replay_function(
-                    arrivals,
-                    np.asarray(trace.exec_s, dtype=np.float64),
-                    self.keepalive_policy.keepalive_for(spec, 0.0),
-                    self._concurrency(spec),
-                    self.queue_patience_s,
-                    self._sampler_for(spec),
-                    congestion,
-                )
-            )
-            fn_last.append(float(arrivals[-1]) if arrivals.size else -np.inf)
-
-        # Counters.
-        metrics.requests = sum(r.requests for r in replays)
-        metrics.warm_hits = sum(r.warm_hits for r in replays)
-
-        # Cold starts, replayed into the sketches in global time order
-        # (stable ties by trace order — the event engine's processing
-        # order), so the float accumulations are bit-identical.
-        cold_times = np.concatenate([r.cold_times for r in replays]) if replays else np.zeros(0)
-        cold_waits = np.concatenate([r.cold_waits for r in replays]) if replays else np.zeros(0)
-        order = np.argsort(cold_times, kind="stable")
-        metrics.record_cold_batch(cold_waits[order], cold_times[order])
-
-        # Pod tables batched across functions (canonical trace order).
-        all_created = (
-            np.concatenate([r.pod_created for r in replays])
-            if replays else np.zeros(0)
-        )
-        all_death = (
-            np.concatenate([r.pod_death for r in replays])
-            if replays else np.zeros(0)
-        )
-
-        # Tick gauge: ticks fire on the minute grid while events remain
-        # (never past the horizon); a pod is counted at every tick strictly
-        # inside (created, death).
-        n_ticks = _last_tick_index(min(t_last, horizon_s)) + 1 if t_last >= 0 else 0
-        if n_ticks > 0:
-            grid = np.arange(n_ticks) * 60.0
-            lo = np.searchsorted(grid, all_created, side="right")
-            hi = np.searchsorted(grid, all_death, side="left")
-            mask = hi > lo
-            delta = np.bincount(
-                lo[mask], minlength=n_ticks + 1
-            ) - np.bincount(hi[mask].clip(max=n_ticks), minlength=n_ticks + 1)
-            metrics.record_tick_batch(np.cumsum(delta[:n_ticks]))
-        last_tick_time = (n_ticks - 1) * 60.0 if n_ticks else -np.inf
-
-        # Pod-second credits, in the same canonical (trace, creation) order
-        # and with the same expiry rule as the event engine: a pod whose
-        # death the run still observed (a later arrival of its function, or
-        # any tick) is credited to min(death, horizon); one that outlives
-        # every expiry check is credited to the horizon.
-        if all_created.size:
-            pods_per_fn = np.array(
-                [r.pod_created.size for r in replays], dtype=np.int64
-            )
-            expiry_seen = np.repeat(
-                np.maximum(np.asarray(fn_last), last_tick_time), pods_per_fn
-            )
-            credits = np.where(
-                all_death <= expiry_seen,
-                np.minimum(all_death, horizon_s) - all_created,
-                horizon_s - all_created,
-            )
-            metrics.pod_seconds = float(np.sum(np.maximum(credits, 0.0)))
-        else:
-            metrics.pod_seconds = 0.0
-
-    # -- tick-partitioned coupled vector mode ----------------------------------
-
-    def _run_vector_coupled(
         self, traces: list[FunctionTrace], horizon_s: float, metrics: EvalMetrics,
         policies: list[TickPolicy],
     ) -> None:
-        """Outcome-free coupled policies on the vector engine, in one pass.
+        """Policies that decide from arrivals alone, on the vector engine.
 
         The tick protocol confines all cross-function coupling to tick
         boundaries: given the decision schedule, every function replays
-        independently (``replay_function_coupled``). These policies'
-        decisions read only arrivals, so the schedule is known before any
-        replay — in closed form when every policy has one, else from one
-        tick-machine pass over the arrival spans — and each function
-        replays once, under its slice; one the schedule never touches
-        keeps its uncoupled fast-walk outcome. Delayed re-arrivals can run
+        independently. These policies' decisions read only arrivals, so
+        the schedule is known before any replay — in closed form when
+        every policy has one (the empty schedule when there are none),
+        else from one tick-machine pass over the arrival spans. A function
+        the schedule touches replays once under its slice
+        (``replay_function_coupled``); every other one takes the pure
+        per-function walk (``_replay_walk``). Delayed re-arrivals can run
         the clock past the last arrival's tick: the schedule then grows to
         the ticks they reach (decisions are causal, so the longer schedule
         extends the shorter one), and the walkers' trailing pre-warm sweeps
@@ -548,26 +450,11 @@ class RegionEvaluator:
         samplers = [self._sampler_for(s) for s in specs]
         sync = [s.synchronous for s in specs]
         interval = tick_interval(policies)
-
-        fn_t: list[np.ndarray] = []
-        fn_e: list[np.ndarray] = []
-        for trace in traces:
-            arrivals = np.asarray(trace.arrivals, dtype=np.float64)
-            if arrivals.size and np.any(np.diff(arrivals) < 0):
-                raise ValueError(
-                    "the vector engine needs per-function arrivals sorted in "
-                    "time (the generator always produces them sorted); use "
-                    "engine='event' for unsorted streams"
-                )
-            fn_t.append(arrivals)
-            fn_e.append(np.asarray(trace.exec_s, dtype=np.float64))
+        fn_t, fn_e = _arrival_columns(traces)
 
         all_t = np.concatenate(fn_t) if fn_t else EMPTY_F
-        all_fn = (
-            np.concatenate(
-                [np.full(a.size, i, dtype=np.int64) for i, a in enumerate(fn_t)]
-            )
-            if fn_t else EMPTY_I
+        all_fn = np.repeat(
+            np.arange(n_fns, dtype=np.int64), [a.size for a in fn_t]
         )
         order = np.argsort(all_t, kind="stable")
         inv = np.empty(order.size, dtype=np.int64)
@@ -649,12 +536,9 @@ class RegionEvaluator:
         for i in range(n_fns):
             if i not in first_slices:
                 samplers[i].reset()
-                outcomes[i] = lift_replay(
-                    replay_function(
-                        fn_t[i], fn_e[i], kas[i], concs[i],
-                        self.queue_patience_s, samplers[i], congestion,
-                    ),
-                    merged_pos[i], fn_t[i],
+                outcomes[i] = _replay_walk(
+                    fn_t[i], fn_e[i], merged_pos[i], kas[i], concs[i],
+                    self.queue_patience_s, samplers[i], congestion,
                 )
                 if sync[i] or not reads_shave(outcomes[i]):
                     continue
@@ -670,21 +554,18 @@ class RegionEvaluator:
                 walker.send((slices.get(i, _NO_PREWARM), np.inf))
             except StopIteration as done:
                 outcomes[i] = done.value
-        if machine is None and n_decided:
+        if policies and machine is None and n_decided:
             get_telemetry().count("tick/horizon_ticks", n_decided)
         n_fired, gauge = self._pod_gauge(outcomes, horizon_s, interval)
-        self._assemble_coupled(
-            outcomes, n_fired, gauge, interval, horizon_s, metrics
-        )
+        self._assemble(outcomes, n_fired, gauge, interval, horizon_s, metrics)
 
     @staticmethod
     def _pod_gauge(outcomes, horizon_s: float, interval_s: float):
-        """Tick count and alive-pod gauge implied by the current outcomes.
+        """Tick count and alive-pod gauge implied by the outcomes.
 
-        The same interval-counting identity the uncoupled path uses: ticks
-        fire while replay events (arrivals *and* delayed re-arrivals)
-        remain, never past the horizon, and a pod is counted at every tick
-        strictly inside ``(created, death)``.
+        Ticks fire while replay events (arrivals *and* delayed
+        re-arrivals) remain, never past the horizon, and a pod is counted
+        at every tick strictly inside ``(created, death)``.
         """
         t_last = max(
             (o.last_event_t for o in outcomes), default=-np.inf
@@ -709,7 +590,7 @@ class RegionEvaluator:
         ) - np.bincount(hi[mask].clip(max=n_ticks), minlength=n_ticks + 1)
         return n_ticks, np.cumsum(delta[:n_ticks])
 
-    def _assemble_coupled(
+    def _assemble(
         self, outcomes, n_ticks, gauge, interval, horizon_s, metrics
     ) -> None:
         """Fold per-function outcomes into canonical metrics.

@@ -42,16 +42,6 @@ def _observed(span_index, n_ticks: int):
     return edges, lo, hi, tick
 
 
-class NoPrewarm(PrewarmPolicy):
-    """Baseline: never pre-warm."""
-
-    def decide(self, tick: int, now: float) -> TickAction:
-        return TickAction()
-
-    def describe(self) -> str:
-        return "no-prewarm"
-
-
 class TimerPrewarmPolicy(PrewarmPolicy):
     """Warms a pod shortly before each known timer firing.
 

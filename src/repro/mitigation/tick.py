@@ -129,11 +129,14 @@ def closed_form_schedule(
 ) -> HorizonSchedule | None:
     """The policy set's combined schedule of ticks ``[0, n_ticks)`` in
     closed form, or ``None`` when any policy must be stepped (or more
-    than one shaves, whose per-tick precedence the machine settles).
+    than one shaves, whose per-tick precedence the machine settles). An
+    empty policy set decides nothing: its schedule is empty.
 
     Each policy's call is booked on the same ``tick/policy/<Policy>_s``
     timer its machine steps would use.
     """
+    if not policies:
+        return HorizonSchedule(n_ticks)
     tel = get_telemetry()
     perf = time.perf_counter
     parts = []
@@ -146,7 +149,7 @@ def closed_form_schedule(
         if part is None:
             return None
         parts.append(part)
-    if not parts or sum(p.shave_present is not None for p in parts) > 1:
+    if sum(p.shave_present is not None for p in parts) > 1:
         return None
     return HorizonSchedule.combine(parts)
 

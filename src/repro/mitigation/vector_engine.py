@@ -2,9 +2,12 @@
 
 The event-driven evaluator walks every request through Python-level pod
 bookkeeping; this module replays function by function with precomputed
-structure-of-arrays walks instead. :func:`replay_function` replays the
-*uncoupled* configurations (per-function keep-alive, no pre-warming, no
-peak shaving — pod state of one function never depends on another):
+structure-of-arrays walks instead. The evaluator's one vector driver
+fixes the tick decision schedule first (empty when no policy runs), then
+replays each function once: :func:`replay_function_coupled` for a
+function some decision touches, :func:`_replay_walk` for every other
+one (per-function keep-alive only — its pod state depends on no other
+function). The walk's regimes:
 
 * **Steady idle-warm stretches** — each arrival finds its function's one
   pod idle, so the slot end is exactly ``t + e`` — are the common case by
@@ -42,11 +45,11 @@ the exogenous per-minute :class:`~repro.mitigation.evaluator
 (``tests/test_vector_engine.py`` and ``tests/test_properties_coupled.py``
 pin the equivalence).
 
-Per function the engine returns a :class:`FunctionReplay` (or
-:class:`CoupledReplay`) — structure-of-arrays pod tables (creation time,
-death time) plus the cold-start events — from which the caller assembles
-gauge ticks, pod-second credits, and histogram updates in a canonical
-order independent of the engine that produced them.
+Per function the engine returns a :class:`CoupledReplay` —
+structure-of-arrays pod tables plus the cold-start and delay events —
+from which the caller assembles gauge ticks, pod-second credits, and
+histogram updates in a canonical order independent of the engine that
+produced them.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mitigation.tick import tick_index_of
+from repro.mitigation.tick import EMPTY_F, EMPTY_I, tick_index_of
 from repro.obs.telemetry import get_telemetry
 
 #: Upper bound on arrivals priced per speculation attempt.
@@ -72,26 +75,6 @@ _SPEC_MIN_RUN = 8
 #: Upper bound on arrivals examined per batched slot-exhaustion sweep in
 #: the coupled multi-slot walk (``replay_function_coupled``, conc > 1).
 _EP_CHUNK = 2048
-
-
-@dataclass
-class FunctionReplay:
-    """One function's replay outcome in structure-of-arrays form.
-
-    ``pod_death`` is the pod's final ``last_activity + keepalive`` —
-    uncapped; the caller applies horizon/closeout credit rules.
-    ``cold_idx`` holds the arrival ordinals that went cold (the coupled
-    tick driver maps them to global merged positions for canonical event
-    ordering).
-    """
-
-    requests: int
-    warm_hits: int
-    cold_times: np.ndarray
-    cold_waits: np.ndarray
-    pod_created: np.ndarray
-    pod_death: np.ndarray
-    cold_idx: np.ndarray
 
 
 def _next_width(accepted: int, cap: int) -> int:
@@ -127,30 +110,20 @@ def _candidates(t: np.ndarray, idle_end: np.ndarray, ka: float, conc: int) -> li
     return (np.flatnonzero(deviating) + 1).tolist() + [n]
 
 
-def _empty_replay() -> FunctionReplay:
-    z = np.zeros(0, dtype=np.float64)
-    return FunctionReplay(0, 0, z, z, z.copy(), z.copy(), np.zeros(0, np.int64))
-
-
-def replay_function(t, e, ka, conc, patience, sampler, congestion) -> FunctionReplay:
-    """Replay one function's arrivals under fixed keep-alive semantics."""
-    if t.size == 0:
-        return _empty_replay()
-    return _replay_walk(t, e, ka, conc, patience, sampler, congestion)
-
-
 @dataclass
 class CoupledReplay:
-    """One function's replay outcome under a tick decision schedule.
+    """One function's replay outcome in structure-of-arrays form.
 
-    Extends :class:`FunctionReplay`'s columns with everything the coupled
-    policies touch: delayed-arrival events (original time, delay seconds,
-    delaying arrival's merged position), per-pod pre-warm flags, and the
-    canonical tie-break columns that let the caller reproduce the event
-    loop's processing order exactly (``cold_delayed`` marks colds whose
-    triggering request was a delayed re-arrival; ``cold_tiebreak`` is the
-    merged position of the original — for re-arrivals, the delaying —
-    arrival).
+    Pod tables (creation time, death time, pre-warm flag) plus every
+    event a decision schedule can produce: cold starts, delayed-arrival
+    events (original time, delay seconds, delaying arrival's merged
+    position), and the canonical tie-break columns that let the caller
+    reproduce the event loop's processing order exactly
+    (``cold_delayed`` marks colds whose triggering request was a delayed
+    re-arrival; ``cold_tiebreak`` is the merged position of the original —
+    for re-arrivals, the delaying — arrival). ``pod_death`` is the pod's
+    final ``last_activity + keepalive``, uncapped; the caller applies the
+    horizon and closeout credit rules.
     """
 
     requests: int
@@ -168,27 +141,6 @@ class CoupledReplay:
     pod_death: np.ndarray
     pod_prewarmed: np.ndarray
     last_event_t: float
-
-
-def lift_replay(replay: FunctionReplay, merged_pos: np.ndarray, t: np.ndarray) -> CoupledReplay:
-    """View an uncoupled fast-walk outcome as a (decision-free) coupled one."""
-    n_pods = replay.pod_created.size
-    z = np.zeros(0, dtype=np.float64)
-    return CoupledReplay(
-        requests=replay.requests,
-        warm_hits=replay.warm_hits,
-        prewarm_hits=0,
-        prewarm_creations=0,
-        cold_times=replay.cold_times,
-        cold_waits=replay.cold_waits,
-        cold_delayed=np.zeros(replay.cold_times.size, dtype=bool),
-        cold_tiebreak=merged_pos[replay.cold_idx],
-        delay_t=z, delay_s=z.copy(), delay_pos=np.zeros(0, dtype=np.int64),
-        pod_created=replay.pod_created,
-        pod_death=replay.pod_death,
-        pod_prewarmed=np.zeros(n_pods, dtype=bool),
-        last_event_t=float(t[-1]) if t.size else -np.inf,
-    )
 
 
 def replay_function_coupled(
@@ -224,7 +176,7 @@ def replay_function_coupled(
     tick-partitioned vector engine replay only the functions a decision
     actually touches.
 
-    Most arrivals are retired in bulk, as by the uncoupled walk: steady
+    Most arrivals are retired in bulk, as by :func:`_replay_walk`: steady
     stretches of a calm (all idle) pod set by a chain jump, unsaturated
     spans of a busy multi-slot pod by a galloping slot-exhaustion sweep,
     and single-slot episodes with several pods (or one busy pod) from a
@@ -571,7 +523,7 @@ def replay_function_coupled(
             # invisible to earlier ranks). One sort + searchsorted per
             # block finds the longest prefix that never exhausts the
             # ``conc`` slots or outlives the pod; blocks gallop like the
-            # uncoupled walk's speculation. A block pays only if the pod
+            # speculation of ``_replay_walk``. A block pays only if the pod
             # also takes the next arrival (a free slot, and alive).
             e0 = [x for x in ends[b] if x > tk]
             ends[b] = e0
@@ -672,8 +624,11 @@ def _congestion_values(congestion, times: np.ndarray) -> np.ndarray:
     return values[idx]
 
 
-def _replay_walk(t, e, ka, conc, patience, sampler, congestion) -> FunctionReplay:
-    """Exact replay of one function for any per-pod concurrency.
+def _replay_walk(
+    t, e, merged_pos, ka, conc, patience, sampler, congestion
+) -> CoupledReplay:
+    """Exact replay of one function no decision touches, for any per-pod
+    concurrency.
 
     The walk alternates between four regimes — *cold* (no pod alive),
     *chain* (one pod, steady idle-warm, candidate jumps), *blip* (one pod,
@@ -1149,7 +1104,7 @@ def _replay_walk(t, e, ka, conc, patience, sampler, congestion) -> FunctionRepla
 
     flush_singles()
     tel = get_telemetry()
-    if tel.enabled:
+    if tel.enabled and n:
         tel.count_many((
             ("vector/functions", 1),
             ("vector/spec/blocks", w_spec_blocks),
@@ -1167,12 +1122,20 @@ def _replay_walk(t, e, ka, conc, patience, sampler, congestion) -> FunctionRepla
     cold_waits = (
         np.concatenate(cold_blocks[1::2]) if cold_blocks else np.zeros(0)
     )
-    return FunctionReplay(
+    return CoupledReplay(
         requests=n,
         warm_hits=n - cold_idx.size,
+        prewarm_hits=0,
+        prewarm_creations=0,
         cold_times=t[cold_idx],
         cold_waits=cold_waits,
+        cold_delayed=np.zeros(cold_idx.size, dtype=bool),
+        cold_tiebreak=merged_pos[cold_idx],
+        delay_t=EMPTY_F,
+        delay_s=EMPTY_F,
+        delay_pos=EMPTY_I,
         pod_created=np.asarray(pod_created, dtype=np.float64),
         pod_death=np.asarray(pod_death, dtype=np.float64),
-        cold_idx=cold_idx,
+        pod_prewarmed=np.zeros(len(pod_created), dtype=bool),
+        last_event_t=float(t[-1]) if n else -np.inf,
     )

@@ -319,7 +319,7 @@ class TelemetryEnvelope:
 
 
 def merge_telemetry(parts) -> Telemetry:
-    """Plan-order associative reducer (the ``SHARD_REDUCERS`` entry)."""
+    """Fold shard telemetry in plan order (associative)."""
     parts = list(parts)
     if not parts:
         raise ValueError("need at least one Telemetry to merge")

@@ -54,12 +54,8 @@ from repro.runtime.merge import (
     dedupe_functions,
     discard_shm,
     from_shm,
-    merge_accumulators,
     merge_bundles,
-    merge_counts,
     merge_eval_metrics,
-    merge_shard_results,
-    register_reducer,
     register_shm_type,
     shm_available,
     to_shm,
@@ -121,14 +117,10 @@ __all__ = [
     "load_chunk_functions",
     "load_chunked_bundle",
     "make_policy_evaluator",
-    "merge_accumulators",
     "merge_bundles",
-    "merge_counts",
     "merge_eval_metrics",
-    "merge_shard_results",
     "partition_days",
     "read_chunk_manifest",
-    "register_reducer",
     "register_shm_type",
     "shm_available",
     "to_shm",

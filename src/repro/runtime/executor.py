@@ -1091,11 +1091,12 @@ class EvaluationTask:
 def make_policy_evaluator(profile, policy: str, seed: int, engine: str = "vector"):
     """Build the §5 evaluator configuration named ``policy``.
 
-    Every named configuration — uncoupled (``baseline``,
+    Every named configuration — policy-free (``baseline``,
     ``dynamic-keepalive``) *and* coupled (pre-warming, peak shaving) —
     replays bit-identically on either engine: the coupled policies are
-    tick-protocol machines, which ``engine="vector"`` (default) runs on
-    the tick-partitioned path.
+    tick-protocol machines, and ``engine="vector"`` (default) runs every
+    configuration through one schedule-taking driver (the policy-free ones
+    on the empty schedule).
     """
     from repro.mitigation import (
         AsyncPeakShaver,

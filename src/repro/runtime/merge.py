@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Number
 
 import numpy as np
 
@@ -51,16 +50,13 @@ from repro.analysis.accumulators import (
     PodIntervalAccumulator,
     RegionAccumulator,
     StreamingMoments,
-    TDigest,
     TickGauge,
-    merge_accumulators,
 )
 from repro.mitigation.base import EvalMetrics
 from repro.obs.telemetry import (
     Telemetry,
     TelemetryEnvelope,
     get_telemetry,
-    merge_telemetry,
 )
 from repro.trace.tables import (
     FunctionTable,
@@ -78,10 +74,6 @@ __all__ = [
     "from_shm",
     "merge_bundles",
     "merge_eval_metrics",
-    "merge_counts",
-    "merge_accumulators",
-    "merge_shard_results",
-    "register_reducer",
     "register_shm_type",
     "shm_available",
     "to_shm",
@@ -141,79 +133,6 @@ def merge_eval_metrics(
     return merged
 
 
-def merge_counts(parts: Sequence[dict]) -> dict:
-    """Sum numeric values per key across dicts (recursing into sub-dicts).
-
-    The generic reducer for count-style analysis aggregates (requests per
-    category, cold starts per runtime, ...). Non-numeric values must agree
-    across parts and pass through unchanged.
-    """
-    merged: dict = {}
-    for part in parts:
-        for key, value in part.items():
-            if key not in merged:
-                merged[key] = dict(value) if isinstance(value, dict) else value
-            elif isinstance(value, dict):
-                merged[key] = merge_counts([merged[key], value])
-            elif isinstance(value, Number) and not isinstance(value, bool):
-                merged[key] = merged[key] + value
-            elif merged[key] != value:
-                raise ValueError(
-                    f"non-numeric key {key!r} disagrees across parts: "
-                    f"{merged[key]!r} != {value!r}"
-                )
-    return merged
-
-
-# --- shard-result reducer registry ------------------------------------------
-
-#: Maps a shard-result type to the reducer that folds a plan-ordered list of
-#: such results into one. ``ParallelExecutor`` callers dispatch through
-#: :func:`merge_shard_results`, so fanning a *new* analysis out only takes
-#: registering its accumulator here.
-SHARD_REDUCERS: dict[type, object] = {}
-
-
-def register_reducer(result_type: type, reducer) -> None:
-    """Register ``reducer(parts) -> merged`` for a shard-result type."""
-    SHARD_REDUCERS[result_type] = reducer
-
-
-def merge_shard_results(parts: Sequence):
-    """Reduce plan-ordered shard results by their registered reducer."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("need at least one shard result to merge")
-    for klass in type(parts[0]).__mro__:
-        reducer = SHARD_REDUCERS.get(klass)
-        if reducer is not None:
-            return reducer(parts)
-    raise TypeError(
-        f"no reducer registered for shard results of type "
-        f"{type(parts[0]).__name__}; see repro.runtime.merge.register_reducer"
-    )
-
-
-register_reducer(TraceBundle, merge_bundles)
-register_reducer(EvalMetrics, merge_eval_metrics)
-register_reducer(Telemetry, merge_telemetry)
-register_reducer(dict, merge_counts)
-for _accumulator_type in (
-    RegionAccumulator,
-    StreamingMoments,
-    LogHistogram,
-    TDigest,
-    BinnedSeries,
-    TickGauge,
-    GroupedCounts,
-    KeyedBinnedCounts,
-    DistinctPairs,
-    PodIntervalAccumulator,
-    GapTracker,
-):
-    register_reducer(_accumulator_type, merge_accumulators)
-
-
 class StreamingSummary:
     """Bounded-memory accumulator for :meth:`TraceBundle.summary` totals.
 
@@ -267,16 +186,6 @@ class StreamingSummary:
             "pods": len(self._pods),
             "users": len(self._users),
         }
-
-
-def _merge_summaries(parts: Sequence["StreamingSummary"]) -> "StreamingSummary":
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = merged.merge(part)
-    return merged
-
-
-register_reducer(StreamingSummary, _merge_summaries)
 
 
 # --- shared-memory (pickle-free) result channel ------------------------------
@@ -556,7 +465,6 @@ def shm_available() -> bool:
 for _shm_type in (
     StreamingMoments,
     LogHistogram,
-    TDigest,
     BinnedSeries,
     TickGauge,
     GroupedCounts,

@@ -11,7 +11,6 @@ from repro.mitigation import (
     CrossRegionEvaluator,
     DynamicKeepAlive,
     HistogramPrewarmPolicy,
-    NoPrewarm,
     PredictivePoolPolicy,
     ReactivePoolPolicy,
     RegionEvaluator,
@@ -88,7 +87,7 @@ class TestDynamicKeepAlive:
 class TestPrewarm:
     def test_timer_prewarm_reduces_cold_starts(self, workload):
         profile, traces = workload
-        base = RegionEvaluator(profile, prewarm_policy=NoPrewarm(), seed=3).run(traces)
+        base = RegionEvaluator(profile, prewarm_policy=None, seed=3).run(traces)
         warm = RegionEvaluator(
             profile, prewarm_policy=TimerPrewarmPolicy(), seed=3
         ).run(traces)

@@ -23,7 +23,6 @@ from repro.runtime import (
     iter_table_chunks,
     load_chunked_bundle,
     merge_bundles,
-    merge_counts,
     merge_eval_metrics,
     partition_days,
     run_generation_shard,
@@ -291,22 +290,6 @@ class TestReducers:
         exact_p95 = float(np.percentile(waits, 95))
         # documented sketch tolerance: ~one log bin (512 bins over 8 decades)
         assert m.p95_cold_wait_s() == pytest.approx(exact_p95, rel=0.08)
-
-    def test_merge_counts_is_associative(self):
-        a = {"requests": 3, "by_runtime": {"Go": 1, "Java": 2}, "region": "R1"}
-        b = {"requests": 5, "by_runtime": {"Go": 4}, "region": "R1"}
-        c = {"requests": 1, "by_runtime": {"Python3": 7}, "region": "R1"}
-        left = merge_counts([merge_counts([a, b]), c])
-        right = merge_counts([a, merge_counts([b, c])])
-        assert left == right == {
-            "requests": 9,
-            "by_runtime": {"Go": 5, "Java": 2, "Python3": 7},
-            "region": "R1",
-        }
-
-    def test_merge_counts_rejects_conflicting_labels(self):
-        with pytest.raises(ValueError):
-            merge_counts([{"region": "R1"}, {"region": "R2"}])
 
     def test_merge_bundles_rejects_mixed_regions(self):
         bundles = generate_multi_region(("R3", "R4"), seed=5, days=1, scale=0.1)

@@ -93,22 +93,6 @@ class TestCodecRoundTrip:
         fresh.merge(back)
         assert fresh.n == hist.n + 1
 
-    def test_tdigest_round_trip_and_shard_reduction(self):
-        from repro.analysis.accumulators import TDigest
-        from repro.runtime.merge import merge_shard_results
-
-        rng = np.random.default_rng(3)
-        digest = TDigest().add(rng.normal(5.0, 2.0, size=5000))
-        back = from_shm(to_shm(digest, min_bytes=0))
-        assert back == digest
-        # registered with SHARD_REDUCERS: plan-ordered parts fold in place
-        parts = [TDigest().add(rng.normal(5.0, 2.0, size=1000))
-                 for _ in range(3)]
-        total = sum(p.n for p in parts)
-        merged = merge_shard_results(parts)
-        assert merged.n == total
-        assert 4.0 < merged.quantile(0.5) < 6.0
-
     def test_region_accumulator_and_bundle_round_trip(self):
         bundle = generate_region("R3", seed=5, days=1, scale=0.05)
         acc = RegionAccumulator.from_bundle(bundle)

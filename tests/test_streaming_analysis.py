@@ -29,7 +29,6 @@ from repro.analysis.accumulators import (
     KeyedBinnedCounts,
     LogHistogram,
     RegionAccumulator,
-    TDigest,
 )
 from repro.core.study import StreamingTraceStudy, TraceStudy
 from repro.runtime import ChunkedBundleWriter, iter_bundle_chunks
@@ -418,65 +417,6 @@ class TestAccumulatorAlgebra:
         b = GroupedCounts().add(np.array([2, 3]))
         a.merge(b)
         assert a.as_dict() == {1: 2, 2: 2, 3: 1}
-
-    def test_tdigest_quantiles_within_rank_bound(self):
-        rng = np.random.default_rng(7)
-        values = rng.lognormal(0.0, 1.5, size=20_000)
-        digest = TDigest()
-        for lo in range(0, values.size, 1024):
-            digest.add(values[lo : lo + 1024])
-        assert digest.n == values.size
-        assert digest.sum == pytest.approx(values.sum(), rel=1e-12)
-        assert digest.centroids <= digest.compression
-        ranks = np.sort(values)
-        for q in (0.01, 0.25, 0.5, 0.75, 0.99, 0.999):
-            est = digest.quantile(q)
-            # rank error, not value error: where the estimate lands in the
-            # sorted sample must be within the k1 cluster span of q
-            rank = np.searchsorted(ranks, est) / values.size
-            tol = (
-                4.0 / digest.compression * math.sqrt(q * (1.0 - q))
-                + 1.0 / values.size
-            )
-            assert abs(rank - q) <= tol, (q, rank)
-        assert digest.quantile(0.0) == values.min()
-        assert digest.quantile(1.0) == values.max()
-
-    def test_tdigest_handles_signed_values(self):
-        values = np.concatenate([np.linspace(-50, -1, 500),
-                                 np.linspace(1, 50, 500)])
-        digest = TDigest().add(values)
-        assert digest.vmin == -50.0 and digest.vmax == 50.0
-        assert abs(digest.quantile(0.5)) < 1.0
-
-    def test_tdigest_merge_matches_single_pass_bound(self):
-        rng = np.random.default_rng(11)
-        values = rng.normal(10.0, 3.0, size=10_000)
-        whole = TDigest().add(values)
-        shards = [TDigest().add(values[lo : lo + 2500])
-                  for lo in range(0, values.size, 2500)]
-        merged = shards[0]
-        for part in shards[1:]:
-            merged.merge(part)
-        assert merged.n == whole.n
-        assert merged.sum == pytest.approx(whole.sum, rel=1e-12)
-        assert (merged.vmin, merged.vmax) == (whole.vmin, whole.vmax)
-        for q in (0.1, 0.5, 0.9):
-            assert merged.quantile(q) == pytest.approx(
-                whole.quantile(q), rel=0.05
-            )
-        with pytest.raises(ValueError, match="compressions"):
-            TDigest(100).merge(TDigest(200))
-
-    def test_tdigest_empty_and_nan(self):
-        digest = TDigest()
-        assert math.isnan(digest.quantile(0.5))
-        digest.add(np.array([np.nan, np.nan]))
-        assert digest.n == 0
-        digest.add_one(float("nan"))
-        assert digest.n == 0
-        digest.add_one(3.0)
-        assert digest.quantile(0.5) == 3.0
 
     def test_log_histogram_probabilities_exact(self):
         rng = np.random.default_rng(1)

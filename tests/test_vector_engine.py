@@ -1,5 +1,5 @@
 """Engine equivalence: the vectorized replay is bit-identical to the event
-loop for every configuration — uncoupled *and* coupled tick-phase policies
+loop for every configuration — policy-free *and* coupled tick-phase policies
 (pre-warming, peak shaving, cross-region routing, user-defined tick
 policies) — across seeds, jobs, and result channels."""
 
@@ -364,10 +364,13 @@ class TestShardedEngineEquivalence:
 
 
 class TestCoupledEngineEquivalence:
-    """The tentpole property: every coupled tick-phase configuration is
-    bit-identical between the engines, across seeds and policy mixes."""
+    """The tentpole property: every tick-phase configuration — the
+    policy-free ones (the empty schedule) included — is bit-identical
+    between the engines, across seeds, policy mixes and trace sets."""
 
     CONFIGS = {
+        "baseline": lambda: {},
+        "dynamic-keepalive": lambda: dict(keepalive_policy=DynamicKeepAlive()),
         "timer-prewarm": lambda: dict(prewarm_policy=TimerPrewarmPolicy()),
         "histogram-prewarm": lambda: dict(
             prewarm_policy=HistogramPrewarmPolicy(
@@ -388,13 +391,21 @@ class TestCoupledEngineEquivalence:
     def test_coupled_configs_bit_identical(self, r2_traces, config, seed):
         profile, traces = r2_traces
         make = self.CONFIGS[config]
-        event = RegionEvaluator(
-            profile, seed=seed, engine="event", **make()
-        ).run(traces)
-        vector = RegionEvaluator(
-            profile, seed=seed, engine="vector", **make()
-        ).run(traces)
-        _assert_identical(event, vector, f"{config}/seed={seed}")
+        # Functions without arrivals, a timer among them, mixed into a
+        # few busy ones; and no functions at all.
+        sparse = (
+            traces[:20] + [_trace(900_001, [], 0.3)] + traces[20:40]
+            + [_trace(900_002, [], 0.3, timer=True)]
+        )
+        for label, subset in (("all", traces), ("zero-arrival", sparse),
+                              ("empty", [])):
+            event = RegionEvaluator(
+                profile, seed=seed, engine="event", **make()
+            ).run(subset)
+            vector = RegionEvaluator(
+                profile, seed=seed, engine="vector", **make()
+            ).run(subset)
+            _assert_identical(event, vector, f"{config}/seed={seed}/{label}")
 
     @pytest.mark.parametrize("trigger", [1.05, 1.3, 2.0])
     def test_gauge_feedback_shaver_subclass_bit_identical(
@@ -524,11 +535,20 @@ class TestCoupledEngineEquivalence:
             ).run(traces)
             counters = dict(tel.counters)
             timers = dict(tel.timers)
+        policies = [
+            policy for arg, policy in self.CONFIGS[config]().items()
+            if arg != "keepalive_policy"
+        ]
+        if not policies:
+            # Nothing decides: the empty schedule steps no machine and
+            # books no tick counter or timer.
+            assert counters.get("vector/functions", 0) > 0
+            assert not [k for k in [*counters, *timers] if k.startswith("tick/")]
+            return
         assert counters["tick/horizon_ticks"] > 0
         assert "tick/steps" not in counters
         assert all(
-            timers[f"tick/policy/{type(p).__name__}_s"] > 0
-            for p in self.CONFIGS[config]().values()
+            timers[f"tick/policy/{type(p).__name__}_s"] > 0 for p in policies
         )
 
     def test_explicit_horizon_coupled_bit_identical(self, r2_traces):
