@@ -23,7 +23,7 @@ from pathlib import Path
 from repro.analysis.report import format_table
 from repro.mitigation import CrossRegionEvaluator, RoutingPolicy
 from repro.obs.profile import build_profile, dominant_cost_center, write_profile
-from repro.obs.telemetry import merge_telemetry, profiled
+from repro.obs.telemetry import profiled
 
 REPS = 3
 _RESULTS_DIR = Path(__file__).parent / "results"
@@ -104,7 +104,10 @@ def test_cross_region_routing(benchmark, r1_workload, emit):
 
     # The committed profile: counters naming where the cross-region vector
     # path spends its work relative to the event engine (ROADMAP item).
-    merged = merge_telemetry(list(route_telemetry.values()))
+    first, *rest = route_telemetry.values()
+    merged = first.snapshot()
+    for part in rest:
+        merged.merge(part)
     doc = build_profile(merged, meta={
         "command": "bench:crossregion-vector",
         "workload": {"region": "R1", "remotes": ["R3"],

@@ -36,15 +36,12 @@ from repro.analysis.region_stats import (
     cpu_per_minute_cdf,
     exec_time_per_minute_cdf,
     functions_per_user_cdf,
-    region_sizes,
     requests_per_day_per_function,
     requests_per_user_cdf,
 )
 from repro.analysis.composition import (
     aggregate_combo_label,
     function_metadata,
-    pods_over_time_by,
-    proportions_by,
     trigger_mix_by_runtime,
 )
 from repro.analysis.coldstart_stats import (
@@ -52,9 +49,7 @@ from repro.analysis.coldstart_stats import (
     component_cdfs_by,
     hourly_component_means,
     pool_size_quantiles,
-    requests_vs_cold_starts,
 )
-from repro.analysis.holiday import holiday_effect
 from repro.analysis.report import ascii_cdf, format_table
 
 __all__ = [
@@ -82,7 +77,6 @@ __all__ = [
     "daily_peak_minutes",
     "detect_peaks",
     "peak_to_trough_ratio",
-    "region_sizes",
     "requests_per_day_per_function",
     "exec_time_per_minute_cdf",
     "cpu_per_minute_cdf",
@@ -90,15 +84,11 @@ __all__ = [
     "requests_per_user_cdf",
     "function_metadata",
     "aggregate_combo_label",
-    "pods_over_time_by",
-    "proportions_by",
     "trigger_mix_by_runtime",
     "cold_start_iats",
     "hourly_component_means",
     "pool_size_quantiles",
-    "requests_vs_cold_starts",
     "component_cdfs_by",
-    "holiday_effect",
     "ascii_cdf",
     "format_table",
 ]

@@ -51,7 +51,7 @@ import math
 
 import numpy as np
 
-from repro.analysis.region_stats import sorted_unique
+from repro.analysis.cdf import Cdf, cdf_from_counts, empirical_cdf
 from repro.obs.telemetry import get_telemetry
 
 from repro.trace.tables import (
@@ -60,6 +60,7 @@ from repro.trace.tables import (
     PodTable,
     RequestTable,
     dedupe_functions,
+    sorted_unique,
 )
 
 __all__ = [
@@ -418,8 +419,6 @@ class LogHistogram:
 
     def cdf(self, include_zeros: bool = True):
         """A :class:`~repro.analysis.cdf.Cdf` over bin upper edges."""
-        from repro.analysis.cdf import Cdf, cdf_from_counts
-
         n_zero = self.n_zero if include_zeros else 0
         total = int(self.counts.sum()) + n_zero + self.n_under + self.n_over
         if total == 0:
@@ -867,7 +866,7 @@ class KeyedBinnedCounts:
         keys = np.asarray(keys, dtype=np.int64)
         if not keys.size:
             return self
-        uniques = np.unique(keys)
+        uniques = sorted_unique(keys)
         bins = _time_bins(np.asarray(times_s, dtype=np.float64), self.bin_s)
         return self._add_coded(uniques, np.searchsorted(uniques, keys), bins)
 
@@ -1137,30 +1136,6 @@ class GapTracker:
 #: Pod metrics sketched per category for Figs. 10/13/15/16.
 POD_METRICS = ("cold_start_s",) + COMPONENT_COLUMNS
 
-#: Which figures each prunable :class:`RegionAccumulator` part feeds.
-#: ``RegionAccumulator(figures=...)`` keeps a part only when it intersects
-#: the requested set; the core counters behind ``summary()`` (request and
-#: cold-start totals, per-user and per-function cold counts, time bounds)
-#: are always kept. ``"pod_join"`` is the per-pod id/cold-start state
-#: backing the exact Fig. 17 utility join.
-ACCUMULATOR_FIGURES: dict[str, frozenset] = {
-    "user_functions": frozenset({"fig04"}),
-    "per_function_day": frozenset({"fig03", "fig06", "fig14"}),
-    "per_function_minute": frozenset({"fig06"}),
-    "minute_requests": frozenset({"fig05"}),
-    "minute_exec": frozenset({"fig03"}),
-    "minute_cpu": frozenset({"fig03"}),
-    "day_cpu": frozenset({"fig07"}),
-    "intervals": frozenset({"fig07", "fig08", "fig17"}),
-    "minute_pod": frozenset({"fig12"}),
-    "hour_pod": frozenset({"fig11"}),
-    "component_sums": frozenset({"fig11"}),
-    "cold_log_moments": frozenset({"fig10"}),
-    "iat": frozenset({"fig10"}),
-    "category_hists": frozenset({"fig10", "fig13", "fig15", "fig16"}),
-    "pod_join": frozenset({"fig17"}),
-}
-
 
 class RegionAccumulator:
     """Everything Figures 1-17 need for one region, chunk by chunk.
@@ -1172,97 +1147,53 @@ class RegionAccumulator:
     :class:`~repro.core.study.StreamingTraceStudy` drives the figure
     finalizers on top.
 
-    ``figures`` prunes state to what the named figures need: pass e.g.
-    ``figures=("fig01", "fig05")`` to skip the fig-06 function x minute
-    matrix, the category histograms, the per-pod Fig. 17 join, and every
-    other accumulator those figures never read — ``figures=()`` keeps only
-    the ``summary()`` counters. ``None`` (default) keeps everything.
-    Reading a pruned statistic raises a ``ValueError`` naming the figure
-    set to request; accumulators only merge with an identically-pruned
-    peer (shards of one plan always are).
+    As the streamed side of the study's per-region data interface (the
+    figure-data section below; :class:`~repro.core.bundle_data.BundleData`
+    is the exact side), it serves counts, key sets and series exactly
+    (floating sums to addition order) and CDFs, quantiles and fits from
+    :class:`LogHistogram` sketches (one-bin value tolerance).
     """
 
     def __init__(self, region: str, functions: FunctionTable | None = None,
-                 meta: dict | None = None, figures=None):
+                 meta: dict | None = None):
         self.region = region
         self.functions = functions if functions is not None else FunctionTable.empty()
         self.meta = dict(meta or {})
-        self.figures = None if figures is None else frozenset(figures)
-
-        def want(part: str) -> bool:
-            return self.figures is None or bool(
-                ACCUMULATOR_FIGURES[part] & self.figures
-            )
-
         # request-side
         self.n_requests = 0
         self.req_ts_ms_min: int | None = None
         self.req_ts_ms_max: int | None = None
         self.per_user = GroupedCounts()
-        self.user_functions = DistinctPairs() if want("user_functions") else None
-        self.per_function_day = (
-            KeyedBinnedCounts(_SECONDS_PER_DAY) if want("per_function_day") else None
-        )
-        self.per_function_minute = (
-            KeyedBinnedCounts(60.0) if want("per_function_minute") else None
-        )
-        self.minute_requests = (
-            BinnedSeries(60.0, track_sums=False) if want("minute_requests") else None
-        )
-        self.minute_exec = BinnedSeries(60.0) if want("minute_exec") else None
-        self.minute_cpu = BinnedSeries(60.0) if want("minute_cpu") else None
-        self.day_cpu = BinnedSeries(_SECONDS_PER_DAY) if want("day_cpu") else None
-        self.intervals = PodIntervalAccumulator() if want("intervals") else None
+        self.user_functions = DistinctPairs()
+        self.per_function_day = KeyedBinnedCounts(_SECONDS_PER_DAY)
+        self.per_function_minute = KeyedBinnedCounts(60.0)
+        self.minute_requests = BinnedSeries(60.0, track_sums=False)
+        self.minute_exec = BinnedSeries(60.0)
+        self.minute_cpu = BinnedSeries(60.0)
+        self.day_cpu = BinnedSeries(_SECONDS_PER_DAY)
+        self.intervals = PodIntervalAccumulator()
         # pod-side
         self.n_cold_starts = 0
         self.pod_ts_max: float = -math.inf
         self.per_function_cold = GroupedCounts()
-        self.minute_pod = (
-            {name: BinnedSeries(60.0) for name in POD_METRICS}
-            if want("minute_pod") else None
-        )
-        self.hour_pod = (
-            {name: BinnedSeries(3600.0) for name in POD_METRICS}
-            if want("hour_pod") else None
-        )
-        self.component_sums = (
-            {name: StreamingMoments() for name in POD_METRICS}
-            if want("component_sums") else None
-        )
-        self.cold_log_moments = (
-            StreamingMoments() if want("cold_log_moments") else None
-        )
-        self.iat = GapTracker() if want("iat") else None
+        self.minute_pod = {name: BinnedSeries(60.0) for name in POD_METRICS}
+        self.hour_pod = {name: BinnedSeries(3600.0) for name in POD_METRICS}
+        self.component_sums = {name: StreamingMoments() for name in POD_METRICS}
+        self.cold_log_moments = StreamingMoments()
+        self.iat = GapTracker()
         # category histograms: (kind, category, metric) -> LogHistogram
-        self.category_hists: dict[tuple[str, str, str], LogHistogram] | None = (
-            {} if want("category_hists") else None
-        )
+        self.category_hists: dict[tuple[str, str, str], LogHistogram] = {}
         # per-pod cold-start durations for the exact Fig. 17 join
-        self._track_pod_join = want("pod_join")
         self._pod_ids = np.zeros(0, dtype=np.int64)
         self._pod_cold_s = np.zeros(0, dtype=np.float64)
         self._pod_functions = np.zeros(0, dtype=np.int64)
 
-    def _require(self, part: str):
-        value = getattr(self, part if part != "pod_join" else "_pod_ids")
-        if part == "pod_join" and not self._track_pod_join:
-            value = None
-        if value is None:
-            raise ValueError(
-                f"{part!r} was pruned from this RegionAccumulator; construct "
-                f"it with figures including one of "
-                f"{sorted(ACCUMULATOR_FIGURES[part])} (or figures=None)"
-            )
-        return value
-
     @classmethod
-    def from_bundle(cls, bundle, chunk_s: float = 6 * 3600.0,
-                    figures=None) -> "RegionAccumulator":
+    def from_bundle(cls, bundle, chunk_s: float = 6 * 3600.0) -> "RegionAccumulator":
         """Reduce an in-memory bundle by streaming it chunk by chunk."""
         from repro.runtime.stream import iter_bundle_chunks
 
-        acc = cls(bundle.region, functions=bundle.functions,
-                  meta=dict(bundle.meta), figures=figures)
+        acc = cls(bundle.region, functions=bundle.functions, meta=dict(bundle.meta))
         for chunk in iter_bundle_chunks(bundle, chunk_s=chunk_s):
             acc.update(chunk)
         return acc
@@ -1300,27 +1231,18 @@ class RegionAccumulator:
         functions = requests["function"]
         users = requests["user"]
         minute, day = _time_bins(ts, 60.0), _time_bins(ts, _SECONDS_PER_DAY)
-        uniques = np.unique(functions)
+        uniques = sorted_unique(functions)
         inverse = np.searchsorted(uniques, functions)
         self.per_user.add(users)
-        if self.user_functions is not None:
-            self.user_functions.add(users, functions)
-        if self.per_function_day is not None:
-            self.per_function_day._add_coded(uniques, inverse, day)
-        if self.per_function_minute is not None:
-            self.per_function_minute._add_coded(uniques, inverse, minute)
-        if self.minute_requests is not None:
-            self.minute_requests.add(ts, bins=minute)
-        if self.minute_exec is not None:
-            self.minute_exec.add(ts, requests.exec_time_s, minute)
-        if self.minute_cpu is not None or self.day_cpu is not None:
-            cores = requests["cpu_millicores"] / 1000.0
-            if self.minute_cpu is not None:
-                self.minute_cpu.add(ts, cores, minute)
-            if self.day_cpu is not None:
-                self.day_cpu.add(ts, cores, day)
-        if self.intervals is not None:
-            self.intervals.add(requests)
+        self.user_functions.add(users, functions)
+        self.per_function_day._add_coded(uniques, inverse, day)
+        self.per_function_minute._add_coded(uniques, inverse, minute)
+        self.minute_requests.add(ts, bins=minute)
+        self.minute_exec.add(ts, requests.exec_time_s, minute)
+        cores = requests["cpu_millicores"] / 1000.0
+        self.minute_cpu.add(ts, cores, minute)
+        self.day_cpu.add(ts, cores, day)
+        self.intervals.add(requests)
 
     def _update_pods(self, pods: PodTable) -> None:
         from repro.analysis.coldstart_stats import pod_metric_values
@@ -1333,25 +1255,18 @@ class RegionAccumulator:
         metrics = pod_metric_values(pods)
         minute, hour = _time_bins(ts, 60.0), _time_bins(ts, 3600.0)
         for name, values in metrics.items():
-            if self.minute_pod is not None:
-                self.minute_pod[name].add(ts, values, minute)
-            if self.hour_pod is not None:
-                self.hour_pod[name].add(ts, values, hour)
-            if self.component_sums is not None:
-                self.component_sums[name].add(values)
+            self.minute_pod[name].add(ts, values, minute)
+            self.hour_pod[name].add(ts, values, hour)
+            self.component_sums[name].add(values)
         cold_s = metrics["cold_start_s"]
-        if self.cold_log_moments is not None:
-            positive = cold_s[cold_s > 0]
-            if positive.size:
-                self.cold_log_moments.add(np.log(positive))
-        if self.iat is not None:
-            self.iat.add(ts)
+        positive = cold_s[cold_s > 0]
+        if positive.size:
+            self.cold_log_moments.add(np.log(positive))
+        self.iat.add(ts)
         # per-pod state for the Fig. 17 utility join
-        if self._track_pod_join:
-            order = np.argsort(pods["pod_id"])
-            self._join_pods(pods["pod_id"][order], cold_s[order], functions[order])
-        if self.category_hists is not None:
-            self._sketch_categories(functions, metrics)
+        order = np.argsort(pods["pod_id"])
+        self._join_pods(pods["pod_id"][order], cold_s[order], functions[order])
+        self._sketch_categories(functions, metrics)
 
     def _sketch_categories(self, function_ids: np.ndarray, metrics: dict) -> None:
         """Fold each metric into its per-category sketches. A metric drops
@@ -1408,12 +1323,6 @@ class RegionAccumulator:
                 f"{other.region!r}"
             )
         get_telemetry().count("accumulators/merges")
-        if self.figures != other.figures:
-            raise ValueError(
-                "cannot merge RegionAccumulators pruned to different figure "
-                f"sets ({sorted(self.figures or ())} != "
-                f"{sorted(other.figures or ())})"
-            )
         self.functions = dedupe_functions([self.functions, other.functions])
         if other.meta:
             merged_days = int(self.meta.get("days", 0)) + int(other.meta.get("days", 0))
@@ -1430,51 +1339,36 @@ class RegionAccumulator:
         self.req_ts_ms_min = min(mins) if mins else None
         self.req_ts_ms_max = max(maxs) if maxs else None
         self.per_user.merge(other.per_user)
-        if self.user_functions is not None:
-            self.user_functions.merge(other.user_functions)
-        if self.per_function_day is not None:
-            self.per_function_day.merge(other.per_function_day)
-        if self.per_function_minute is not None:
-            self.per_function_minute.merge(other.per_function_minute)
-        if self.minute_requests is not None:
-            self.minute_requests.merge(other.minute_requests)
-        if self.minute_exec is not None:
-            self.minute_exec.merge(other.minute_exec)
-        if self.minute_cpu is not None:
-            self.minute_cpu.merge(other.minute_cpu)
-        if self.day_cpu is not None:
-            self.day_cpu.merge(other.day_cpu)
-        if self.intervals is not None:
-            self.intervals.merge(other.intervals)
+        self.user_functions.merge(other.user_functions)
+        self.per_function_day.merge(other.per_function_day)
+        self.per_function_minute.merge(other.per_function_minute)
+        self.minute_requests.merge(other.minute_requests)
+        self.minute_exec.merge(other.minute_exec)
+        self.minute_cpu.merge(other.minute_cpu)
+        self.day_cpu.merge(other.day_cpu)
+        self.intervals.merge(other.intervals)
         self.n_cold_starts += other.n_cold_starts
         self.pod_ts_max = max(self.pod_ts_max, other.pod_ts_max)
         self.per_function_cold.merge(other.per_function_cold)
         for name in POD_METRICS:
-            if self.minute_pod is not None:
-                self.minute_pod[name].merge(other.minute_pod[name])
-            if self.hour_pod is not None:
-                self.hour_pod[name].merge(other.hour_pod[name])
-            if self.component_sums is not None:
-                self.component_sums[name].merge(other.component_sums[name])
-        if self.cold_log_moments is not None:
-            self.cold_log_moments.merge(other.cold_log_moments)
-        if self.iat is not None:
-            self.iat.merge(other.iat)
-        if self.category_hists is not None:
-            for key, hist in other.category_hists.items():
-                mine_hist = self.category_hists.get(key)
-                if mine_hist is None:
-                    self.category_hists[key] = hist
-                else:
-                    mine_hist.merge(hist)
-        if self._track_pod_join:
-            self._join_pods(other._pod_ids, other._pod_cold_s, other._pod_functions)
+            self.minute_pod[name].merge(other.minute_pod[name])
+            self.hour_pod[name].merge(other.hour_pod[name])
+            self.component_sums[name].merge(other.component_sums[name])
+        self.cold_log_moments.merge(other.cold_log_moments)
+        self.iat.merge(other.iat)
+        for key, hist in other.category_hists.items():
+            mine_hist = self.category_hists.get(key)
+            if mine_hist is None:
+                self.category_hists[key] = hist
+            else:
+                mine_hist.merge(hist)
+        self._join_pods(other._pod_ids, other._pod_cold_s, other._pod_functions)
         return self
 
-    # -- shared finalizers ----------------------------------------------------
+    # -- figure data: the per-region interface the study reads ---------------
 
     @property
-    def req_max_ts_s(self) -> float:
+    def last_request_s(self) -> float:
         return (self.req_ts_ms_max or 0) / 1e3
 
     def span_days(self) -> float:
@@ -1489,29 +1383,130 @@ class RegionAccumulator:
             "requests": self.n_requests,
             "cold_starts": self.n_cold_starts,
             "functions": len(self.functions),
-            # every pod row is one cold start, so the count survives
-            # pruning the per-pod join state
-            "pods": (
-                int(np.unique(self._pod_ids).size)
-                if self._track_pod_join
-                else self.n_cold_starts
-            ),
+            "pods": int(sorted_unique(self._pod_ids).size),
             "users": self.per_user.n_keys,
         }
 
-    def requests_per_day_per_function(self) -> tuple[np.ndarray, np.ndarray]:
-        """(function ids, median-day request counts), Fig. 3a's statistic."""
-        per_function_day = self._require("per_function_day")
+    def day_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted function ids, median-day request counts), Fig. 3a's statistic."""
         if not self.n_requests:
             return np.zeros(0, dtype=np.int64), np.zeros(0)
         days = max(int(np.ceil(self.span_days())), 1)
-        matrix = per_function_day.counts_matrix(days)
-        return per_function_day.keys, np.median(matrix, axis=1)
+        matrix = self.per_function_day.counts_matrix(days)
+        return self.per_function_day.keys, np.median(matrix, axis=1)
 
-    def pod_cold_lookup(self) -> tuple[np.ndarray, np.ndarray]:
+    def minute_usage(self) -> tuple[Cdf, Cdf]:
+        """CDFs over minutes of the mean execution time and CPU cores."""
+        exec_means, cpu_means = self.minute_exec.means_until(), self.minute_cpu.means_until()
+        return _nan_free_cdf(exec_means), _nan_free_cdf(cpu_means)
+
+    def functions_per_user(self) -> Cdf:
+        return empirical_cdf(self.user_functions.counts_per_first().astype(np.float64))
+
+    def requests_per_user(self) -> Cdf:
+        return empirical_cdf(self.per_user.counts.astype(np.float64))
+
+    def request_counts(self, horizon_s: float) -> np.ndarray:
+        """Requests per minute over ``[0, horizon_s)``."""
+        return self.minute_requests.counts_until(horizon_s)
+
+    def daily_cpu(self, horizon_s: float) -> np.ndarray:
+        """Mean request CPU cores per day over ``[0, horizon_s)``."""
+        return self.day_cpu.means_until(horizon_s)
+
+    def function_requests(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted function ids, total requests of each)."""
+        return self.per_function_day.keys, self.per_function_day.matrix.sum(axis=1)
+
+    def function_minute_matrix(self, function_ids: np.ndarray) -> np.ndarray:
+        """Per-minute requests of each function up to the last request's
+        minute; rows follow ``function_ids``, the keys both keyed series
+        are coded by."""
+        n_bins = max(int(np.ceil((self.last_request_s + 60.0) / 60.0)), 1)
+        return self.per_function_minute.counts_matrix(n_bins)
+
+    def cold_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted function ids, cold starts of each)."""
+        return self.per_function_cold.keys, self.per_function_cold.counts
+
+    def pod_intervals(self):
+        return self.intervals.finalize()
+
+    def pod_join(self) -> tuple[np.ndarray, np.ndarray]:
         """(sorted pod ids, cold-start seconds) for the Fig. 17 join."""
-        self._require("pod_join")
         return self._pod_ids, self._pod_cold_s
+
+    def pod_series(self, bin_s: float, horizon_s: float | None = None):
+        """Cold starts per minute or hour bin and each pod metric's per-bin
+        mean; the horizon defaults to the last cold start's bin."""
+        series = {60.0: self.minute_pod, 3600.0: self.hour_pod}[bin_s]
+        counts = series["cold_start_s"].counts_until(horizon_s)
+        return counts, {name: s.means_until(horizon_s) for name, s in series.items()}
+
+    def cold_start_cdf(self) -> Cdf:
+        hist = self.category_hists.get(("all", "all", "cold_start_s"))
+        return hist.cdf() if hist is not None else Cdf(np.zeros(0), np.zeros(0))
+
+    def iat_cdf(self) -> Cdf:
+        return self.iat.hist.cdf()
+
+    def category_cdfs(self, by: str) -> dict[str, dict[str, Cdf]]:
+        from repro.analysis.coldstart_stats import component_cdfs_from_hists
+
+        return component_cdfs_from_hists(self.category_hists, by=by)
+
+    def pool_quantiles(self) -> dict:
+        from repro.analysis.coldstart_stats import pool_split_from_hists
+
+        return pool_split_from_hists(self.category_hists)
+
+    def component_means(self) -> dict[str, float]:
+        """Mean seconds of each component, empty without pods."""
+        if not self.n_cold_starts:
+            return {}
+        return {column: self.component_sums[column].mean for column in COMPONENT_COLUMNS}
+
+    def component_medians(self) -> dict[str, float]:
+        """Median seconds of each component to one sketch bin (dependency
+        deployment's sketch skips zeros, so they are counted back in)."""
+        out = {}
+        for column in COMPONENT_COLUMNS:
+            pooled = LogHistogram().merge(self.category_hists[("all", "all", column)])
+            pooled.n_zero += self.component_sums[column].n - pooled.n
+            out[column] = pooled.quantile(0.5)
+        return out
+
+    @classmethod
+    def pooled_lognormal_fit(cls, regions):
+        """Closed-form MLE from the regions' pooled log-moments (KS from
+        the pooled sketch)."""
+        from repro.core.fits import fit_lognormal_streaming
+
+        n = sum(acc.cold_log_moments.n for acc in regions)
+        sum_log = sum(acc.cold_log_moments.total for acc in regions)
+        sumsq = sum(acc.cold_log_moments.total_sq for acc in regions)
+        pooled = LogHistogram()
+        for acc in regions:
+            hist = acc.category_hists.get(("all", "all", "cold_start_s"))
+            if hist is not None:
+                pooled.merge(hist)
+        return fit_lognormal_streaming(
+            n, sum_log, sumsq, sample_cdf=pooled.cdf(include_zeros=False)
+        )
+
+    @classmethod
+    def pooled_weibull_fit(cls, regions):
+        """Weighted MLE over the regions' pooled IAT sketch (bin-width
+        tolerance)."""
+        from repro.core.fits import fit_weibull_weighted
+
+        pooled = LogHistogram()
+        for acc in regions:
+            pooled.merge(acc.iat.hist)
+        values, weights = pooled.positive_bin_values()
+        return fit_weibull_weighted(
+            values, weights, sample_cdf=pooled.cdf(include_zeros=False)
+        )
 
     # -- shared-memory payload ------------------------------------------------
 
@@ -1524,9 +1519,6 @@ class RegionAccumulator:
         """
         return {
             "region": self.region, "functions": self.functions,
-            "figures": (
-                None if self.figures is None else sorted(self.figures)
-            ),
             "meta": self.meta, "n_requests": self.n_requests,
             "req_ts_ms_min": self.req_ts_ms_min,
             "req_ts_ms_max": self.req_ts_ms_max,
@@ -1548,8 +1540,7 @@ class RegionAccumulator:
 
     @classmethod
     def _from_shm_state(cls, state: dict) -> "RegionAccumulator":
-        out = cls(state["region"], functions=state["functions"],
-                  meta=state["meta"], figures=state.get("figures"))
+        out = cls(state["region"], functions=state["functions"], meta=state["meta"])
         for name in ("n_requests", "req_ts_ms_min", "req_ts_ms_max",
                      "per_user", "user_functions", "per_function_day",
                      "per_function_minute", "minute_requests", "minute_exec",
@@ -1562,3 +1553,7 @@ class RegionAccumulator:
         out._pod_cold_s = state["pod_cold_s"]
         out._pod_functions = state["pod_functions"]
         return out
+
+
+def _nan_free_cdf(values: np.ndarray) -> Cdf:
+    return empirical_cdf(values[~np.isnan(values)])

@@ -51,25 +51,16 @@ def cold_start_iats(pods: PodTable) -> np.ndarray:
 
 
 def hourly_component_means(
-    pods: PodTable, horizon_s: float | None = None
+    pods: PodTable, horizon_s: float | None = None, bin_s: float = 3600.0
 ) -> dict[str, np.ndarray]:
-    """Per-hour mean component/total times plus cold-start counts (Fig. 11)."""
+    """Per-hour (or per-``bin_s``) mean component/total times plus
+    cold-start counts (Fig. 11; Fig. 12 bins by minute)."""
     ts = pods.timestamps_s
-    if horizon_s is None:
-        horizon_s = float(ts.max()) + 3600.0 if ts.size else 3600.0
     columns = itertools.chain(
         [pods.cold_start_s], (pods.component_s(c) for c in COMPONENT_COLUMNS)
     )
-    counts, means = bin_counts_and_means(ts, columns, 3600.0, horizon_s)
+    counts, means = bin_counts_and_means(ts, columns, bin_s, horizon_s)
     return {"count": counts, **dict(zip(("cold_start_s",) + COMPONENT_COLUMNS, means))}
-
-
-def dominant_component(pods: PodTable) -> str:
-    """The component with the largest mean over the trace (per-region)."""
-    if not len(pods):
-        return "none"
-    means = {col: float(pods.component_s(col).mean()) for col in COMPONENT_COLUMNS}
-    return max(means, key=means.get)
 
 
 def pool_size_quantiles(
@@ -94,25 +85,6 @@ def pool_size_quantiles(
             per_size[size] = quantiles(sample, qs)
         out[name] = per_size
     return out
-
-
-def requests_vs_cold_starts(bundle: TraceBundle) -> list[dict[str, object]]:
-    """Per-function total requests vs cold starts with trigger label (Fig. 14)."""
-    req_funcs, req_counts = np.unique(bundle.requests["function"], return_counts=True)
-    cold_funcs, cold_counts = np.unique(bundle.pods["function"], return_counts=True)
-    cold_map = dict(zip(cold_funcs.tolist(), cold_counts.tolist()))
-    meta = function_metadata(bundle, req_funcs)
-    rows = []
-    for i, function_id in enumerate(req_funcs.tolist()):
-        rows.append(
-            {
-                "function": function_id,
-                "requests": int(req_counts[i]),
-                "cold_starts": int(cold_map.get(function_id, 0)),
-                "trigger": str(meta.trigger_label[i]),
-            }
-        )
-    return rows
 
 
 def component_cdfs_by(

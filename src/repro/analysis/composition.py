@@ -199,19 +199,6 @@ def pods_over_time_from(
     return out
 
 
-def pods_over_time_by(
-    bundle: TraceBundle,
-    by: str = "trigger",
-    bin_s: float = 3600.0,
-    keepalive_s: float = 60.0,
-) -> dict[str, np.ndarray]:
-    """Running pods per time bin, grouped by category (Fig. 8a–c)."""
-    return pods_over_time_from(
-        pod_intervals(bundle), bundle.functions, by=by, bin_s=bin_s,
-        keepalive_s=keepalive_s,
-    )
-
-
 def proportions_from(
     intervals: "PodIntervals",
     cold_function_ids: np.ndarray,
@@ -221,6 +208,9 @@ def proportions_from(
 ) -> dict[str, dict[str, float]]:
     """Category shares of pod-time / cold starts / functions (Fig. 8d-f core).
 
+    The paper computes the pod share from the mean number of active pods per
+    minute — equivalent to each category's share of total pod-seconds — and
+    the cold-start share from the number of newly started pods.
     ``cold_function_ids``/``cold_counts`` give cold starts per function —
     the pod-level stream reduced to its function margin, which is all the
     share computation needs.
@@ -245,19 +235,6 @@ def proportions_from(
             "functions": float((func_codes == code).sum()) / n_funcs,
         }
     return out
-
-
-def proportions_by(bundle: TraceBundle, by: str = "trigger") -> dict[str, dict[str, float]]:
-    """Shares of pod-time, cold starts, and functions per category (Fig. 8d–f).
-
-    The paper computes the pod share from the mean number of active pods per
-    minute — equivalent to each category's share of total pod-seconds — and
-    the cold-start share from the number of newly started pods.
-    """
-    cold_ids, cold_counts = np.unique(bundle.pods["function"], return_counts=True)
-    return proportions_from(
-        pod_intervals(bundle), cold_ids, cold_counts, bundle.functions, by=by
-    )
 
 
 def trigger_mix_by_runtime(

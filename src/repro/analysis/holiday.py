@@ -11,13 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.composition import pod_intervals
-from repro.analysis.timeseries import bin_means, presence_counts
 from repro.trace.tables import TraceBundle
 from repro.workload.shapes import (
     HOLIDAY_FIRST_DAY,
     HOLIDAY_LAST_DAY,
-    PRE_HOLIDAY_RUSH_DAY,
     SECONDS_PER_DAY,
 )
 
@@ -49,34 +46,6 @@ class HolidayEffect:
         return float(np.nanmax(values[mask])) if mask.any() else float("nan")
 
 
-def holiday_effect(
-    bundle: TraceBundle,
-    first_day: int = HOLIDAY_FIRST_DAY,
-    last_day: int = HOLIDAY_LAST_DAY,
-    window: tuple[int, int] = (10, 27),
-    keepalive_s: float = 60.0,
-) -> HolidayEffect:
-    """Compute Fig. 7's normalised series for one region.
-
-    Pod allocation per day is the mean number of concurrently active pods;
-    CPU is the mean request CPU usage that day. Both are normalised to their
-    maximum over the in-window days strictly before the holiday (the paper
-    normalises "to their maximum value during the same number of days
-    before the holiday").
-    """
-    intervals = pod_intervals(bundle)
-    horizon = float(bundle.requests["timestamp_ms"].max()) / 1e3 + keepalive_s
-    daily_pods_full = presence_counts(
-        intervals.start_s, intervals.last_end_s + keepalive_s, SECONDS_PER_DAY, horizon
-    )
-    cores = bundle.requests["cpu_millicores"] / 1000.0
-    daily_cpu_full = bin_means(bundle.requests.timestamps_s, cores, SECONDS_PER_DAY, horizon)
-    return holiday_effect_from_series(
-        daily_pods_full, daily_cpu_full,
-        first_day=first_day, last_day=last_day, window=window,
-    )
-
-
 def holiday_effect_from_series(
     daily_pods_full: np.ndarray,
     daily_cpu_full: np.ndarray,
@@ -86,8 +55,11 @@ def holiday_effect_from_series(
 ) -> HolidayEffect:
     """Fig. 7's windowing/normalisation, from precomputed daily series.
 
-    Shared finalizer: the materialised path derives the series from a
-    bundle, the streaming path from its interval and day-bin accumulators.
+    Pod allocation per day is the mean number of concurrently active pods;
+    CPU is the mean request CPU usage that day. Both are normalised to their
+    maximum over the in-window days strictly before the holiday (the paper
+    normalises "to their maximum value during the same number of days
+    before the holiday").
     """
     lo, hi = window
     if lo >= hi:
@@ -141,7 +113,3 @@ def post_holiday_cold_start_surge(bundle: TraceBundle) -> dict[str, float]:
     )
     return {"count_ratio": float(count_ratio), "duration_ratio": duration_ratio}
 
-
-def pre_holiday_day() -> int:
-    """The last working day before the holiday (day 13 in the paper)."""
-    return PRE_HOLIDAY_RUSH_DAY

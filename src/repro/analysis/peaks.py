@@ -81,9 +81,8 @@ def peak_trough_rows(
     """Fig. 6 rows from per-function statistics.
 
     ``minute_matrix`` holds each function's per-minute request counts over
-    the full horizon (rows aligned with ``function_ids``). Both the
-    materialised and the streaming study build these inputs their own way
-    and finish here, so the figure has one authoritative row shape.
+    the full horizon (rows aligned with ``function_ids``), as either
+    region-data adapter of the study serves it.
     """
     rows: list[dict[str, object]] = []
     for i, function_id in enumerate(np.asarray(function_ids).tolist()):

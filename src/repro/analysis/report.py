@@ -87,7 +87,7 @@ def format_cdf_rows(
 def format_proportions(
     proportions: dict[str, dict[str, float]]
 ) -> list[dict[str, object]]:
-    """Flatten proportions_by output for tabular printing (Fig. 8d–f)."""
+    """Flatten ``fig08_proportions`` output for tabular printing (Fig. 8d–f)."""
     rows = []
     for category in sorted(proportions):
         shares = proportions[category]

@@ -17,14 +17,11 @@ from repro.core.fits import (
     PAPER_IAT_FIT,
 )
 from repro.core.correlations import (
-    component_correlations,
     correlations_from_series,
     CorrelationMatrix,
 )
 from repro.core.utility import (
     UtilitySummary,
-    pod_utility_ratios,
-    utility_by_category,
     utility_by_category_from,
     utility_summary,
 )
@@ -39,11 +36,8 @@ __all__ = [
     "fit_weibull_weighted",
     "PAPER_COLD_START_FIT",
     "PAPER_IAT_FIT",
-    "component_correlations",
     "correlations_from_series",
     "CorrelationMatrix",
-    "pod_utility_ratios",
-    "utility_by_category",
     "utility_by_category_from",
     "utility_summary",
     "UtilitySummary",

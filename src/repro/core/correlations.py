@@ -7,14 +7,10 @@ reports the Spearman rank correlation matrix, starring cells with p < 0.05.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special, stats
-
-from repro.analysis.timeseries import bin_counts_and_means
-from repro.trace.tables import COMPONENT_COLUMNS, PodTable
 
 #: Matrix row/column order, matching the paper's figure.
 CORRELATION_FIELDS = (
@@ -26,8 +22,7 @@ CORRELATION_FIELDS = (
     "num_cold_starts",
 )
 
-#: Matrix field -> pod component column (public: the streaming study builds
-#: its per-minute series from the same mapping).
+#: Matrix field -> pod component column.
 FIELD_TO_COLUMN = {
     "deploy_code_time": "deploy_code_us",
     "deploy_dep_time": "deploy_dep_us",
@@ -66,26 +61,11 @@ class CorrelationMatrix:
         return out
 
 
-def component_correlations(pods: PodTable, bin_s: float = 60.0) -> CorrelationMatrix:
-    """Per-minute-mean Spearman correlation matrix for one region."""
-    ts = pods.timestamps_s
-    horizon = float(ts.max()) + bin_s if ts.size else bin_s
-    columns = itertools.chain(
-        [pods.cold_start_s], (pods.component_s(c) for c in _FIELD_TO_COLUMN.values())
-    )
-    counts, means = bin_counts_and_means(ts, columns, bin_s, horizon)
-    active = counts > 0
-    series = {"num_cold_starts": counts[active]}
-    for field, values in zip(("cold_start_time", *_FIELD_TO_COLUMN), means):
-        series[field] = values[active]
-    return correlations_from_series(series)
-
-
 def correlations_from_series(series: dict[str, np.ndarray]) -> CorrelationMatrix:
     """Spearman matrix over already-binned per-minute series.
 
-    Shared finalizer for the materialised path above and the streaming
-    path, whose minute bins come from chunk-incremental accumulators.
+    The finalizer of :meth:`~repro.core.study.Study.fig12_correlations`
+    over either region-data adapter's minute bins.
     ``series`` must cover :data:`CORRELATION_FIELDS`, restricted to active
     (non-empty) minutes.
 

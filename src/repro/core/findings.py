@@ -2,7 +2,7 @@
 
 The paper distils its measurements into boxed claims ("Cross-region
 scheduling potential", "Complex origin of cold starts", ...). This module
-re-derives each claim from a :class:`~repro.core.study.TraceStudy` so a
+re-derives each claim from a :class:`~repro.core.study.Study` so a
 report can state, for any generated or loaded dataset, which of the
 paper's conclusions hold and with what numbers.
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.study import TraceStudy
+from repro.core.study import Study
 
 #: Registry of finding extractors, keyed by finding id.
 EXTRACTORS: dict[str, object] = {}
@@ -54,7 +54,7 @@ def _register(finding_id: str):
     return wrap
 
 
-def extract_findings(study: TraceStudy) -> list[Finding]:
+def extract_findings(study: Study) -> list[Finding]:
     """Run every extractor applicable to the study's regions."""
     findings = []
     for finding_id in sorted(EXTRACTORS):
@@ -66,7 +66,7 @@ def extract_findings(study: TraceStudy) -> list[Finding]:
 
 
 @_register("cross_region_potential")
-def cross_region_potential(study: TraceStudy) -> Finding | None:
+def cross_region_potential(study: Study) -> Finding | None:
     """§3.1 box: medians of invocations / exec time / CPU vary by large factors."""
     if len(study.regions) < 2:
         return None
@@ -96,7 +96,7 @@ def cross_region_potential(study: TraceStudy) -> Finding | None:
 
 
 @_register("complex_cold_start_origin")
-def complex_cold_start_origin(study: TraceStudy) -> Finding | None:
+def complex_cold_start_origin(study: Study) -> Finding | None:
     """§3.2 box: cold starts come from bursty functions AND slow timers."""
     rows = study.fig06_peak_trough()
     if not rows:
@@ -125,7 +125,7 @@ def complex_cold_start_origin(study: TraceStudy) -> Finding | None:
 
 
 @_register("timer_keepalive_mismatch")
-def timer_keepalive_mismatch(study: TraceStudy) -> Finding | None:
+def timer_keepalive_mismatch(study: Study) -> Finding | None:
     """§4.3 box: timers beyond the keep-alive cold start every firing."""
     rows = study.fig14_requests_vs_cold_starts()
     if not rows:
@@ -151,7 +151,7 @@ def timer_keepalive_mismatch(study: TraceStudy) -> Finding | None:
 
 
 @_register("custom_runtime_penalty")
-def custom_runtime_penalty(study: TraceStudy) -> Finding | None:
+def custom_runtime_penalty(study: Study) -> Finding | None:
     """§4.4: Custom images pay from-scratch allocation, medians above 10 s."""
     cdfs = study.fig15_by_runtime()
     custom = cdfs.get("Custom", {}).get("cold_start_s")
@@ -173,7 +173,7 @@ def custom_runtime_penalty(study: TraceStudy) -> Finding | None:
 
 
 @_register("utility_inversion")
-def utility_inversion(study: TraceStudy) -> Finding | None:
+def utility_inversion(study: Study) -> Finding | None:
     """§4.5 box: long-cold-start classes can have *better* utility ratios."""
     by_runtime = study.fig17_utility(by="runtime")
     slow_classes = [name for name in ("Custom", "http") if name in by_runtime]
@@ -197,7 +197,7 @@ def utility_inversion(study: TraceStudy) -> Finding | None:
 
 
 @_register("component_count_correlation")
-def component_count_correlation(study: TraceStudy) -> Finding | None:
+def component_count_correlation(study: Study) -> Finding | None:
     """§4.2 box: cold-start duration correlates with the cold-start count."""
     correlations = {}
     for name in study.regions:
@@ -220,7 +220,7 @@ def component_count_correlation(study: TraceStudy) -> Finding | None:
 
 
 @_register("pool_size_penalty")
-def pool_size_penalty(study: TraceStudy) -> Finding | None:
+def pool_size_penalty(study: Study) -> Finding | None:
     """§4.2: larger resource pools have longer cold starts (Fig. 13)."""
     split = study.fig13_pool_split()
     ratios = {}

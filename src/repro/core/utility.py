@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.cdf import Cdf, empirical_cdf
-from repro.analysis.composition import function_metadata, pod_intervals
-from repro.trace.tables import TraceBundle
+from repro.analysis.composition import function_metadata
 
 
 @dataclass
@@ -64,20 +63,6 @@ def utility_ratios_from(
     return intervals.function[valid], ratios
 
 
-def pod_utility_ratios(bundle: TraceBundle) -> tuple[np.ndarray, np.ndarray]:
-    """Utility ratio per pod, joined on the cold-start stream.
-
-    Returns ``(pod_function_ids, ratios)`` aligned arrays covering every
-    pod that appears in both the pod-level and request-level streams.
-    """
-    intervals = pod_intervals(bundle)
-    pods = bundle.pods
-    order = np.argsort(pods["pod_id"])
-    return utility_ratios_from(
-        intervals, pods["pod_id"][order], pods.cold_start_s[order]
-    )
-
-
 def utility_summary(ratios: np.ndarray) -> UtilitySummary:
     """Summarise a ratio population with the paper's headline statistics."""
     ratios = np.asarray(ratios, dtype=np.float64)
@@ -108,10 +93,3 @@ def utility_by_category_from(
         out[str(category)] = (empirical_cdf(sample), utility_summary(sample))
     return out
 
-
-def utility_by_category(
-    bundle: TraceBundle, by: str = "runtime"
-) -> dict[str, tuple[Cdf, UtilitySummary]]:
-    """Utility-ratio CDF and summary per runtime or trigger (Fig. 17a/b)."""
-    function_ids, ratios = pod_utility_ratios(bundle)
-    return utility_by_category_from(function_ids, ratios, bundle.functions, by=by)

@@ -34,7 +34,6 @@ from repro.obs.telemetry import (
     disable,
     enable,
     get_telemetry,
-    merge_telemetry,
     profiled,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "dominant_cost_center",
     "enable",
     "get_telemetry",
-    "merge_telemetry",
     "profiled",
     "render_report",
     "validate_profile",

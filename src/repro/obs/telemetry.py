@@ -55,7 +55,6 @@ __all__ = [
     "disable",
     "enable",
     "get_telemetry",
-    "merge_telemetry",
     "profiled",
 ]
 
@@ -316,14 +315,3 @@ class TelemetryEnvelope:
     @classmethod
     def _from_shm_state(cls, state: dict) -> "TelemetryEnvelope":
         return cls(state["result"], state["telemetry"])
-
-
-def merge_telemetry(parts) -> Telemetry:
-    """Fold shard telemetry in plan order (associative)."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("need at least one Telemetry to merge")
-    merged = parts[0].snapshot()
-    for part in parts[1:]:
-        merged.merge(part)
-    return merged

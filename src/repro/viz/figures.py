@@ -1,6 +1,6 @@
 """One renderer per paper figure, composing :mod:`repro.viz` primitives.
 
-Each ``render_figNN`` takes any study exposing the figure API — the
+Each ``render_figNN`` takes a :class:`~repro.core.study.Study` — the
 materialised :class:`~repro.core.study.TraceStudy` or the bounded-memory
 :class:`~repro.core.study.StreamingTraceStudy` (``repro figures --stream``)
 — and returns a printable string. The CLI's ``repro figures`` command and
@@ -10,19 +10,14 @@ figure has a single authoritative shape regardless of the compute path.
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
 from repro.analysis.report import format_cdf_rows, format_table
-from repro.core.study import StreamingTraceStudy, TraceStudy
+from repro.core.study import Study
 from repro.trace.tables import COMPONENT_COLUMNS
 from repro.viz.bars import bar_chart, proportions_bars, quantile_strip
 from repro.viz.chart import line_chart, multi_cdf_chart, stacked_area_legend
 from repro.viz.grid import correlation_heatmap
-
-#: Either study implementation; renderers only touch the shared figure API.
-Study = Union[TraceStudy, StreamingTraceStudy]
 
 #: Figure id -> renderer registry, populated at import time.
 FIGURES: dict[str, object] = {}
@@ -132,6 +127,13 @@ def render_fig06(study: Study) -> str:
     rows = study.fig06_peak_trough()
     ptt = np.array([row["peak_to_trough"] for row in rows], dtype=float)
     colds = np.array([row["cold_starts"] for row in rows], dtype=float)
+    log_ptt, log_colds = np.log10(ptt + 1e-9), np.log10(colds + 1.0)
+    # a constant series has no correlation: print nan as np.corrcoef
+    # would, without its division warnings
+    corr = (
+        float(np.corrcoef(log_ptt, log_colds)[0, 1])
+        if np.ptp(log_ptt) and np.ptp(log_colds) else float("nan")
+    )
     summary = [
         {"statistic": "functions", "value": len(rows)},
         {"statistic": "max peak-to-trough", "value": round(float(ptt.max()), 1)},
@@ -141,12 +143,7 @@ def render_fig06(study: Study) -> str:
         },
         {
             "statistic": "corr(log PTT, log colds)",
-            "value": round(
-                float(
-                    np.corrcoef(np.log10(ptt + 1e-9), np.log10(colds + 1.0))[0, 1]
-                ),
-                3,
-            ),
+            "value": round(corr, 3),
         },
     ]
     return "\n".join(

@@ -3,9 +3,8 @@
 Each paper figure's "the shape holds" claim is encoded here as one
 :class:`CalibrationTarget` record (its ``description`` states the claim;
 :data:`TARGETS` is the full list). :func:`check_calibration` runs them
-against a generated study — :class:`~repro.core.study.TraceStudy` or
-:class:`~repro.core.study.StreamingTraceStudy` — producing the pass/fail
-table ``repro calibrate`` prints.
+against a generated :class:`~repro.core.study.Study` (materialised or
+streamed), producing the pass/fail table ``repro calibrate`` prints.
 
 The targets are *shape* constraints (orderings, ratios, bands), not
 absolute-number matches: the substrate is a scaled simulator, not the
@@ -19,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.study import TraceStudy
+from repro.core.study import Study
 
 
 @dataclass
@@ -56,23 +55,23 @@ class CalibrationTarget:
     target_id: str
     figure: str
     description: str
-    check: Callable[[TraceStudy], tuple[bool, dict[str, float]]]
+    check: Callable[[Study], tuple[bool, dict[str, float]]]
 
-    def run(self, study: TraceStudy) -> CalibrationResult:
+    def run(self, study: Study) -> CalibrationResult:
         passed, measured = self.check(study)
         return CalibrationResult(
             self.target_id, self.figure, self.description, passed, measured
         )
 
 
-def _regions_needed(study: TraceStudy, names: tuple[str, ...]) -> bool:
+def _regions_needed(study: Study, names: tuple[str, ...]) -> bool:
     return all(name in study.regions for name in names)
 
 
 # --- individual checks --------------------------------------------------------
 
 
-def _check_region_spans(study: TraceStudy) -> tuple[bool, dict[str, float]]:
+def _check_region_spans(study: Study) -> tuple[bool, dict[str, float]]:
     rows = study.fig01_region_sizes()
     requests = [float(row["requests"]) for row in rows]
     spread = max(requests) / max(min(requests), 1.0)
@@ -81,7 +80,7 @@ def _check_region_spans(study: TraceStudy) -> tuple[bool, dict[str, float]]:
     return spread > 5.0 and fn_leader != req_leader, {"request_spread": spread}
 
 
-def _check_share_per_minute(study: TraceStudy) -> tuple[bool, dict[str, float]]:
+def _check_share_per_minute(study: Study) -> tuple[bool, dict[str, float]]:
     shares = study.fig03_share_at_least_1_per_minute()
     measured = {f"share_{name}": value for name, value in shares.items()}
     ok = True
@@ -92,7 +91,7 @@ def _check_share_per_minute(study: TraceStudy) -> tuple[bool, dict[str, float]]:
     return ok, measured
 
 
-def _check_exec_ordering(study: TraceStudy) -> tuple[bool, dict[str, float]]:
+def _check_exec_ordering(study: Study) -> tuple[bool, dict[str, float]]:
     medians = {n: c.median for n, c in study.fig03_exec_time().items() if c.n}
     measured = {f"exec_p50_{name}": value for name, value in medians.items()}
     if not _regions_needed(study, ("R1", "R5")):
@@ -105,7 +104,7 @@ def _check_exec_ordering(study: TraceStudy) -> tuple[bool, dict[str, float]]:
     return ok, measured
 
 
-def _check_single_function_users(study: TraceStudy) -> tuple[bool, dict[str, float]]:
+def _check_single_function_users(study: Study) -> tuple[bool, dict[str, float]]:
     cdfs = study.fig04_functions_per_user()
     shares = {name: cdf.at(1.0) for name, cdf in cdfs.items() if cdf.n}
     measured = {f"single_fn_share_{name}": value for name, value in shares.items()}
@@ -113,7 +112,7 @@ def _check_single_function_users(study: TraceStudy) -> tuple[bool, dict[str, flo
     return ok, measured
 
 
-def _check_peak_lag(study: TraceStudy) -> tuple[bool, dict[str, float]]:
+def _check_peak_lag(study: Study) -> tuple[bool, dict[str, float]]:
     hours = study.fig05_peak_hours()
     measured = {f"peak_hour_{name}": value for name, value in hours.items()}
     if len(hours) < 2:
@@ -122,14 +121,14 @@ def _check_peak_lag(study: TraceStudy) -> tuple[bool, dict[str, float]]:
     return values[-1] - values[0] > 4.0, measured
 
 
-def _check_peak_trough_span(study: TraceStudy) -> tuple[bool, dict[str, float]]:
+def _check_peak_trough_span(study: Study) -> tuple[bool, dict[str, float]]:
     rows = study.fig06_peak_trough()
     ptt = np.array([row["peak_to_trough"] for row in rows], dtype=float)
     measured = {"max_ptt": float(ptt.max()), "share_flat": float((ptt < 1.5).mean())}
     return ptt.max() > 100.0 and measured["share_flat"] > 0.1, measured
 
 
-def _check_holiday_patterns(study: TraceStudy) -> tuple[bool, dict[str, float]]:
+def _check_holiday_patterns(study: Study) -> tuple[bool, dict[str, float]]:
     effects = study.fig07_holiday()
     measured: dict[str, float] = {}
     ok = True
@@ -145,7 +144,7 @@ def _check_holiday_patterns(study: TraceStudy) -> tuple[bool, dict[str, float]]:
     return ok, measured
 
 
-def _check_composition(study: TraceStudy) -> tuple[bool, dict[str, float]]:
+def _check_composition(study: Study) -> tuple[bool, dict[str, float]]:
     if "R2" not in study.regions:
         return True, {}
     trigger = study.fig08_proportions(by="trigger", region="R2")
@@ -165,20 +164,20 @@ def _check_composition(study: TraceStudy) -> tuple[bool, dict[str, float]]:
     return ok, measured
 
 
-def _check_lognormal_band(study: TraceStudy) -> tuple[bool, dict[str, float]]:
+def _check_lognormal_band(study: Study) -> tuple[bool, dict[str, float]]:
     fit = study.fig10_lognormal_fit()
     measured = {"mean_s": fit.mean, "std_s": fit.std, "ks": fit.ks_statistic}
     ok = 1.5 <= fit.mean <= 6.0 and fit.std > fit.mean and fit.ks_statistic < 0.12
     return ok, measured
 
 
-def _check_weibull_heavy_tail(study: TraceStudy) -> tuple[bool, dict[str, float]]:
+def _check_weibull_heavy_tail(study: Study) -> tuple[bool, dict[str, float]]:
     fit = study.fig10_weibull_fit()
     measured = {"k": fit.k, "lambda": fit.lam}
     return fit.k < 1.0, measured
 
 
-def _check_dominant_components(study: TraceStudy) -> tuple[bool, dict[str, float]]:
+def _check_dominant_components(study: Study) -> tuple[bool, dict[str, float]]:
     dominant = study.fig11_dominant_component()
     expectations = {
         "R1": ("deploy_dep_us",),
@@ -201,7 +200,7 @@ def _check_dominant_components(study: TraceStudy) -> tuple[bool, dict[str, float
     return ok, measured
 
 
-def _check_custom_penalty(study: TraceStudy) -> tuple[bool, dict[str, float]]:
+def _check_custom_penalty(study: Study) -> tuple[bool, dict[str, float]]:
     if "R2" not in study.regions:
         return True, {}
     cdfs = study.fig15_by_runtime("R2")
@@ -217,7 +216,7 @@ def _check_custom_penalty(study: TraceStudy) -> tuple[bool, dict[str, float]]:
     return ok, measured
 
 
-def _check_obs_slowest(study: TraceStudy) -> tuple[bool, dict[str, float]]:
+def _check_obs_slowest(study: Study) -> tuple[bool, dict[str, float]]:
     if "R2" not in study.regions:
         return True, {}
     cdfs = study.fig16_by_trigger("R2")
@@ -233,7 +232,7 @@ def _check_obs_slowest(study: TraceStudy) -> tuple[bool, dict[str, float]]:
     return medians["OBS-A"] > 2.5 * max(others), measured
 
 
-def _check_utility_shape(study: TraceStudy) -> tuple[bool, dict[str, float]]:
+def _check_utility_shape(study: Study) -> tuple[bool, dict[str, float]]:
     if "R2" not in study.regions:
         return True, {}
     overall = study.fig17_utility(by="runtime", region="R2")["all"][1]
@@ -320,7 +319,7 @@ TARGETS: tuple[CalibrationTarget, ...] = (
 )
 
 
-def check_calibration(study: TraceStudy) -> list[CalibrationResult]:
+def check_calibration(study: Study) -> list[CalibrationResult]:
     """Run every calibration target against a study."""
     return [target.run(study) for target in TARGETS]
 

@@ -416,17 +416,16 @@ class OracleRegionAccumulator(RegionAccumulator):
         if self.iat is not None:
             self.iat.add(ts)
         # per-pod state for the Fig. 17 utility join
-        if self._track_pod_join:
-            order = np.argsort(pods["pod_id"])
-            ids = pods["pod_id"][order]
-            self._pod_ids = np.concatenate([self._pod_ids, ids])
-            self._pod_cold_s = np.concatenate([self._pod_cold_s, cold_s[order]])
-            self._pod_functions = np.concatenate([self._pod_functions, functions[order]])
-            if not np.all(np.diff(self._pod_ids) > 0):
-                sorter = np.argsort(self._pod_ids, kind="stable")
-                self._pod_ids = self._pod_ids[sorter]
-                self._pod_cold_s = self._pod_cold_s[sorter]
-                self._pod_functions = self._pod_functions[sorter]
+        order = np.argsort(pods["pod_id"])
+        ids = pods["pod_id"][order]
+        self._pod_ids = np.concatenate([self._pod_ids, ids])
+        self._pod_cold_s = np.concatenate([self._pod_cold_s, cold_s[order]])
+        self._pod_functions = np.concatenate([self._pod_functions, functions[order]])
+        if not np.all(np.diff(self._pod_ids) > 0):
+            sorter = np.argsort(self._pod_ids, kind="stable")
+            self._pod_ids = self._pod_ids[sorter]
+            self._pod_cold_s = self._pod_cold_s[sorter]
+            self._pod_functions = self._pod_functions[sorter]
         # category sketches
         if self.category_hists is not None:
             self._sketch_categories(functions, metrics)
@@ -496,7 +495,7 @@ def region_view(acc: RegionAccumulator) -> dict:
         return (m.n, m.total, m.total_sq, m.vmin, m.vmax)
 
     return {
-        "region": acc.region, "meta": acc.meta, "figures": acc.figures,
+        "region": acc.region, "meta": acc.meta,
         "functions": {c: acc.functions[c] for c in acc.functions.columns},
         "n_requests": acc.n_requests, "req_ts_ms_min": acc.req_ts_ms_min,
         "req_ts_ms_max": acc.req_ts_ms_max, "n_cold_starts": acc.n_cold_starts,

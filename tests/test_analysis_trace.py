@@ -6,31 +6,29 @@ import pytest
 from repro.analysis.coldstart_stats import (
     cold_start_iats,
     component_cdfs_by,
-    dominant_component,
     hourly_component_means,
     mean_scheduling_dominates,
     pool_size_quantiles,
-    requests_vs_cold_starts,
 )
 from repro.analysis.composition import (
     aggregate_combo_label,
     function_metadata,
     pod_intervals,
-    pods_over_time_by,
-    proportions_by,
     trigger_mix_by_runtime,
 )
-from repro.analysis.holiday import holiday_effect, post_holiday_cold_start_surge
+from repro.analysis.holiday import holiday_effect_from_series, post_holiday_cold_start_surge
 from repro.analysis.region_stats import (
     cpu_per_minute_cdf,
     exec_time_per_minute_cdf,
     functions_per_user_cdf,
-    region_sizes,
     requests_per_day_per_function,
     requests_per_user_cdf,
     share_at_least_one_per_minute,
     single_function_user_share,
 )
+from repro.analysis.timeseries import presence_counts
+from repro.core.bundle_data import BundleData
+from repro.core.study import TraceStudy
 
 
 class TestAggregateComboLabel:
@@ -47,7 +45,7 @@ class TestAggregateComboLabel:
 
 class TestRegionStats:
     def test_region_sizes_rows(self, multi_bundles):
-        rows = region_sizes(multi_bundles)
+        rows = TraceStudy(multi_bundles).fig01_region_sizes()
         assert {row["region"] for row in rows} == set(multi_bundles)
         for row in rows:
             assert row["requests"] > 0
@@ -96,14 +94,15 @@ class TestComposition:
         assert intervals.n_requests.sum() == len(r2_bundle.requests)
 
     def test_proportions_sum_to_one(self, r2_bundle):
+        study = TraceStudy({"R2": r2_bundle})
         for by in ("trigger", "runtime", "config", "size"):
-            props = proportions_by(r2_bundle, by=by)
+            props = study.fig08_proportions(by=by)
             for metric in ("pods", "cold_starts", "functions"):
                 total = sum(p[metric] for p in props.values())
                 assert total == pytest.approx(1.0, abs=1e-6), (by, metric)
 
     def test_pods_over_time_shapes(self, r2_bundle):
-        series = pods_over_time_by(r2_bundle, by="runtime", bin_s=3600.0)
+        series = TraceStudy({"R2": r2_bundle}).fig08_pods_over_time(by="runtime")
         lengths = {s.size for s in series.values()}
         assert len(lengths) == 1
         for values in series.values():
@@ -116,7 +115,7 @@ class TestComposition:
 
     def test_unknown_grouping_rejected(self, r2_bundle):
         with pytest.raises(ValueError):
-            proportions_by(r2_bundle, by="astrology")
+            TraceStudy({"R2": r2_bundle}).fig08_proportions(by="astrology")
 
 
 class TestColdStartStats:
@@ -134,10 +133,12 @@ class TestColdStartStats:
         assert hourly["count"].sum() == len(r2_bundle.pods)
 
     def test_dominant_component_r2_is_alloc(self, r2_bundle):
-        assert dominant_component(r2_bundle.pods) == "pod_alloc_us"
+        dominant = TraceStudy({"R2": r2_bundle}).fig11_dominant_component()
+        assert dominant["R2"] == "pod_alloc_us"
 
     def test_dominant_component_r1_is_dep(self, r1_bundle):
-        assert dominant_component(r1_bundle.pods) == "deploy_dep_us"
+        dominant = TraceStudy({"R1": r1_bundle}).fig11_dominant_component()
+        assert dominant["R1"] == "deploy_dep_us"
 
     def test_pool_split_large_slower(self, r2_bundle):
         split = pool_size_quantiles(r2_bundle)
@@ -148,7 +149,7 @@ class TestColdStartStats:
         assert large_median / small_median < 8.0
 
     def test_requests_vs_cold_starts_diagonal(self, r2_bundle):
-        rows = requests_vs_cold_starts(r2_bundle)
+        rows = TraceStudy({"R2": r2_bundle}).fig14_requests_vs_cold_starts()
         assert rows
         for row in rows:
             assert row["cold_starts"] <= row["requests"]
@@ -182,7 +183,15 @@ class TestHoliday:
     def test_holiday_effect_on_short_trace(self, r2_bundle):
         # The fixture spans 3 days only; the analysis must still work with
         # a window clipped to available days.
-        effect = holiday_effect(r2_bundle, window=(0, 2))
+        data = BundleData(r2_bundle)
+        intervals = data.pod_intervals()
+        horizon = data.last_request_s + 60.0
+        daily_pods = presence_counts(
+            intervals.start_s, intervals.last_end_s + 60.0, 86_400.0, horizon
+        )
+        effect = holiday_effect_from_series(
+            daily_pods, data.daily_cpu(horizon), window=(0, 2)
+        )
         assert effect.days.size >= 1
         assert np.nanmax(effect.pods_normalised) <= 1.0 + 1e-9
 
@@ -190,7 +199,7 @@ class TestHoliday:
         from repro.workload.generator import generate_region
 
         bundle = generate_region("R3", seed=21, days=28, scale=0.12)
-        effect = holiday_effect(bundle, window=(10, 27))
+        effect = TraceStudy({"R3": bundle}).fig07_holiday()["R3"]
         # R3 rises at the start of the holiday (paper Fig. 7).
         assert effect.holiday_mean("pods") > 0.55
 

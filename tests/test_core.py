@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.correlations import CORRELATION_FIELDS, component_correlations
+from repro.core.bundle_data import BundleData
+from repro.core.correlations import CORRELATION_FIELDS
 from repro.core.fits import (
     LogNormalFit,
     PAPER_COLD_START_FIT,
@@ -13,7 +14,7 @@ from repro.core.fits import (
     fit_cold_start_times,
 )
 from repro.core.study import TraceStudy
-from repro.core.utility import pod_utility_ratios, utility_by_category, utility_summary
+from repro.core.utility import utility_ratios_from, utility_summary
 from repro.sim.rng import RngFactory
 
 
@@ -74,23 +75,23 @@ class TestWeibullFit:
 
 class TestCorrelations:
     def test_matrix_properties(self, r2_bundle):
-        matrix = component_correlations(r2_bundle.pods)
+        matrix = TraceStudy({"R2": r2_bundle}).fig12_correlations("R2")
         assert matrix.fields == CORRELATION_FIELDS
         assert np.allclose(np.diag(matrix.rho), 1.0)
         assert np.allclose(matrix.rho, matrix.rho.T)
         assert (np.abs(matrix.rho) <= 1.0 + 1e-9).all()
 
     def test_total_tracks_dominant_component_r2(self, r2_bundle):
-        matrix = component_correlations(r2_bundle.pods)
+        matrix = TraceStudy({"R2": r2_bundle}).fig12_correlations("R2")
         # R2 is allocation-dominated (paper Fig. 12b: rho ~ 0.9).
         assert matrix.get("cold_start_time", "pod_alloc_time") > 0.5
 
     def test_count_correlation_positive(self, r2_bundle):
-        matrix = component_correlations(r2_bundle.pods)
+        matrix = TraceStudy({"R2": r2_bundle}).fig12_correlations("R2")
         assert matrix.get("cold_start_time", "num_cold_starts") > 0.0
 
     def test_rows_render_with_stars(self, r2_bundle):
-        matrix = component_correlations(r2_bundle.pods)
+        matrix = TraceStudy({"R2": r2_bundle}).fig12_correlations("R2")
         rows = matrix.rows()
         assert len(rows) == len(CORRELATION_FIELDS)
         assert any("*" in str(v) for row in rows for v in row.values())
@@ -98,7 +99,8 @@ class TestCorrelations:
 
 class TestUtility:
     def test_ratios_positive_and_aligned(self, r2_bundle):
-        functions, ratios = pod_utility_ratios(r2_bundle)
+        data = BundleData(r2_bundle)
+        functions, ratios = utility_ratios_from(data.pod_intervals(), *data.pod_join())
         assert functions.shape == ratios.shape
         assert (ratios >= 0).all()
 
@@ -112,19 +114,19 @@ class TestUtility:
         assert utility_summary(np.zeros(0)).n_pods == 0
 
     def test_by_category_includes_all(self, r2_bundle):
-        result = utility_by_category(r2_bundle, by="trigger")
+        result = TraceStudy({"R2": r2_bundle}).fig17_utility(by="trigger")
         assert "all" in result
         cdf, summary = result["all"]
         assert cdf.n == summary.n_pods
 
     def test_timers_have_low_utility(self, r2_bundle):
-        result = utility_by_category(r2_bundle, by="trigger")
+        result = TraceStudy({"R2": r2_bundle}).fig17_utility(by="trigger")
         if "TIMER-A" in result and "APIG-S" in result:
             assert result["TIMER-A"][1].median < result["APIG-S"][1].median
 
     def test_bad_category_rejected(self, r2_bundle):
         with pytest.raises(ValueError):
-            utility_by_category(r2_bundle, by="vibe")
+            TraceStudy({"R2": r2_bundle}).fig17_utility(by="vibe")
 
 
 class TestTraceStudy:

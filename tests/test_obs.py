@@ -37,7 +37,7 @@ from repro.obs.profile import (
     write_chrome_trace,
     write_profile,
 )
-from repro.obs.telemetry import Telemetry, merge_telemetry, profiled
+from repro.obs.telemetry import Telemetry, profiled
 from repro.runtime import evaluate_policies
 from repro.workload.catalog import OBS_A, ResourceConfig, Runtime, TIMER_A
 from repro.workload.function import FunctionSpec
@@ -135,9 +135,9 @@ class TestTelemetryCore:
             tel.count("n", i + 1)
             tel.count(f"k{i}")
             parts.append(tel)
-        left = merge_telemetry([merge_telemetry(parts[:2]), parts[2]])
-        flat = merge_telemetry(parts)
-        assert left.counters == flat.counters == {
+        left = parts[0].snapshot().merge(parts[1]).merge(parts[2])
+        right = parts[0].snapshot().merge(parts[1].snapshot().merge(parts[2]))
+        assert left.counters == right.counters == {
             "n": 6, "k0": 1, "k1": 1, "k2": 1,
         }
 

@@ -277,7 +277,7 @@ def test_forced_fold_sums_the_same_frame():
 @given(data=st.data(), bin_s=st.sampled_from((60.0, 86_400.0, 5.0)))
 def test_keyed_binned_counts_match_oracle(data, bin_s):
     chunks = []
-    for _ in range(data.draw(st.integers(1, 5))):
+    for day in range(data.draw(st.integers(1, 5))):
         size = data.draw(st.integers(0, 30))
         keys = np.asarray(data.draw(st.lists(st.integers(0, 12), min_size=size, max_size=size)),
                           dtype=np.int64)
@@ -302,11 +302,12 @@ def test_keyed_binned_counts_match_oracle(data, bin_s):
 # --- the Fig. 17 pod join ------------------------------------------------------------
 
 
-def _pod_table(pod_ids: list[int], rng: np.random.Generator) -> PodTable:
+def _pod_table(pod_ids: list[int], rng: np.random.Generator, day: int) -> PodTable:
+    """Pods on ``day``: a region's updates and merges follow time order."""
     n = len(pod_ids)
     columns = {spec.name: rng.integers(0, 30_000, n) for spec in PodTable.schema.columns}
     columns["pod_id"] = np.asarray(pod_ids, dtype=np.int64)
-    columns["timestamp_ms"] = np.sort(rng.integers(0, 86_400_000, n))
+    columns["timestamp_ms"] = day * 86_400_000 + np.sort(rng.integers(0, 86_400_000, n))
     columns["function"] = rng.integers(0, 4, n)
     return PodTable.from_columns(**columns)
 
@@ -320,15 +321,15 @@ def test_pod_join_matches_oracle(data):
         trigger=np.array(_TRIGGERS[:3]), cpu_mem=np.array(_CONFIGS[:3]),
     )
     runs = []
-    for _ in range(data.draw(st.integers(1, 5))):
+    for day in range(data.draw(st.integers(1, 5))):
         # ids from a small range: runs overlap, tie at their edges, start
         # past the held ids, and repeat ids within a run
         lo = data.draw(st.integers(0, 30))
         ids = data.draw(st.lists(st.integers(lo, lo + 12), min_size=1, max_size=12))
-        runs.append(_pod_table(ids, rng))
+        runs.append(_pod_table(ids, rng, day))
 
     def build(cls, parts):
-        acc = cls("R2", functions=table, figures=("fig17",))
+        acc = cls("R2", functions=table)
         for pods in parts:
             acc.update(pods=pods)
         return acc

@@ -17,6 +17,7 @@ must agree byte for byte — dtype, shape and ``tobytes()`` — on:
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from repro.analysis.region_stats import (
     per_minute_usage_cdfs,
 )
 from repro.analysis.timeseries import bin_counts, bin_counts_and_means, bin_means, moving_average
-from repro.core.correlations import component_correlations
 from repro.core.findings import extract_findings
 from repro.core.fits import fit_cold_start_iats, fit_cold_start_times, ks_statistic
 from repro.core.study import TraceStudy
@@ -256,10 +256,20 @@ def test_pod_binnings_match_oracle(bundle):
     assert list(got) == list(want)
     for key in want:
         _same(got[key], want[key])
-    got, want = component_correlations(pods), oracle.component_correlations(pods)
+    # a constant per-minute series keeps spearmanr's ConstantInputWarning:
+    # both sides must raise the same ones
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        got = TraceStudy({bundle.region: bundle}).fig12_correlations(bundle.region)
+    with warnings.catch_warnings(record=True) as want_warnings:
+        warnings.simplefilter("always")
+        want = oracle.component_correlations(pods)
     _same(got.rho, want.rho)
     _same(got.pvalues, want.pvalues)
     assert got.n_minutes == want.n_minutes
+    assert [(w.category, str(w.message)) for w in got_warnings] == [
+        (w.category, str(w.message)) for w in want_warnings
+    ]
 
 
 # --- the whole materialised pass ----------------------------------------------------------

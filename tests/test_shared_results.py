@@ -1,4 +1,4 @@
-"""The shared-figure-results contract of both study classes.
+"""The shared-figure-results contract of the study, over both adapters.
 
 A figure method with a second reader is memoized per study
 (:func:`repro.core.study._shared`). Over all 16 renders plus
@@ -6,8 +6,8 @@ A figure method with a second reader is memoized per study
 
 * no figure builder runs twice for the same bound arguments;
 * each per-region statistic several figures read (median-day requests
-  per function, Figs. 3b/3c's binning, functions per user) is computed
-  once per region;
+  per function, Figs. 3b/3c's binning, functions per user, and the bundle
+  adapter's pod intervals) is computed once per region;
 * the text does not depend on the order the consumers run in;
 * no consumer mutates a shared result;
 * the cache dies with the study.
@@ -25,6 +25,7 @@ import weakref
 import pytest
 
 from repro.analysis.accumulators import RegionAccumulator
+from repro.core import bundle_data
 from repro.core import study as study_module
 from repro.core.findings import extract_findings
 from repro.core.study import StreamingTraceStudy, TraceStudy
@@ -40,10 +41,7 @@ _SHARED_FIGURES = {
     "fig15_by_runtime", "fig17_utility",
 }
 #: Shared per-region statistics that are not figures themselves.
-_SHARED_STATISTICS = {
-    TraceStudy: {"_day_counts", "_minute_usage"},
-    StreamingTraceStudy: {"_day_counts"},
-}
+_SHARED_STATISTICS = {"_day_counts", "_minute_usage"}
 
 
 def _fresh(cls):
@@ -85,36 +83,41 @@ def test_no_builder_runs_twice(cls, monkeypatch):
     study = _fresh(cls)
     calls: collections.Counter = collections.Counter()
     memoized = set()
-    for name, attr in list(vars(cls).items()):
+    for name, attr in list(vars(study_module.Study).items()):
         if not inspect.isfunction(attr):
             continue
         builder = getattr(attr, "__wrapped__", None)
         if not name.startswith("fig") and builder is None:
             continue
         if builder is None:
-            monkeypatch.setattr(cls, name, _counting(attr, calls))
+            monkeypatch.setattr(study_module.Study, name, _counting(attr, calls))
         else:
             memoized.add(name)
-            monkeypatch.setattr(cls, name, study_module._shared(_counting(builder, calls)))
+            monkeypatch.setattr(
+                study_module.Study, name, study_module._shared(_counting(builder, calls))
+            )
     _consume(study)
     repeated = {key: n for key, n in calls.items() if n > 1}
     assert not repeated, f"builders ran more than once: {repeated}"
-    assert memoized == _SHARED_FIGURES | _SHARED_STATISTICS[cls]
-    for name in _SHARED_STATISTICS[cls]:
+    assert memoized == _SHARED_FIGURES | _SHARED_STATISTICS
+    for name in _SHARED_STATISTICS:
         assert sorted(key[1] for key in calls if key[0] == name) == sorted(study.regions)
     # ``fig17_utility()`` and ``fig17_utility(by="runtime")`` are one entry.
     assert study.fig17_utility() is study.fig17_utility(by="runtime", region=None)
 
 
-#: The helper behind each shared per-region statistic, per study class.
+#: The helper behind each shared per-region statistic, per adapter.
 _STATISTIC_HELPERS = {
     TraceStudy: [
-        (study_module, "median_day_requests"),
-        (study_module, "per_minute_usage_cdfs"),
-        (study_module, "functions_per_user_cdf"),
+        (bundle_data, "median_day_requests"),
+        (bundle_data, "per_minute_usage_cdfs"),
+        (bundle_data, "functions_per_user_cdf"),
+        (bundle_data, "pod_intervals"),
     ],
     StreamingTraceStudy: [
-        (RegionAccumulator, "requests_per_day_per_function"),
+        (RegionAccumulator, "day_counts"),
+        (RegionAccumulator, "minute_usage"),
+        (RegionAccumulator, "functions_per_user"),
     ],
 }
 

@@ -152,6 +152,25 @@ class TestExactFigures:
                 a.cpu_normalised, b.cpu_normalised, rtol=1e-9, equal_nan=True
             )
 
+    def test_fig07_holiday_at_the_study_keepalive(self):
+        """Both studies count Fig. 7's daily pods at their own keep-alive:
+        the pod series are byte-equal, the CPU series equal up to the
+        streamed sums' addition order."""
+        bundles = generate_multi_region(("R2", "R3"), seed=3, days=16, scale=0.05)
+        keepalive_s = 21600.0
+        exact = TraceStudy(bundles, keepalive_s=keepalive_s).fig07_holiday()
+        streamed = StreamingTraceStudy(
+            {name: RegionAccumulator.from_bundle(b) for name, b in bundles.items()},
+            keepalive_s=keepalive_s,
+        ).fig07_holiday()
+        for name in bundles:
+            a, b = exact[name], streamed[name]
+            assert a.days.size and a.days.tobytes() == b.days.tobytes()
+            assert a.pods_normalised.tobytes() == b.pods_normalised.tobytes()
+            np.testing.assert_allclose(
+                a.cpu_normalised, b.cpu_normalised, rtol=1e-9, equal_nan=True
+            )
+
     @pytest.mark.parametrize("by", ["trigger", "runtime", "config", "size"])
     def test_fig08_proportions(self, study, streaming, by):
         a, b = study.fig08_proportions(by=by), streaming.fig08_proportions(by=by)
@@ -360,8 +379,8 @@ class TestAccumulatorAlgebra:
         np.testing.assert_array_equal(
             left.per_function_day.keys, right.per_function_day.keys
         )
-        keys_l, med_l = left.requests_per_day_per_function()
-        keys_r, med_r = right.requests_per_day_per_function()
+        keys_l, med_l = left.day_counts()
+        keys_r, med_r = right.day_counts()
         np.testing.assert_array_equal(keys_l, keys_r)
         np.testing.assert_array_equal(med_l, med_r)
         # bin counts are integer-exact; the tracked raw sum only to addition
@@ -601,76 +620,6 @@ class TestLogHistogramWideningDown:
         hist.add(np.array([1e-20]))
         assert hist.lo == pytest.approx(LogHistogram.WIDEN_CAP_LO)
         assert hist.n_under == 1
-
-
-class TestAccumulatorPruning:
-    """``RegionAccumulator(figures=...)`` keeps only what the requested
-    figures read — the ROADMAP's fig-06 minute-matrix case and friends."""
-
-    @pytest.fixture(scope="class")
-    def bundle(self):
-        from repro.workload.generator import generate_region
-
-        return generate_region("R3", seed=5, days=1, scale=0.1)
-
-    def test_counts_only_prunes_heavy_state(self, bundle):
-        acc = RegionAccumulator.from_bundle(bundle, figures=())
-        assert acc.per_function_minute is None  # the fig-06 minute matrix
-        assert acc.category_hists is None
-        assert acc.intervals is None
-        assert acc._pod_ids.size == 0
-        # summary stays exact without the per-pod join
-        full = RegionAccumulator.from_bundle(bundle)
-        assert acc.summary() == full.summary()
-
-    def test_requested_figures_keep_their_state(self, bundle):
-        acc = RegionAccumulator.from_bundle(bundle, figures=("fig06", "fig10"))
-        assert acc.per_function_minute is not None
-        assert acc.category_hists is not None
-        assert acc.minute_requests is None  # fig05 not requested
-        full = RegionAccumulator.from_bundle(bundle)
-        assert acc.per_function_minute.counts_matrix(10).tolist() == \
-            full.per_function_minute.counts_matrix(10).tolist()
-
-    def test_pruned_finalizer_raises_clearly(self, bundle):
-        acc = RegionAccumulator.from_bundle(bundle, figures=())
-        with pytest.raises(ValueError, match="fig03"):
-            acc.requests_per_day_per_function()
-        with pytest.raises(ValueError, match="fig17"):
-            acc.pod_cold_lookup()
-
-    def test_pruning_reduces_state_size(self, bundle):
-        import pickle
-
-        lean = len(pickle.dumps(RegionAccumulator.from_bundle(bundle, figures=())))
-        full = len(pickle.dumps(RegionAccumulator.from_bundle(bundle)))
-        assert lean < full / 2
-
-    def test_merge_requires_matching_pruning(self, bundle):
-        a = RegionAccumulator.from_bundle(bundle, figures=("fig05",))
-        b = RegionAccumulator.from_bundle(bundle, figures=("fig06",))
-        with pytest.raises(ValueError, match="pruned"):
-            a.merge(b)
-
-    def test_pruned_accumulators_merge(self, bundle):
-        from repro.runtime import iter_bundle_chunks
-
-        parts = []
-        for chunk in iter_bundle_chunks(bundle, chunk_s=6 * 3600.0):
-            part = RegionAccumulator(
-                bundle.region, functions=bundle.functions, figures=("fig05",)
-            )
-            part.update(chunk)
-            parts.append(part)
-        merged = parts[0]
-        for part in parts[1:]:
-            merged.merge(part)
-        full = RegionAccumulator.from_bundle(bundle)
-        np.testing.assert_allclose(
-            merged.minute_requests.counts_until(86_400.0),
-            full.minute_requests.counts_until(86_400.0),
-        )
-        assert merged.summary() == full.summary()
 
 
 class TestDistinctPairs:
