@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from repro.analysis.region_stats import dense_codes
 from repro.analysis.timeseries import presence_counts
 from repro.trace.tables import FunctionTable, TraceBundle
 from repro.workload.catalog import SizeClass, parse_config
@@ -129,7 +130,7 @@ def pod_intervals(bundle: TraceBundle) -> PodIntervals:
     pod_ids = requests["pod_id"]
     ts = requests.timestamps_s
     ends = ts + requests.exec_time_s
-    uniques, inverse = np.unique(pod_ids, return_inverse=True)
+    uniques, inverse = dense_codes(pod_ids)
     start = np.full(uniques.size, np.inf)
     last_end = np.full(uniques.size, -np.inf)
     counts = np.bincount(inverse, minlength=uniques.size)

@@ -42,8 +42,9 @@ def median_day_requests(bundle: TraceBundle) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dense_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(values, return_inverse=True)`` for a column of few keys:
-    the sorted keys, then each row's key position by binary search (the
+    """``np.unique(values, return_inverse=True)`` for a column with far
+    fewer keys than rows (categories, pod ids of a request stream): the
+    sorted keys, then each row's key position by binary search (the
     inverse would argsort every row)."""
     keys = sorted_unique(values)
     return keys, np.searchsorted(keys, values)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+import time
 from bisect import bisect_left
 
 import numpy as np
@@ -46,7 +47,6 @@ from repro.mitigation.base import (
 )
 from repro.mitigation.tick import (
     EMPTY_F,
-    EMPTY_I,
     TickMachine,
     last_tick_index,
     tick_interval,
@@ -108,13 +108,17 @@ class BestRegionRouter(TickPolicy):
         self.rtt_s = float(rtt_s)
 
     def observe_batch(self, cols: TickColumns) -> None:
-        if not cols.cold_wait.size:
-            return
+        if cols.cold_wait.size:
+            self.observe_colds(
+                cols.cold_region.tolist(), cols.cold_wait.tolist()
+            )
+
+    def observe_colds(self, regions, waits) -> None:
+        """Fold cold starts into the EMAs: placement region indices and
+        raw cold-start durations, in the engines' canonical event order."""
         emas = self.emas
         alpha = self.alpha
-        for ridx, wait in zip(
-            cols.cold_region.tolist(), cols.cold_wait.tolist()
-        ):
+        for ridx, wait in zip(regions, waits):
             emas[ridx] += alpha * (wait - emas[ridx])
 
     def decide(self, tick: int, now: float) -> TickAction:
@@ -375,7 +379,7 @@ class CrossRegionEvaluator:
         for i, spec in enumerate(specs):
             size = fn_t[i].size
             walkers.append(_replay_fn_cross_region(
-                i, fn_t[i], fn_e[i], inv[offset:offset + size], keepalive_s,
+                fn_t[i], fn_e[i], inv[offset:offset + size], keepalive_s,
                 [self._sampler(spec, ridx) for ridx in range(n_regions)],
                 self.rtt_s, router is not None, sink,
             ))
@@ -384,13 +388,7 @@ class CrossRegionEvaluator:
             for walker in walkers:
                 next(walker, None)  # unrouted walkers run to the end
         else:
-            function_ids = np.array(
-                [s.function_id for s in specs], dtype=np.int64
-            )
-            machine = TickMachine(
-                [router], specs, function_ids, tick_interval([router])
-            )
-            _route_in_time_order(walkers, machine, sink)
+            _route_in_time_order(walkers, router, sink)
 
         # Canonical assembly (the event loop's processing order).
         metrics.requests = int(all_t.size)
@@ -420,7 +418,7 @@ class _ColdSink:
     emission order (the router reads the unseen tail; assembly re-sorts
     all of it by merged position). Latency entries arrive per walker."""
 
-    __slots__ = ("t", "w", "raw", "region", "pos", "fn", "lat_v", "lat_p")
+    __slots__ = ("t", "w", "raw", "region", "pos", "lat_v", "lat_p")
 
     def __init__(self):
         self.t: list[float] = []
@@ -428,12 +426,11 @@ class _ColdSink:
         self.raw: list[float] = []
         self.region: list[int] = []
         self.pos: list[int] = []
-        self.fn: list[int] = []
         self.lat_v: list[np.ndarray] = []
         self.lat_p: list[np.ndarray] = []
 
 
-def _route_in_time_order(walkers, machine: TickMachine, sink: _ColdSink) -> None:
+def _route_in_time_order(walkers, router: BestRegionRouter, sink: _ColdSink) -> None:
     """Drive routed walkers as one time-ordered merge of their cold starts.
 
     Each walker yields its pending cold start as ``(t, merged_pos)`` and
@@ -442,21 +439,26 @@ def _route_in_time_order(walkers, machine: TickMachine, sink: _ColdSink) -> None
     When that cold falls in tick ``k``, every cold before ``k * interval``
     has already been emitted: the other walkers' pending colds sort after
     it, and a walker's later colds never precede its pending one. Before
-    deciding tick ``k`` the router is stepped once with every cold it has
-    not seen yet, in merged order — so it has folded exactly the colds the
-    event loop would have shown it, and each directive is the event
-    engine's: exact by causality rather than by iteration. A walker
-    prices colds under a directive only up to the tick edge sent with it
-    and yields again at its first cold past that edge, so no cold it
-    emits belongs to a later tick than the one decided.
+    tick ``k``'s directive is read, the router folds every cold it has not
+    seen yet straight from the sink, in merged order
+    (:meth:`BestRegionRouter.observe_colds`) — so it has folded exactly
+    the colds the event loop would have shown it, and each directive is
+    the event engine's: exact by causality rather than by iteration. A
+    walker prices colds under a directive only up to the tick edge sent
+    with it and yields again at its first cold past that edge, so no cold
+    it emits belongs to a later tick than the one decided.
 
     Ticks no cold falls in are not stepped. That is exact for the router:
-    its state moves only on observed colds (the skipped ticks' colds reach
-    it, in the same order, at the next step) and it decides from that
-    state alone. It reads no arrival columns (``needs``), so none are
-    built.
+    it decides from its EMAs alone, and they move only on observed colds
+    (the skipped ticks' colds reach it, in the same order, at the next
+    step). Each step decides: the first from the seeded EMAs, which may
+    route away before any cold is seen, and every later one after folding
+    at least the cold that triggered the step before it. The router reads
+    no arrival columns (``needs``), so none are built. Profiled runs count
+    the steps on ``tick/steps`` and time the router on its
+    ``tick/policy`` timer, as the event engine's tick machine does.
     """
-    interval = machine.interval_s
+    interval = tick_interval([router])
     heap = []
     for i, walker in enumerate(walkers):
         pending = next(walker, None)
@@ -464,8 +466,11 @@ def _route_in_time_order(walkers, machine: TickMachine, sink: _ColdSink) -> None
             heap.append((*pending, i))
     heapq.heapify(heap)
 
-    s_t, s_raw, s_r = sink.t, sink.raw, sink.region
-    s_pos, s_fn = sink.pos, sink.fn
+    s_raw, s_r, s_pos = sink.raw, sink.region, sink.pos
+    tel = get_telemetry()
+    timed = tel.enabled
+    spent = 0.0
+    steps = 0
     route = RouteDirective(region=0, penalty_s=0.0)  # before tick 0 fires
     reply = None
     edge = -math.inf
@@ -476,22 +481,16 @@ def _route_in_time_order(walkers, machine: TickMachine, sink: _ColdSink) -> None
             k = last_tick_index(t, interval)
             edge = (k + 1) * interval
             if k >= 0:
-                seen = sorted(range(fed, len(s_t)), key=s_pos.__getitem__)
-                fed = len(s_t)
-                action = machine.step(
-                    k, arrive_fn=EMPTY_I, arrive_t=EMPTY_F, alive_pods=0,
-                    congestion=0.0,
-                    cold_fn=np.array([s_fn[j] for j in seen], dtype=np.int64),
-                    cold_t=np.array([s_t[j] for j in seen], dtype=np.float64),
-                    cold_wait=np.array(
-                        [s_raw[j] for j in seen], dtype=np.float64
-                    ),
-                    cold_region=np.array(
-                        [s_r[j] for j in seen], dtype=np.int64
-                    ),
+                t0 = time.perf_counter() if timed else 0.0
+                seen = sorted(range(fed, len(s_pos)), key=s_pos.__getitem__)
+                fed = len(s_pos)
+                router.observe_colds(
+                    [s_r[j] for j in seen], [s_raw[j] for j in seen]
                 )
-                if action.route is not None:
-                    route = action.route
+                route = router.decide(k, k * interval).route
+                steps += 1
+                if timed:
+                    spent += time.perf_counter() - t0
             reply = (route.region, route.penalty_s, edge)
         try:
             pending = walkers[i].send(reply)
@@ -499,10 +498,12 @@ def _route_in_time_order(walkers, machine: TickMachine, sink: _ColdSink) -> None
             heapq.heappop(heap)
         else:
             heapq.heapreplace(heap, (*pending, i))
+    if timed and steps:
+        tel.count("tick/steps", steps)
+        tel.time_add(f"tick/policy/{type(router).__name__}_s", spent)
 
 
 def _replay_fn_cross_region(
-    fn: int,
     t: np.ndarray,
     e: np.ndarray,
     merged_pos: np.ndarray,
@@ -514,8 +515,8 @@ def _replay_fn_cross_region(
 ):
     """Exact per-function cross-region replay, resumable at cold starts.
 
-    Scalar port of the event loop's per-request logic for function
-    ``fn`` — same region-order warm search, same creation-order pod scan,
+    Scalar port of the event loop's per-request logic for one function
+    — same region-order warm search, same creation-order pod scan,
     same float updates — with wholesale regimes replacing per-arrival
     stepping wherever the trajectory is forced:
 
@@ -556,7 +557,7 @@ def _replay_fn_cross_region(
     n_regions = len(samplers)
     region_pods: list[list[list[float]]] = [[] for _ in range(n_regions)]
     s_t, s_w, s_raw = sink.t, sink.w, sink.raw
-    s_r, s_pos, s_fn = sink.region, sink.pos, sink.fn
+    s_r, s_pos = sink.region, sink.pos
     lat_v_l: list[float] = []
     lat_p_l: list[int] = []
 
@@ -829,7 +830,6 @@ def _replay_fn_cross_region(
                 s_raw.extend(waits[:acc].tolist())
                 s_r.extend([ridx] * acc)
                 s_pos.extend(ml[ai:ai + acc])
-                s_fn.extend([fn] * acc)
                 if penalty:
                     lat_v_l.extend([penalty] * acc)
                     lat_p_l.extend(ml[ai:ai + acc])
@@ -861,7 +861,6 @@ def _replay_fn_cross_region(
         s_raw.append(wait)
         s_r.append(ridx)
         s_pos.append(ml[ai])
-        s_fn.append(fn)
         if penalty:
             lat_v_l.append(penalty)
             lat_p_l.append(ml[ai])

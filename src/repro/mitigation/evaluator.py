@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import copy
 import heapq
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -81,6 +82,7 @@ from repro.obs.telemetry import get_telemetry
 from repro.sim.latency import LatencyModel
 from repro.sim.rng import RngFactory
 from repro.workload.catalog import SizeClass
+from repro.workload.function import FunctionSpec
 from repro.workload.generator import FunctionTrace, WorkloadGenerator
 from repro.workload.regions import REGION_PROFILES, RegionProfile
 
@@ -113,11 +115,14 @@ def build_workload(
     scale: float = 0.3,
 ) -> tuple[RegionProfile, list[FunctionTrace]]:
     """Generate a (profile, traces) workload for policy experiments."""
-    profile = _resolve_region(region)
-    if scale != 1.0:
-        profile = profile.scaled(scale)
+    profile = _scaled_profile(region, scale)
     generator = WorkloadGenerator(profile, seed=seed, days=days)
     return profile, generator.function_traces()
+
+
+def _scaled_profile(region: str | RegionProfile, scale: float) -> RegionProfile:
+    profile = _resolve_region(region)
+    return profile.scaled(scale) if scale != 1.0 else profile
 
 
 def build_workload_shard(
@@ -127,25 +132,42 @@ def build_workload_shard(
     scale: float = 0.3,
     group: int = 0,
     n_groups: int = 1,
+    functions: Sequence[FunctionSpec] | None = None,
 ) -> tuple[RegionProfile, list[FunctionTrace]]:
     """One function-group shard of :func:`build_workload`.
 
-    The population is sampled in full (cheap, and required so every shard
-    agrees on it), then traces are generated only for functions whose
-    population index satisfies ``index % n_groups == group``. Because
-    arrival streams are addressed per function id, each shard's traces are
-    bit-identical to the corresponding subset of the unsharded workload,
-    and the union over all groups is exactly :func:`build_workload`.
+    Traces are generated only for functions whose population index
+    satisfies ``index % n_groups == group``. ``functions`` is that group's
+    slice of the population when the caller has already sampled it
+    (sharded evaluation samples it once for all its shards, see
+    :func:`population_groups`); without it the population is sampled here.
+    Because arrival streams are addressed per function id, each shard's
+    traces are bit-identical to the corresponding subset of the unsharded
+    workload, and the union over all groups is exactly
+    :func:`build_workload`.
     """
     if not 0 <= group < n_groups:
         raise ValueError(f"group must be in [0, {n_groups}), got {group}")
-    profile = _resolve_region(region)
-    if scale != 1.0:
-        profile = profile.scaled(scale)
+    profile = _scaled_profile(region, scale)
     generator = WorkloadGenerator(profile, seed=seed, days=days)
-    specs = generator.population()
-    subset = [spec for i, spec in enumerate(specs) if i % n_groups == group]
-    return profile, generator.function_traces_for(subset)
+    if functions is None:
+        functions = generator.population()[group::n_groups]
+    return profile, generator.function_traces_for(list(functions))
+
+
+def population_groups(
+    region: str | RegionProfile,
+    seed: int = 0,
+    days: int = 3,
+    scale: float = 0.3,
+    n_groups: int = 1,
+) -> list[tuple[FunctionSpec, ...]]:
+    """The population of :func:`build_workload`, split into the function
+    groups of :func:`build_workload_shard` (group ``g`` at index ``g``)."""
+    specs = WorkloadGenerator(
+        _scaled_profile(region, scale), seed=seed, days=days
+    ).population()
+    return [tuple(specs[group::n_groups]) for group in range(n_groups)]
 
 
 class CongestionProfile:
@@ -309,6 +331,78 @@ def _reads_shave(schedule, interval_s, congestion):
     return reads
 
 
+def default_horizon(traces) -> float:
+    """The replay horizon a run without one closes out at: two minutes
+    past the last arrival."""
+    return max(
+        (float(t.arrivals[-1]) for t in traces if t.arrivals.size), default=0.0
+    ) + 120.0
+
+
+class SharedReplay:
+    """The policy-free half of vector replays over one traces list.
+
+    Every vector replay of ``traces`` up to ``horizon_s`` reads the same
+    congestion profile, arrival columns and merged arrival order, and a
+    function no decision touches takes the same ``_replay_walk`` under any
+    policy. The policies one evaluation shard replays share one instance
+    (:func:`~repro.runtime.executor.run_evaluation_shard`), so each of
+    these is paid once per shard; the instance lives as long as its caller
+    holds it.
+
+    A walk also reads what the traces do not fix: the queue patience and
+    the function's cold sampler (the evaluator's profile and seed) — its
+    *scope* — plus the function's keep-alive and concurrency. Each scope
+    gets its own table of walks (:meth:`walks`), keyed by ``(function
+    index, keep-alive, concurrency)``, so an evaluator with another seed or
+    a policy with its own keep-alive never reads a walk it would not have
+    taken. What it holds is read-only: its own columns and the stored
+    walks' arrays are frozen.
+    """
+
+    def __init__(self, traces: list[FunctionTrace], horizon_s: float | None = None):
+        self.traces = traces
+        self.horizon_s = default_horizon(traces) if horizon_s is None else horizon_s
+        self.congestion = CongestionProfile.from_traces(traces, self.horizon_s)
+        self.specs = [t.spec for t in traces]
+        self.spec_by_id = {s.function_id: i for i, s in enumerate(self.specs)}
+        self.function_ids = np.array(
+            [s.function_id for s in self.specs], dtype=np.int64
+        )
+        self.fn_t, self.fn_e = _arrival_columns(traces)
+        sizes = [a.size for a in self.fn_t]
+        all_t = np.concatenate(self.fn_t) if self.fn_t else EMPTY_F
+        all_fn = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        order = np.argsort(all_t, kind="stable")
+        inv = np.empty(order.size, dtype=np.int64)
+        inv[order] = np.arange(order.size)
+        bounds = np.cumsum([0] + sizes).tolist()
+        #: Per function, the merged (global time-order) position of each
+        #: arrival.
+        self.merged_pos = [inv[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        #: Every arrival in merged order, and its function index.
+        self.merged_t = all_t[order]
+        self.merged_fn = all_fn[order]
+        for column in (inv, self.merged_t, self.merged_fn):
+            column.flags.writeable = False
+        self._walks: dict[tuple, dict] = {}
+
+    def walks(self, scope: tuple) -> dict:
+        """The walks table of one scope: ``(function index, keep-alive,
+        concurrency) -> outcome``; store outcomes with :meth:`keep`."""
+        return self._walks.setdefault(scope, {})
+
+    @staticmethod
+    def keep(table: dict, key: tuple, outcome):
+        """Store ``outcome`` under ``key``, its arrays frozen (empty ones
+        hold nothing to protect and may be module constants); returns it."""
+        for value in vars(outcome).values():
+            if isinstance(value, np.ndarray) and value.size:
+                value.flags.writeable = False
+        table[key] = outcome
+        return outcome
+
+
 class RegionEvaluator:
     """Replays a workload under pluggable mitigation policies."""
 
@@ -391,6 +485,7 @@ class RegionEvaluator:
         traces: list[FunctionTrace],
         horizon_s: float | None = None,
         name: str = "",
+        shared: SharedReplay | None = None,
     ) -> EvalMetrics:
         """Replay ``traces``; returns the metrics of this policy run.
 
@@ -400,17 +495,26 @@ class RegionEvaluator:
         ``engine="event"`` — see :class:`~repro.mitigation.base.TickPolicy`).
         Under ``engine="vector"``, policies whose decisions read the
         replay's own cold starts or pod gauge run on the event engine.
+        ``shared`` is the :class:`SharedReplay` of ``traces`` and the
+        horizon that the vector engine reads and adds its walks to; without
+        it the run builds a private one.
         """
         if horizon_s is None:
-            horizon_s = max(
-                (float(t.arrivals[-1]) for t in traces if t.arrivals.size), default=0.0
-            ) + 120.0
+            horizon_s = default_horizon(traces)
+        if shared is not None and (
+            shared.traces is not traces or shared.horizon_s != horizon_s
+        ):
+            raise ValueError(
+                "shared replay state belongs to another traces list or horizon"
+            )
         metrics = EvalMetrics(name=name or self._default_name())
         policies = self._tick_policies()
         if self.engine == "vector":
             policies = copy.deepcopy(policies)
             if all(p.outcome_free_decisions for p in policies):
-                self._run_vector(traces, horizon_s, metrics, policies)
+                self._run_vector(
+                    shared or SharedReplay(traces, horizon_s), metrics, policies
+                )
                 return metrics
             # Decisions fed by outcomes are only known in time order,
             # which is the sequential engine's.
@@ -421,7 +525,7 @@ class RegionEvaluator:
     # -- vectorized engine -----------------------------------------------------
 
     def _run_vector(
-        self, traces: list[FunctionTrace], horizon_s: float, metrics: EvalMetrics,
+        self, shared: SharedReplay, metrics: EvalMetrics,
         policies: list[TickPolicy],
     ) -> None:
         """Policies that decide from arrivals alone, on the vector engine.
@@ -434,43 +538,32 @@ class RegionEvaluator:
         else from one tick-machine pass over the arrival spans. A function
         the schedule touches replays once under its slice
         (``replay_function_coupled``); every other one takes the pure
-        per-function walk (``_replay_walk``). Delayed re-arrivals can run
-        the clock past the last arrival's tick: the schedule then grows to
-        the ticks they reach (decisions are causal, so the longer schedule
-        extends the shorter one), and the walkers' trailing pre-warm sweeps
-        wait until every function's events have fixed the tick count.
+        per-function walk (``_replay_walk``), read from ``shared`` when a
+        policy replayed over the same traces already took it. Delayed
+        re-arrivals can run the clock past the last arrival's tick: the
+        schedule then grows to the ticks they reach (decisions are causal,
+        so the longer schedule extends the shorter one), and the walkers'
+        trailing pre-warm sweeps wait until every function's events have
+        fixed the tick count.
         """
-        congestion = CongestionProfile.from_traces(traces, horizon_s)
-        specs = [t.spec for t in traces]
-        spec_by_id = {s.function_id: i for i, s in enumerate(specs)}
-        function_ids = np.array([s.function_id for s in specs], dtype=np.int64)
+        horizon_s = shared.horizon_s
+        congestion = shared.congestion
+        specs = shared.specs
+        spec_by_id = shared.spec_by_id
+        function_ids = shared.function_ids
+        fn_t, fn_e, merged_pos = shared.fn_t, shared.fn_e, shared.merged_pos
         n_fns = len(specs)
         kas = [self.keepalive_policy.keepalive_for(s, 0.0) for s in specs]
         concs = [self._concurrency(s) for s in specs]
-        samplers = [self._sampler_for(s) for s in specs]
         sync = [s.synchronous for s in specs]
         interval = tick_interval(policies)
-        fn_t, fn_e = _arrival_columns(traces)
-
-        all_t = np.concatenate(fn_t) if fn_t else EMPTY_F
-        all_fn = np.repeat(
-            np.arange(n_fns, dtype=np.int64), [a.size for a in fn_t]
-        )
-        order = np.argsort(all_t, kind="stable")
-        inv = np.empty(order.size, dtype=np.int64)
-        inv[order] = np.arange(order.size)
-        merged_pos: list[np.ndarray] = []
-        offset = 0
-        for a in fn_t:
-            merged_pos.append(inv[offset:offset + a.size])
-            offset += a.size
-        span_index = SpanIndex(all_t[order], all_fn[order], interval)
+        span_index = SpanIndex(shared.merged_t, shared.merged_fn, interval)
 
         # Ticks fire while events remain, never past the horizon.
         max_ticks = last_tick_index(horizon_s, interval) + 1
         n_ticks = min(
-            last_tick_index(float(all_t.max()), interval) + 1, max_ticks
-        ) if all_t.size else 0
+            last_tick_index(float(shared.merged_t[-1]), interval) + 1, max_ticks
+        ) if shared.merged_t.size else 0
         closed = closed_form_schedule(
             policies, span_index, specs, function_ids, interval, n_ticks
         )
@@ -512,10 +605,9 @@ class RegionEvaluator:
         def walk(i: int):
             """Function ``i``'s walker, paused before its trailing sweep."""
             nonlocal n_decided, slices
-            samplers[i].reset()
             walker = replay_function_coupled(
                 fn_t[i], fn_e[i], merged_pos[i], kas[i], concs[i],
-                self.queue_patience_s, samplers[i], congestion,
+                self.queue_patience_s, self._sampler_for(specs[i]), congestion,
                 specs[i], sync[i], self.prewarm_grace_s,
                 interval, n_ticks, slices.get(i, _NO_PREWARM), covered_s(),
                 shave_schedule,
@@ -533,14 +625,22 @@ class RegionEvaluator:
 
         outcomes: list = [None] * n_fns
         walkers = {}
+        walks = shared.walks((
+            self.profile.name, self.profile.latency, self._rngs.seed,
+            self.queue_patience_s,
+        ))
         for i in range(n_fns):
             if i not in first_slices:
-                samplers[i].reset()
-                outcomes[i] = _replay_walk(
-                    fn_t[i], fn_e[i], merged_pos[i], kas[i], concs[i],
-                    self.queue_patience_s, samplers[i], congestion,
-                )
-                if sync[i] or not reads_shave(outcomes[i]):
+                key = (i, kas[i], concs[i])
+                outcome = walks.get(key)
+                if outcome is None:
+                    outcome = shared.keep(walks, key, _replay_walk(
+                        fn_t[i], fn_e[i], merged_pos[i], kas[i], concs[i],
+                        self.queue_patience_s, self._sampler_for(specs[i]),
+                        congestion,
+                    ))
+                outcomes[i] = outcome
+                if sync[i] or not reads_shave(outcome):
                     continue
             walkers[i] = walk(i)
         # Every event is replayed, so ``n_decided`` ticks fired. A function

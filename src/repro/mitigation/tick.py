@@ -158,9 +158,10 @@ class TickMachine:
     """Drives a policy set over the tick clock, one step per tick.
 
     The single source of truth for how :class:`TickColumns` are assembled
-    and actions combined; the event engine steps it inline, the vectorized
-    engines step it over the arrival spans (outcome-free policies) or the
-    cold starts of a time-ordered merge (cross-region routing).
+    and actions combined; the event engines step it inline, the vector
+    engine over the arrival spans (outcome-free policies). The vector
+    cross-region replay folds its merged cold starts straight into the
+    router instead (``cross_region._route_in_time_order``).
     """
 
     def __init__(self, policies, specs, function_ids: np.ndarray, interval_s: float):

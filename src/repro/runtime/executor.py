@@ -50,6 +50,7 @@ from repro.runtime.merge import (
 )
 from repro.runtime.shards import WINDOW_ID_STRIDE, ShardSpec
 from repro.trace.tables import TraceBundle
+from repro.workload.function import FunctionSpec
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.regions import REGION_PROFILES
 
@@ -1086,6 +1087,9 @@ class EvaluationTask:
     policies: tuple[str, ...]
     horizon_s: float | None = None
     engine: str = "vector"
+    #: The group's slice of the population, sampled once by the caller for
+    #: every shard (``None``: the shard samples it).
+    functions: tuple[FunctionSpec, ...] | None = None
 
 
 def make_policy_evaluator(profile, policy: str, seed: int, engine: str = "vector"):
@@ -1137,9 +1141,12 @@ def run_evaluation_shard(task: EvaluationTask) -> dict[str, EvalMetrics]:
     The shard generates its group's traces once (arrival streams are
     addressed per function id, so they equal the unsharded traces exactly)
     and replays them under each policy with the shard-derived evaluator
-    seed.
+    seed. Under the vector engine the policies share one
+    :class:`~repro.mitigation.evaluator.SharedReplay`, so the work no
+    policy changes — the replay columns and the walk of each function no
+    decision touches — is paid once per shard.
     """
-    from repro.mitigation.evaluator import build_workload_shard
+    from repro.mitigation.evaluator import SharedReplay, build_workload_shard
 
     spec = task.spec
     try:
@@ -1150,6 +1157,11 @@ def run_evaluation_shard(task: EvaluationTask) -> dict[str, EvalMetrics]:
             scale=spec.scale,
             group=spec.group,
             n_groups=spec.n_groups,
+            functions=task.functions,
+        )
+        shared = (
+            SharedReplay(traces, task.horizon_s) if task.engine == "vector"
+            else None
         )
         out: dict[str, EvalMetrics] = {}
         for policy in task.policies:
@@ -1157,7 +1169,7 @@ def run_evaluation_shard(task: EvaluationTask) -> dict[str, EvalMetrics]:
                 profile, policy, seed=spec.shard_seed, engine=task.engine
             )
             out[policy] = evaluator.run(
-                traces, horizon_s=task.horizon_s, name=policy
+                traces, horizon_s=task.horizon_s, name=policy, shared=shared
             )
         return out
     except ShardError:
@@ -1204,7 +1216,12 @@ def evaluate_policies(
     ``horizon_s=None`` lets each shard close out at its own last arrival
     (the evaluator's default), matching the unsharded pod-time accounting;
     a shard's horizon depends only on its traces, never on ``jobs``.
+
+    The population is sampled once, here, and each task carries its
+    group's slice of it (:func:`~repro.mitigation.evaluator
+    .population_groups`), so shards generate only their group's traces.
     """
+    from repro.mitigation.evaluator import population_groups
     from repro.runtime.merge import merge_eval_metrics
     from repro.runtime.shards import ShardPlan
 
@@ -1212,9 +1229,12 @@ def evaluate_policies(
         region, seed=seed, days=days, scale=scale, n_groups=n_groups,
         eval_seed=eval_seed,
     )
+    groups = population_groups(
+        region, seed=seed, days=days, scale=scale, n_groups=n_groups
+    )
     tasks = [
         EvaluationTask(spec=spec, policies=tuple(policies), horizon_s=horizon_s,
-                       engine=engine)
+                       engine=engine, functions=groups[spec.group])
         for spec in plan
     ]
     executor = ParallelExecutor(jobs=jobs, channel=channel,
@@ -1253,6 +1273,8 @@ class CrossRegionTask:
     rtt_s: float
     keepalive_s: float
     engine: str = "vector"
+    #: The group's slice of the population (see :class:`EvaluationTask`).
+    functions: tuple[FunctionSpec, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -1316,6 +1338,7 @@ def run_cross_region_shard(task: CrossRegionTask) -> CrossRegionResult:
             scale=spec.scale,
             group=spec.group,
             n_groups=spec.n_groups,
+            functions=task.functions,
         )
         evaluator = CrossRegionEvaluator(
             home=spec.region,
@@ -1372,10 +1395,12 @@ def evaluate_cross_region(
     Routing is a tick-phase policy (the per-region cold-start EMA updates
     at tick boundaries), so every engine replays it: ``"vector"`` merges
     per-function structure-of-arrays walks in cold-start order,
-    ``"event"`` is the sequential reference.
+    ``"event"`` is the sequential reference. As in
+    :func:`evaluate_policies`, the population is sampled once for all
+    shards.
     """
     from repro.mitigation.cross_region import DEFAULT_INTER_REGION_RTT_S
-    from repro.mitigation.evaluator import ENGINES
+    from repro.mitigation.evaluator import ENGINES, population_groups
     from repro.runtime.shards import ShardPlan
 
     if engine not in ENGINES:
@@ -1385,6 +1410,9 @@ def evaluate_cross_region(
         home, seed=seed, days=days, scale=scale, n_groups=n_groups,
         eval_seed=eval_seed,
     )
+    groups = population_groups(
+        home, seed=seed, days=days, scale=scale, n_groups=n_groups
+    )
     tasks = [
         CrossRegionTask(
             spec=spec,
@@ -1393,6 +1421,7 @@ def evaluate_cross_region(
             rtt_s=rtt_s if rtt_s is not None else DEFAULT_INTER_REGION_RTT_S,
             keepalive_s=keepalive_s,
             engine=engine,
+            functions=groups[spec.group],
         )
         for spec in plan
     ]

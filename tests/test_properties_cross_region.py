@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.mitigation import CrossRegionEvaluator, RoutingPolicy
 from repro.mitigation.cross_region import BestRegionRouter, _ema_seed
+from repro.obs.telemetry import profiled
 from repro.workload.catalog import OBS_A, ResourceConfig, Runtime
 from repro.workload.function import FunctionSpec
 from repro.workload.generator import FunctionTrace
@@ -130,18 +131,16 @@ def _traces(functions) -> list[FunctionTrace]:
 
 
 class _RecordingRouter(BestRegionRouter):
-    """Logs every cold start it observes, in observation order."""
+    """Logs every cold start it folds into its EMAs, in folding order."""
 
     def __init__(self, ema_seeds, rtt_s):
         super().__init__(ema_seeds, rtt_s)
         self.seen: list[tuple] = []
 
-    def observe_batch(self, cols):
-        self.seen.extend(zip(
-            cols.cold_fn.tolist(), cols.cold_t.tolist(),
-            cols.cold_wait.tolist(), cols.cold_region.tolist(),
-        ))
-        super().observe_batch(cols)
+    def observe_colds(self, regions, waits):
+        regions, waits = list(regions), list(waits)
+        self.seen.extend(zip(regions, waits))
+        super().observe_colds(regions, waits)
 
 
 class _RecordingEvaluator(CrossRegionEvaluator):
@@ -155,16 +154,19 @@ class _RecordingEvaluator(CrossRegionEvaluator):
 
 
 def _replay(case, engine: str, policy: RoutingPolicy):
-    """``(metrics, colds the router observed)`` of one replay."""
+    """``(metrics, colds the router observed, tick/steps)`` of one
+    profiled replay."""
     home, remotes, offset, keepalive_s, seed, functions = case
     evaluator = _RecordingEvaluator(
         home=home, remotes=remotes, rtt_s=_gate_rtt(home, remotes, offset),
         seed=seed, engine=engine,
     )
-    metrics = evaluator.run(
-        _traces(functions), policy=policy, keepalive_s=keepalive_s
-    )
-    return metrics, evaluator.router.seen if evaluator.router else []
+    with profiled() as tel:
+        metrics = evaluator.run(
+            _traces(functions), policy=policy, keepalive_s=keepalive_s
+        )
+        steps = tel.counters.get("tick/steps", 0)
+    return metrics, evaluator.router.seen if evaluator.router else [], steps
 
 
 #: Two functions cold-starting together on tick edges, and a saturated
@@ -179,16 +181,43 @@ _KNIFE_EDGE = (
 )
 
 
+#: Zero RTT and a remote faster than home: the seeded EMAs route away at
+#: the first tick, before any cold start has been observed.
+_AWAY_AT_TICK_ZERO = (
+    "R2", ("R3",), -1e9, 60.0, 0,
+    [([0.0, 0.0, 5.0, 200.0, 4000.0], 0.5), ([30.0, 3000.0], 2.0)],
+)
+
+#: The knife-edge flips, then a long warm chain and a silent stretch with
+#: no cold start for over a hundred ticks, then late cold starts: the route
+#: decided at the flip must hold until new colds move the EMAs.
+_FLIP_THEN_QUIET = (
+    *_KNIFE_EDGE[:5],
+    [
+        *_KNIFE_EDGE[5],
+        ([2400.0 + 5.0 * k for k in range(600)], 0.01),
+        ([9000.0, 9000.0, 9600.5, 12000.0], 0.5),
+    ],
+)
+
+
 @_SETTINGS
 @given(case=cases())
 @example(case=_KNIFE_EDGE)
+@example(case=_AWAY_AT_TICK_ZERO)
+@example(case=_FLIP_THEN_QUIET)
 def test_vector_matches_event(case):
     for policy in (RoutingPolicy.BEST_REGION, RoutingPolicy.HOME_ONLY):
-        event, event_seen = _replay(case, "event", policy)
-        vector, vector_seen = _replay(case, "vector", policy)
+        event, event_seen, _ = _replay(case, "event", policy)
+        vector, vector_seen, steps = _replay(case, "vector", policy)
         # The router folds the same colds in the same order. The event
         # engine keeps stepping to the last arrival, so it may see more.
         assert vector_seen == event_seen[:len(vector_seen)]
+        # The vector merge steps the router only at ticks a cold falls in.
+        if policy is RoutingPolicy.BEST_REGION and vector.cold_starts:
+            assert 0 < steps <= vector.cold_starts
+        else:
+            assert steps == 0
         assert vector.summary() == event.summary()
         assert vector.cold_wait == event.cold_wait
         assert vector.cold_start_minutes == event.cold_start_minutes
@@ -200,7 +229,28 @@ def test_vector_matches_event(case):
 def test_knife_edge_case_flips_the_route():
     """The hand-placed case really routes both ways, and its burst
     crosses a tick edge while cold."""
-    metrics, _ = _replay(_KNIFE_EDGE, "event", RoutingPolicy.BEST_REGION)
+    metrics, _, _ = _replay(_KNIFE_EDGE, "event", RoutingPolicy.BEST_REGION)
     by_region = metrics.cold_starts_by_region
     assert by_region["R2"] > 0 and by_region["R3"] > 0
     assert metrics.cold_starts >= 80
+
+
+def test_zero_rtt_case_routes_away_from_the_first_cold():
+    """The seeded EMAs alone send the very first cold start remote."""
+    metrics, seen, _ = _replay(
+        _AWAY_AT_TICK_ZERO, "vector", RoutingPolicy.BEST_REGION
+    )
+    assert _gate_rtt(*_AWAY_AT_TICK_ZERO[:2], _AWAY_AT_TICK_ZERO[2]) == 0.0
+    assert seen and all(region == 1 for region, _ in seen)
+    assert metrics.cold_starts_by_region["R2"] == 0
+
+
+def test_flip_then_quiet_case_routes_both_ways_across_the_silence():
+    """The route flips before the silent stretch, and cold starts on both
+    sides of it are placed."""
+    metrics, seen, _ = _replay(
+        _FLIP_THEN_QUIET, "vector", RoutingPolicy.BEST_REGION
+    )
+    by_region = metrics.cold_starts_by_region
+    assert by_region["R2"] > 0 and by_region["R3"] > 0
+    assert len(seen) > 80

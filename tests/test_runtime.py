@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from repro.mitigation.base import EvalMetrics
-from repro.mitigation.evaluator import RegionEvaluator, build_workload, build_workload_shard
+from repro.mitigation.evaluator import (
+    RegionEvaluator,
+    build_workload,
+    build_workload_shard,
+    population_groups,
+)
 from repro.runtime import (
     CHUNK_FORMAT_VERSION,
     ChunkDirectoryError,
@@ -209,6 +214,25 @@ class TestShardedEvaluation:
             np.testing.assert_array_equal(
                 trace.arrivals, by_id[trace.spec.function_id].arrivals
             )
+
+    def test_presampled_groups_build_identical_shards(self):
+        """A shard handed its group of a population sampled once builds the
+        traces it would build sampling the population itself."""
+        groups = population_groups("R3", seed=5, days=1, scale=0.1, n_groups=3)
+        (whole,) = population_groups("R3", seed=5, days=1, scale=0.1)
+        assert [list(g) for g in groups] == [list(whole[g::3]) for g in range(3)]
+        for g in range(3):
+            _, sampled = build_workload_shard(
+                "R3", seed=5, days=1, scale=0.1, group=g, n_groups=3
+            )
+            _, handed = build_workload_shard(
+                "R3", seed=5, days=1, scale=0.1, group=g, n_groups=3,
+                functions=groups[g],
+            )
+            assert [t.spec for t in handed] == [t.spec for t in sampled]
+            for a, b in zip(handed, sampled):
+                assert a.arrivals.tobytes() == b.arrivals.tobytes()
+                assert a.exec_s.tobytes() == b.exec_s.tobytes()
 
     def test_evaluation_is_jobs_invariant(self):
         kwargs = dict(seed=5, days=1, scale=0.1, n_groups=4)

@@ -23,9 +23,21 @@ from repro.mitigation import (
     TimerPrewarmPolicy,
 )
 from repro.mitigation.base import HorizonSchedule
-from repro.mitigation.evaluator import build_workload
+from repro.mitigation.evaluator import (
+    SharedReplay,
+    build_workload,
+    build_workload_shard,
+    population_groups,
+)
 from repro.obs.telemetry import profiled
-from repro.runtime import evaluate_cross_region, evaluate_policies
+from repro.runtime import (
+    EvaluationTask,
+    evaluate_cross_region,
+    evaluate_policies,
+    make_policy_evaluator,
+    run_evaluation_shard,
+)
+from repro.runtime.shards import ShardPlan
 from repro.workload.catalog import OBS_A, ResourceConfig, Runtime, TIMER_A
 from repro.workload.function import FunctionSpec
 from repro.workload.generator import FunctionTrace
@@ -361,6 +373,82 @@ class TestShardedEngineEquivalence:
         assert sum(result.metrics.cold_starts_by_region.values()) == (
             result.metrics.cold_starts
         )
+
+
+#: Every named policy of a mitigation run.
+_NAMED_POLICIES = (
+    "baseline", "timer-prewarm", "histogram-prewarm", "dynamic-keepalive",
+    "peak-shaving",
+)
+_SHARD_WORKLOAD = dict(seed=3, days=1, scale=0.1)
+
+
+def _shard_traces():
+    return build_workload_shard("R2", group=0, n_groups=2, **_SHARD_WORKLOAD)
+
+
+class TestSharedReplay:
+    """The policies one shard replays share the walks no decision touches;
+    every result still equals an evaluator built and run on its own."""
+
+    @pytest.mark.parametrize("order", [
+        _NAMED_POLICIES,
+        ("peak-shaving", "dynamic-keepalive", "histogram-prewarm",
+         "timer-prewarm", "baseline"),
+    ])
+    def test_shard_matches_independent_evaluators(self, order):
+        (spec, _) = ShardPlan.for_evaluation(
+            "R2", n_groups=2, **_SHARD_WORKLOAD
+        ).shards
+        task = EvaluationTask(
+            spec=spec, policies=order,
+            functions=population_groups("R2", n_groups=2, **_SHARD_WORKLOAD)[0],
+        )
+        with profiled() as tel:
+            shard = run_evaluation_shard(task)
+            shared_walks = tel.counters["vector/functions"]
+        profile, traces = _shard_traces()
+        alone_walks = 0
+        for policy in order:
+            with profiled() as tel:
+                alone = make_policy_evaluator(
+                    profile, policy, seed=spec.shard_seed
+                ).run(traces, name=policy)
+                alone_walks += tel.counters.get("vector/functions", 0)
+            _assert_identical(shard[policy], alone, policy)
+        # A shared walk is taken (and counted) once per shard.
+        assert 0 < shared_walks < alone_walks
+
+    def test_walks_are_scoped_by_evaluator_seed(self):
+        """Two evaluator seeds over one traces list and one shared state:
+        each seed replays from its own walks."""
+        profile, traces = _shard_traces()
+        shared = SharedReplay(traces)
+        results = {}
+        for seed in (3, 4):
+            for policy in _NAMED_POLICIES:
+                got = make_policy_evaluator(profile, policy, seed=seed).run(
+                    traces, name=policy, shared=shared
+                )
+                alone = make_policy_evaluator(profile, policy, seed=seed).run(
+                    traces, name=policy
+                )
+                _assert_identical(got, alone, f"{policy}/seed={seed}")
+                results[policy, seed] = got
+        assert results["baseline", 3].cold_wait != results["baseline", 4].cold_wait
+
+    def test_shared_state_belongs_to_its_traces_and_horizon(self):
+        profile, traces = _shard_traces()
+        shared = SharedReplay(traces)
+        evaluator = RegionEvaluator(profile, seed=1)
+        with pytest.raises(ValueError, match="shared replay state"):
+            evaluator.run(list(traces), shared=shared)
+        with pytest.raises(ValueError, match="shared replay state"):
+            evaluator.run(traces, horizon_s=shared.horizon_s + 1.0, shared=shared)
+        evaluator.run(traces, horizon_s=shared.horizon_s, shared=shared)
+        for table in shared._walks.values():
+            for outcome in table.values():
+                assert not outcome.cold_times.flags.writeable
 
 
 class TestCoupledEngineEquivalence:
