@@ -455,7 +455,8 @@ def _route_in_time_order(walkers, router: BestRegionRouter, sink: _ColdSink) -> 
     route away before any cold is seen, and every later one after folding
     at least the cold that triggered the step before it. The router reads
     no arrival columns (``needs``), so none are built. Profiled runs count
-    the steps on ``tick/steps`` and time the router on its
+    the steps on ``tick/steps`` and time the router's own calls
+    (``observe_colds`` and ``decide``, not the gather from the sink) on its
     ``tick/policy`` timer, as the event engine's tick machine does.
     """
     interval = tick_interval([router])
@@ -481,12 +482,12 @@ def _route_in_time_order(walkers, router: BestRegionRouter, sink: _ColdSink) -> 
             k = last_tick_index(t, interval)
             edge = (k + 1) * interval
             if k >= 0:
-                t0 = time.perf_counter() if timed else 0.0
                 seen = sorted(range(fed, len(s_pos)), key=s_pos.__getitem__)
                 fed = len(s_pos)
-                router.observe_colds(
-                    [s_r[j] for j in seen], [s_raw[j] for j in seen]
-                )
+                regions = [s_r[j] for j in seen]
+                waits = [s_raw[j] for j in seen]
+                t0 = time.perf_counter() if timed else 0.0
+                router.observe_colds(regions, waits)
                 route = router.decide(k, k * interval).route
                 steps += 1
                 if timed:

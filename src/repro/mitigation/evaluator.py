@@ -130,28 +130,21 @@ def build_workload_shard(
     seed: int = 0,
     days: int = 3,
     scale: float = 0.3,
-    group: int = 0,
-    n_groups: int = 1,
-    functions: Sequence[FunctionSpec] | None = None,
+    *,
+    functions: Sequence[FunctionSpec],
 ) -> tuple[RegionProfile, list[FunctionTrace]]:
     """One function-group shard of :func:`build_workload`.
 
-    Traces are generated only for functions whose population index
-    satisfies ``index % n_groups == group``. ``functions`` is that group's
-    slice of the population when the caller has already sampled it
-    (sharded evaluation samples it once for all its shards, see
-    :func:`population_groups`); without it the population is sampled here.
-    Because arrival streams are addressed per function id, each shard's
-    traces are bit-identical to the corresponding subset of the unsharded
-    workload, and the union over all groups is exactly
+    ``functions`` is the group's slice of the population, as
+    :func:`population_groups` splits it (sharded evaluation samples the
+    population once for all its shards); traces are generated only for
+    those functions. Because arrival streams are addressed per function
+    id, each shard's traces are bit-identical to the corresponding subset
+    of the unsharded workload, and the union over all groups is exactly
     :func:`build_workload`.
     """
-    if not 0 <= group < n_groups:
-        raise ValueError(f"group must be in [0, {n_groups}), got {group}")
     profile = _scaled_profile(region, scale)
     generator = WorkloadGenerator(profile, seed=seed, days=days)
-    if functions is None:
-        functions = generator.population()[group::n_groups]
     return profile, generator.function_traces_for(list(functions))
 
 
@@ -339,6 +332,14 @@ def default_horizon(traces) -> float:
     ) + 120.0
 
 
+def _read_only(column: np.ndarray) -> np.ndarray:
+    """A read-only view of ``column``; the array itself (which a caller
+    may own) stays writeable, and slices of the view are read-only too."""
+    view = column.view()
+    view.flags.writeable = False
+    return view
+
+
 class SharedReplay:
     """The policy-free half of vector replays over one traces list.
 
@@ -356,8 +357,9 @@ class SharedReplay:
     gets its own table of walks (:meth:`walks`), keyed by ``(function
     index, keep-alive, concurrency)``, so an evaluator with another seed or
     a policy with its own keep-alive never reads a walk it would not have
-    taken. What it holds is read-only: its own columns and the stored
-    walks' arrays are frozen.
+    taken. What it holds is read-only: its columns (the congestion
+    profile's included) are read-only views, and the stored walks' arrays
+    are frozen.
     """
 
     def __init__(self, traces: list[FunctionTrace], horizon_s: float | None = None):
@@ -366,25 +368,28 @@ class SharedReplay:
         self.congestion = CongestionProfile.from_traces(traces, self.horizon_s)
         self.specs = [t.spec for t in traces]
         self.spec_by_id = {s.function_id: i for i, s in enumerate(self.specs)}
-        self.function_ids = np.array(
+        self.function_ids = _read_only(np.array(
             [s.function_id for s in self.specs], dtype=np.int64
-        )
-        self.fn_t, self.fn_e = _arrival_columns(traces)
-        sizes = [a.size for a in self.fn_t]
-        all_t = np.concatenate(self.fn_t) if self.fn_t else EMPTY_F
+        ))
+        self.congestion.per_minute = _read_only(self.congestion.per_minute)
+        fn_t, fn_e = _arrival_columns(traces)
+        sizes = [a.size for a in fn_t]
+        all_t = np.concatenate(fn_t) if fn_t else EMPTY_F
         all_fn = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
         order = np.argsort(all_t, kind="stable")
         inv = np.empty(order.size, dtype=np.int64)
         inv[order] = np.arange(order.size)
+        inv = _read_only(inv)
         bounds = np.cumsum([0] + sizes).tolist()
-        #: Per function, the merged (global time-order) position of each
-        #: arrival.
+        #: Per function, its arrival and execution columns (read-only views
+        #: of the traces' own arrays), and the merged (global time-order)
+        #: position of each arrival.
+        self.fn_t = [_read_only(a) for a in fn_t]
+        self.fn_e = [_read_only(a) for a in fn_e]
         self.merged_pos = [inv[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         #: Every arrival in merged order, and its function index.
-        self.merged_t = all_t[order]
-        self.merged_fn = all_fn[order]
-        for column in (inv, self.merged_t, self.merged_fn):
-            column.flags.writeable = False
+        self.merged_t = _read_only(all_t[order])
+        self.merged_fn = _read_only(all_fn[order])
         self._walks: dict[tuple, dict] = {}
 
     def walks(self, scope: tuple) -> dict:

@@ -1085,11 +1085,11 @@ class EvaluationTask:
 
     spec: ShardSpec
     policies: tuple[str, ...]
+    #: The group's slice of the population, sampled once by the caller for
+    #: every shard (see :func:`~repro.mitigation.evaluator.population_groups`).
+    functions: tuple[FunctionSpec, ...]
     horizon_s: float | None = None
     engine: str = "vector"
-    #: The group's slice of the population, sampled once by the caller for
-    #: every shard (``None``: the shard samples it).
-    functions: tuple[FunctionSpec, ...] | None = None
 
 
 def make_policy_evaluator(profile, policy: str, seed: int, engine: str = "vector"):
@@ -1155,8 +1155,6 @@ def run_evaluation_shard(task: EvaluationTask) -> dict[str, EvalMetrics]:
             seed=spec.seed,
             days=spec.n_days,
             scale=spec.scale,
-            group=spec.group,
-            n_groups=spec.n_groups,
             functions=task.functions,
         )
         shared = (
@@ -1272,9 +1270,9 @@ class CrossRegionTask:
     policy: str
     rtt_s: float
     keepalive_s: float
-    engine: str = "vector"
     #: The group's slice of the population (see :class:`EvaluationTask`).
-    functions: tuple[FunctionSpec, ...] | None = None
+    functions: tuple[FunctionSpec, ...]
+    engine: str = "vector"
 
 
 @dataclass(frozen=True)
@@ -1336,8 +1334,6 @@ def run_cross_region_shard(task: CrossRegionTask) -> CrossRegionResult:
             seed=spec.seed,
             days=spec.n_days,
             scale=spec.scale,
-            group=spec.group,
-            n_groups=spec.n_groups,
             functions=task.functions,
         )
         evaluator = CrossRegionEvaluator(

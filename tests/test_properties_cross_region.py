@@ -18,10 +18,12 @@ the merge has to get exactly right:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.mitigation import CrossRegionEvaluator, RoutingPolicy
+from repro.mitigation import CrossRegionEvaluator, RoutingPolicy, cross_region
 from repro.mitigation.cross_region import BestRegionRouter, _ema_seed
 from repro.obs.telemetry import profiled
 from repro.workload.catalog import OBS_A, ResourceConfig, Runtime
@@ -131,15 +133,45 @@ def _traces(functions) -> list[FunctionTrace]:
 
 
 class _RecordingRouter(BestRegionRouter):
-    """Logs every cold start it folds into its EMAs, in folding order."""
+    """Logs every cold start it folds into its EMAs, in folding order.
+
+    ``seen`` holds ``(function index, time, raw wait, region)``. The event
+    engine hands the router tick columns (``observe_batch``), which carry
+    all four. The vector merge folds ``(region, wait)`` pairs gathered from
+    its cold sink (``observe_colds``); with ``sink`` and ``merged_fn`` set
+    (see :func:`_replay`), each fold is resolved to the sink entries the
+    router had not seen, in merged order. ``folded`` holds the pairs
+    ``observe_colds`` actually received, under either engine.
+    """
+
+    sink = None
+    merged_fn = None
 
     def __init__(self, ema_seeds, rtt_s):
         super().__init__(ema_seeds, rtt_s)
         self.seen: list[tuple] = []
+        self.folded: list[tuple] = []
+        self._fed = 0
+
+    def observe_batch(self, cols):
+        self.seen.extend(zip(
+            cols.cold_fn.tolist(), cols.cold_t.tolist(),
+            cols.cold_wait.tolist(), cols.cold_region.tolist(),
+        ))
+        super().observe_batch(cols)
 
     def observe_colds(self, regions, waits):
         regions, waits = list(regions), list(waits)
-        self.seen.extend(zip(regions, waits))
+        self.folded.extend(zip(regions, waits))
+        if self.sink is not None:
+            sink = self.sink
+            new = sorted(range(self._fed, len(sink.pos)), key=sink.pos.__getitem__)
+            self._fed = len(sink.pos)
+            self.seen.extend(
+                (int(self.merged_fn[sink.pos[j]]), sink.t[j], sink.raw[j],
+                 sink.region[j])
+                for j in new
+            )
         super().observe_colds(regions, waits)
 
 
@@ -153,20 +185,41 @@ class _RecordingEvaluator(CrossRegionEvaluator):
         return router
 
 
+def _merged_fn(traces) -> np.ndarray:
+    """The function index of each arrival in merged (time, then trace)
+    order: what a merged position names."""
+    sizes = [t.arrivals.size for t in traces]
+    all_t = np.concatenate([t.arrivals for t in traces])
+    return np.repeat(np.arange(len(traces)), sizes)[
+        np.argsort(all_t, kind="stable")
+    ]
+
+
 def _replay(case, engine: str, policy: RoutingPolicy):
-    """``(metrics, colds the router observed, tick/steps)`` of one
-    profiled replay."""
+    """``(metrics, recording router or None, tick/steps)`` of one profiled
+    replay."""
     home, remotes, offset, keepalive_s, seed, functions = case
+    traces = _traces(functions)
     evaluator = _RecordingEvaluator(
         home=home, remotes=remotes, rtt_s=_gate_rtt(home, remotes, offset),
         seed=seed, engine=engine,
     )
-    with profiled() as tel:
-        metrics = evaluator.run(
-            _traces(functions), policy=policy, keepalive_s=keepalive_s
-        )
+    route = cross_region._route_in_time_order
+
+    def recording_route(walkers, router, sink):
+        router.sink, router.merged_fn = sink, _merged_fn(traces)
+        route(walkers, router, sink)
+
+    with profiled() as tel, mock.patch.object(
+        cross_region, "_route_in_time_order", recording_route
+    ):
+        metrics = evaluator.run(traces, policy=policy, keepalive_s=keepalive_s)
         steps = tel.counters.get("tick/steps", 0)
-    return metrics, evaluator.router.seen if evaluator.router else [], steps
+    return metrics, evaluator.router, steps
+
+
+def _seen(router) -> list[tuple]:
+    return router.seen if router else []
 
 
 #: Two functions cold-starting together on tick edges, and a saturated
@@ -208,11 +261,17 @@ _FLIP_THEN_QUIET = (
 @example(case=_FLIP_THEN_QUIET)
 def test_vector_matches_event(case):
     for policy in (RoutingPolicy.BEST_REGION, RoutingPolicy.HOME_ONLY):
-        event, event_seen, _ = _replay(case, "event", policy)
-        vector, vector_seen, steps = _replay(case, "vector", policy)
-        # The router folds the same colds in the same order. The event
-        # engine keeps stepping to the last arrival, so it may see more.
+        event, event_router, _ = _replay(case, "event", policy)
+        vector, vector_router, steps = _replay(case, "vector", policy)
+        event_seen, vector_seen = _seen(event_router), _seen(vector_router)
+        # The router folds the same colds — function, time, wait, region —
+        # in the same order. The event engine keeps stepping to the last
+        # arrival, so it may see more.
         assert vector_seen == event_seen[:len(vector_seen)]
+        # Each engine's fold is exactly the colds it logged.
+        for router in (event_router, vector_router):
+            if router is not None:
+                assert router.folded == [(r, w) for _, _, w, r in router.seen]
         # The vector merge steps the router only at ticks a cold falls in.
         if policy is RoutingPolicy.BEST_REGION and vector.cold_starts:
             assert 0 < steps <= vector.cold_starts
@@ -237,20 +296,20 @@ def test_knife_edge_case_flips_the_route():
 
 def test_zero_rtt_case_routes_away_from_the_first_cold():
     """The seeded EMAs alone send the very first cold start remote."""
-    metrics, seen, _ = _replay(
+    metrics, router, _ = _replay(
         _AWAY_AT_TICK_ZERO, "vector", RoutingPolicy.BEST_REGION
     )
     assert _gate_rtt(*_AWAY_AT_TICK_ZERO[:2], _AWAY_AT_TICK_ZERO[2]) == 0.0
-    assert seen and all(region == 1 for region, _ in seen)
+    assert router.seen and all(region == 1 for *_, region in router.seen)
     assert metrics.cold_starts_by_region["R2"] == 0
 
 
 def test_flip_then_quiet_case_routes_both_ways_across_the_silence():
     """The route flips before the silent stretch, and cold starts on both
     sides of it are placed."""
-    metrics, seen, _ = _replay(
+    metrics, router, _ = _replay(
         _FLIP_THEN_QUIET, "vector", RoutingPolicy.BEST_REGION
     )
     by_region = metrics.cold_starts_by_region
     assert by_region["R2"] > 0 and by_region["R3"] > 0
-    assert len(seen) > 80
+    assert len(router.seen) > 80

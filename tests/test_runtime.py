@@ -202,8 +202,11 @@ class TestShardedGeneration:
 class TestShardedEvaluation:
     def test_group_shards_partition_the_workload(self):
         _, full = build_workload("R3", seed=5, days=1, scale=0.1)
+        groups = population_groups("R3", seed=5, days=1, scale=0.1, n_groups=3)
         parts = [
-            build_workload_shard("R3", seed=5, days=1, scale=0.1, group=g, n_groups=3)[1]
+            build_workload_shard(
+                "R3", seed=5, days=1, scale=0.1, functions=groups[g]
+            )[1]
             for g in range(3)
         ]
         full_ids = sorted(t.spec.function_id for t in full)
@@ -216,21 +219,20 @@ class TestShardedEvaluation:
             )
 
     def test_presampled_groups_build_identical_shards(self):
-        """A shard handed its group of a population sampled once builds the
-        traces it would build sampling the population itself."""
+        """The groups of a population sampled once are its index strides,
+        and each group's shard builds exactly the unsharded traces of its
+        functions."""
         groups = population_groups("R3", seed=5, days=1, scale=0.1, n_groups=3)
         (whole,) = population_groups("R3", seed=5, days=1, scale=0.1)
         assert [list(g) for g in groups] == [list(whole[g::3]) for g in range(3)]
+        _, full = build_workload("R3", seed=5, days=1, scale=0.1)
         for g in range(3):
-            _, sampled = build_workload_shard(
-                "R3", seed=5, days=1, scale=0.1, group=g, n_groups=3
-            )
             _, handed = build_workload_shard(
-                "R3", seed=5, days=1, scale=0.1, group=g, n_groups=3,
-                functions=groups[g],
+                "R3", seed=5, days=1, scale=0.1, functions=groups[g]
             )
-            assert [t.spec for t in handed] == [t.spec for t in sampled]
-            for a, b in zip(handed, sampled):
+            expected = [t for t in full if t.spec in groups[g]]
+            assert [t.spec for t in handed] == [t.spec for t in expected]
+            for a, b in zip(handed, expected):
                 assert a.arrivals.tobytes() == b.arrivals.tobytes()
                 assert a.exec_s.tobytes() == b.exec_s.tobytes()
 

@@ -383,8 +383,14 @@ _NAMED_POLICIES = (
 _SHARD_WORKLOAD = dict(seed=3, days=1, scale=0.1)
 
 
+def _shard_functions():
+    return population_groups("R2", n_groups=2, **_SHARD_WORKLOAD)[0]
+
+
 def _shard_traces():
-    return build_workload_shard("R2", group=0, n_groups=2, **_SHARD_WORKLOAD)
+    return build_workload_shard(
+        "R2", functions=_shard_functions(), **_SHARD_WORKLOAD
+    )
 
 
 class TestSharedReplay:
@@ -402,7 +408,7 @@ class TestSharedReplay:
         ).shards
         task = EvaluationTask(
             spec=spec, policies=order,
-            functions=population_groups("R2", n_groups=2, **_SHARD_WORKLOAD)[0],
+            functions=_shard_functions(),
         )
         with profiled() as tel:
             shard = run_evaluation_shard(task)
@@ -449,6 +455,14 @@ class TestSharedReplay:
         for table in shared._walks.values():
             for outcome in table.values():
                 assert not outcome.cold_times.flags.writeable
+        columns = [
+            *shared.fn_t, *shared.fn_e, *shared.merged_pos, shared.merged_t,
+            shared.merged_fn, shared.function_ids, shared.congestion.per_minute,
+        ]
+        assert not any(column.flags.writeable for column in columns)
+        # The read-only columns are views: the traces' own arrays are not
+        # frozen.
+        assert traces[0].arrivals.flags.writeable
 
 
 class TestCoupledEngineEquivalence:
