@@ -1,11 +1,10 @@
 """M5 — resource-pool prediction vs fixed reserves (§5, "Resource pool
-prediction"), plus the concurrency-adjustment and call-chain experiments.
+prediction"), plus the concurrency-adjustment experiment.
 
 Claims reproduced: a minute-of-day quantile predictor raises the stage-1
 pool hit rate and cuts mean allocation latency versus a fixed pool of the
 same rough cost; higher per-pod concurrency trades execution inflation for
-fewer pods; prefetching workflow children hides their cold starts behind
-the parent's execution.
+fewer pods.
 """
 
 import numpy as np
@@ -14,13 +13,10 @@ from repro.analysis.report import format_table
 from repro.mitigation import (
     PredictivePoolPolicy,
     ReactivePoolPolicy,
-    evaluate_callchain_prefetch,
     evaluate_concurrency,
     simulate_pool,
 )
 from repro.mitigation.pool_prediction import demand_from_bundle
-from repro.workload.catalog import ResourceConfig, Runtime, WORKFLOW_S
-from repro.workload.function import FunctionSpec
 
 
 def test_pool_prediction(benchmark, study, emit):
@@ -74,38 +70,3 @@ def test_concurrency_adjustment(benchmark, emit):
     # ...while execution inflation grows.
     inflations = [o.exec_inflation for o in outcomes]
     assert inflations == sorted(inflations)
-
-
-def test_callchain_prefetch(benchmark, emit):
-    child = FunctionSpec(
-        function_id=2, user_id=1, runtime=Runtime.JAVA, triggers=(WORKFLOW_S,),
-        config=ResourceConfig(600, 512), mean_exec_s=0.3, cpu_millicores=200,
-        memory_mb=128, arrival_kind="poisson", daily_rate=10.0,
-    )
-    parent = FunctionSpec(
-        function_id=1, user_id=1, runtime=Runtime.PYTHON3, triggers=(WORKFLOW_S,),
-        config=ResourceConfig(300, 128), mean_exec_s=4.0, cpu_millicores=100,
-        memory_mb=64, arrival_kind="poisson", daily_rate=10.0,
-        workflow_children=(2,),
-    )
-    arrivals = {1: np.arange(0, 86_400 * 2, 480.0)}
-    specs = {1: parent, 2: child}
-
-    on_demand = evaluate_callchain_prefetch(
-        [parent], specs, arrivals, prefetch=False, seed=4
-    )
-
-    def run_prefetch():
-        return evaluate_callchain_prefetch(
-            [parent], specs, arrivals, prefetch=True, seed=4
-        )
-
-    prefetched = benchmark(run_prefetch)
-
-    emit(
-        "mitigation_callchain",
-        format_table([on_demand.summary(), prefetched.summary()]),
-    )
-
-    assert prefetched.mean_child_wait_s < 0.5 * on_demand.mean_child_wait_s
-    assert prefetched.hidden_cold_starts > 0

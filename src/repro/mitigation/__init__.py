@@ -15,8 +15,6 @@ routing, on-demand pod allocation):
   (:mod:`~repro.mitigation.cross_region`);
 * **resource-pool prediction** sizing per-config pod pools ahead of demand
   (:mod:`~repro.mitigation.pool_prediction`);
-* **workflow call-chain prediction** pre-warming downstream functions
-  (:mod:`~repro.mitigation.callchain`);
 * **concurrency adjustment** packing more requests per pod
   (:mod:`~repro.mitigation.concurrency`).
 """
@@ -53,7 +51,6 @@ from repro.mitigation.pool_prediction import (
     ReactivePoolPolicy,
     simulate_pool,
 )
-from repro.mitigation.callchain import CallChainPredictor, evaluate_callchain_prefetch
 from repro.mitigation.concurrency import ConcurrencyAdvisor, evaluate_concurrency
 
 __all__ = [
@@ -79,8 +76,6 @@ __all__ = [
     "PredictivePoolPolicy",
     "PoolSimulationResult",
     "simulate_pool",
-    "CallChainPredictor",
-    "evaluate_callchain_prefetch",
     "ConcurrencyAdvisor",
     "evaluate_concurrency",
 ]

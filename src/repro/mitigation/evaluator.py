@@ -18,8 +18,9 @@ Two engines share one semantics:
   configuration whose tick policies decide from arrivals alone
   (:meth:`RegionEvaluator._run_vector`): the per-tick decision schedule
   is fixed before any replay (empty without policies), and every
-  function then replays once, independently — under its schedule slice
-  when a decision touches it, on the pure per-function walk otherwise.
+  function then replays once, independently, through one per-function
+  walker — under its schedule slice when a decision touches it, under
+  the empty schedule otherwise.
   Policies whose decisions read the replay's own cold starts or pod
   gauge run on the event engine.
 * ``engine="event"`` — the sequential reference loop, driving the same
@@ -75,7 +76,6 @@ from repro.mitigation.tick import (
 )
 from repro.mitigation.vector_engine import (
     _congestion_values,
-    _replay_walk,
     replay_function_coupled,
 )
 from repro.obs.telemetry import get_telemetry
@@ -226,6 +226,15 @@ def _arrival_columns(traces) -> tuple[list[np.ndarray], list[np.ndarray]]:
 _NO_PREWARM = ((), ())
 
 
+def _finish(walker, prewarm):
+    """Run a paused walker's trailing pre-warm sweep over ``prewarm``, the
+    final schedule's slice; returns its outcome."""
+    try:
+        walker.send((prewarm, np.inf))
+    except StopIteration as done:
+        return done.value
+
+
 def _prewarm_by_fn(tick, fid, target, spec_by_id, interval_s) -> dict[int, tuple]:
     """Per-function pre-warm slices of a schedule: ``(tick times, targets)``.
 
@@ -296,11 +305,11 @@ def _schedule_columns(actions) -> tuple[HorizonSchedule, list | None]:
 
 
 def _reads_shave(schedule, interval_s, congestion):
-    """Predicate: does a schedule-free walk's outcome meet an active shave
-    directive?
+    """Predicate: does an empty-schedule replay's outcome meet an active
+    shave directive?
 
     A replay consults the shave schedule only at cold-bound original
-    arrivals, so a ``_replay_walk`` outcome none of whose cold starts falls
+    arrivals, so an empty-schedule outcome none of whose cold starts falls
     under an *active* directive — the gauge flag set at its tick, or the
     congestion at its minute above the tick's trigger — is also the exact
     replay under the schedule.
@@ -345,8 +354,9 @@ class SharedReplay:
 
     Every vector replay of ``traces`` up to ``horizon_s`` reads the same
     congestion profile, arrival columns and merged arrival order, and a
-    function no decision touches takes the same ``_replay_walk`` under any
-    policy. The policies one evaluation shard replays share one instance
+    function no decision touches replays the same under any policy: its
+    empty-schedule replay (its *walk*) is taken once and shared. The
+    policies one evaluation shard replays share one instance
     (:func:`~repro.runtime.executor.run_evaluation_shard`), so each of
     these is paid once per shard; the instance lives as long as its caller
     holds it.
@@ -542,14 +552,16 @@ class RegionEvaluator:
         every policy has one (the empty schedule when there are none),
         else from one tick-machine pass over the arrival spans. A function
         the schedule touches replays once under its slice
-        (``replay_function_coupled``); every other one takes the pure
-        per-function walk (``_replay_walk``), read from ``shared`` when a
-        policy replayed over the same traces already took it. Delayed
-        re-arrivals can run the clock past the last arrival's tick: the
-        schedule then grows to the ticks they reach (decisions are causal,
-        so the longer schedule extends the shorter one), and the walkers'
-        trailing pre-warm sweeps wait until every function's events have
-        fixed the tick count.
+        (``replay_function_coupled``); every other one replays under the
+        empty schedule through the same walker, read from ``shared`` when
+        a policy replayed over the same traces already took it. Under a
+        shaver, a function whose empty-schedule outcome meets an active
+        directive (``_reads_shave``) replays again under the schedule.
+        Delayed re-arrivals can run the clock past the last arrival's
+        tick: the schedule then grows to the ticks they reach (decisions
+        are causal, so the longer schedule extends the shorter one), and
+        the walkers' trailing pre-warm sweeps wait until every function's
+        events have fixed the tick count.
         """
         horizon_s = shared.horizon_s
         congestion = shared.congestion
@@ -607,15 +619,19 @@ class RegionEvaluator:
         def covered_s() -> float:
             return n_decided * interval if n_decided < max_ticks else np.inf
 
-        def walk(i: int):
-            """Function ``i``'s walker, paused before its trailing sweep."""
-            nonlocal n_decided, slices
-            walker = replay_function_coupled(
+        def walker_of(i: int, prewarm, covered: float, shaves):
+            return replay_function_coupled(
                 fn_t[i], fn_e[i], merged_pos[i], kas[i], concs[i],
                 self.queue_patience_s, self._sampler_for(specs[i]), congestion,
                 specs[i], sync[i], self.prewarm_grace_s,
-                interval, n_ticks, slices.get(i, _NO_PREWARM), covered_s(),
-                shave_schedule,
+                interval, n_ticks, prewarm, covered, shaves,
+            )
+
+        def walk(i: int):
+            """Function ``i``'s walker, paused before its trailing sweep."""
+            nonlocal n_decided, slices
+            walker = walker_of(
+                i, slices.get(i, _NO_PREWARM), covered_s(), shave_schedule
             )
             t = next(walker)
             while t != np.inf:
@@ -639,11 +655,9 @@ class RegionEvaluator:
                 key = (i, kas[i], concs[i])
                 outcome = walks.get(key)
                 if outcome is None:
-                    outcome = shared.keep(walks, key, _replay_walk(
-                        fn_t[i], fn_e[i], merged_pos[i], kas[i], concs[i],
-                        self.queue_patience_s, self._sampler_for(specs[i]),
-                        congestion,
-                    ))
+                    alone = walker_of(i, _NO_PREWARM, np.inf, None)
+                    next(alone)  # nothing to decide: on to the sweep
+                    outcome = shared.keep(walks, key, _finish(alone, _NO_PREWARM))
                 outcomes[i] = outcome
                 if sync[i] or not reads_shave(outcome):
                     continue
@@ -655,10 +669,7 @@ class RegionEvaluator:
         for i in sorted(slices.keys() - walkers.keys()):
             walkers[i] = walk(i)
         for i, walker in walkers.items():
-            try:
-                walker.send((slices.get(i, _NO_PREWARM), np.inf))
-            except StopIteration as done:
-                outcomes[i] = done.value
+            outcomes[i] = _finish(walker, slices.get(i, _NO_PREWARM))
         if policies and machine is None and n_decided:
             get_telemetry().count("tick/horizon_ticks", n_decided)
         n_fired, gauge = self._pod_gauge(outcomes, horizon_s, interval)

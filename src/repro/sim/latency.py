@@ -577,7 +577,8 @@ class FunctionColdSampler:
     def next_total(self, congestion: float) -> float:
         """Price and consume one cold start."""
         k = self._cursor
-        self._ensure(k + 1)
+        if k >= self._capacity:
+            self._ensure(k + 1)
         self._cursor = k + 1
         return self._total(k, congestion)
 

@@ -51,7 +51,7 @@ class FunctionSpec:
         single_cluster: True if the function is pinned to one cluster
             instead of being balanced across the region's clusters.
         workflow_children: function_ids invoked downstream by this function
-            (workflow trigger chains; used by call-chain prediction).
+            (workflow trigger chains).
     """
 
     function_id: int

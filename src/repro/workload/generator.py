@@ -375,7 +375,7 @@ def build_population(
             workflow_candidates.append(i)
 
     # Wire workflow call chains: each workflow-S function invokes 1-2
-    # downstream functions (used by the call-chain prediction policy).
+    # downstream functions.
     for idx in workflow_candidates:
         n_children = int(rng.integers(1, 3))
         children = rng.choice(n, size=min(n_children, n), replace=False)

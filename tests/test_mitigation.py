@@ -6,7 +6,6 @@ import pytest
 
 from repro.mitigation import (
     AsyncPeakShaver,
-    CallChainPredictor,
     ConcurrencyAdvisor,
     CrossRegionEvaluator,
     DynamicKeepAlive,
@@ -16,7 +15,6 @@ from repro.mitigation import (
     RegionEvaluator,
     RoutingPolicy,
     TimerPrewarmPolicy,
-    evaluate_callchain_prefetch,
     evaluate_concurrency,
     simulate_pool,
 )
@@ -28,6 +26,16 @@ from repro.workload.function import FunctionSpec
 @pytest.fixture(scope="module")
 def workload(r2_traces):
     return r2_traces
+
+
+def _workflow_spec() -> FunctionSpec:
+    """A workflow function with one downstream child."""
+    return FunctionSpec(
+        function_id=1, user_id=1, runtime=Runtime.PYTHON3, triggers=(WORKFLOW_S,),
+        config=ResourceConfig(300, 128), mean_exec_s=5.0, cpu_millicores=100,
+        memory_mb=64, arrival_kind="poisson", daily_rate=10.0,
+        workflow_children=(2,),
+    )
 
 
 class TestEvaluatorBasics:
@@ -279,44 +287,6 @@ class TestPoolPrediction:
             PredictivePoolPolicy(quantile=0.0)
 
 
-class TestCallChain:
-    def _specs(self):
-        child = FunctionSpec(
-            function_id=2, user_id=1, runtime=Runtime.PYTHON3, triggers=(WORKFLOW_S,),
-            config=ResourceConfig(300, 128), mean_exec_s=0.2, cpu_millicores=100,
-            memory_mb=64, arrival_kind="poisson", daily_rate=10.0,
-        )
-        parent = FunctionSpec(
-            function_id=1, user_id=1, runtime=Runtime.PYTHON3, triggers=(WORKFLOW_S,),
-            config=ResourceConfig(300, 128), mean_exec_s=5.0, cpu_millicores=100,
-            memory_mb=64, arrival_kind="poisson", daily_rate=10.0,
-            workflow_children=(2,),
-        )
-        return parent, child
-
-    def test_predictor_confidence(self):
-        predictor = CallChainPredictor()
-        predictor.observe(1, (2,))
-        predictor.observe(1, (2,))
-        predictor.observe(1, ())
-        assert predictor.confidence(1, 2) == pytest.approx(2 / 3)
-        assert predictor.predict(1) == [2]
-        assert predictor.predict(99) == []
-
-    def test_prefetch_hides_cold_starts(self):
-        parent, child = self._specs()
-        arrivals = {1: np.arange(0, 86_400, 600.0)}
-        specs = {1: parent, 2: child}
-        on_demand = evaluate_callchain_prefetch(
-            [parent], specs, arrivals, prefetch=False, seed=3
-        )
-        prefetched = evaluate_callchain_prefetch(
-            [parent], specs, arrivals, prefetch=True, seed=3
-        )
-        assert prefetched.mean_child_wait_s < on_demand.mean_child_wait_s
-        assert prefetched.hidden_cold_starts > 0
-
-
 class TestConcurrency:
     def test_higher_concurrency_fewer_pod_hours(self):
         # Concurrency pays off where requests overlap: a steady stream whose
@@ -345,9 +315,8 @@ class TestConcurrency:
         from repro.workload.generator import FunctionTrace
         from repro.cluster.lifecycle import reconstruct_function_pods
 
-        parent, _child = TestCallChain()._specs()
         trace = FunctionTrace(
-            spec=parent, arrivals=arrivals, exec_s=execs,
+            spec=_workflow_spec(), arrivals=arrivals, exec_s=execs,
             lifecycle=reconstruct_function_pods(arrivals, execs),
         )
         advisor = ConcurrencyAdvisor(max_inflation=2.0)

@@ -334,7 +334,7 @@ class TestShardMergeDeterminism:
                 )
         base_counters, base_metrics = runs[(1, "pickle")]
         assert base_counters, "profiled replay recorded no counters"
-        assert base_counters.get("vector/functions", 0) > 0
+        assert base_counters.get("vector/coupled/replays", 0) > 0
         # Every coupled policy here decides in closed form; the count of
         # ticks so decided is as deterministic as the machine steps were.
         assert base_counters.get("tick/horizon_ticks", 0) > 0
@@ -412,7 +412,7 @@ class TestProfileCli:
         assert rc == 0
         doc = validate_profile(json.loads(path.read_text()))
         assert doc["meta"]["command"] == "mitigate"
-        assert doc["counters"].get("vector/functions", 0) > 0
+        assert doc["counters"].get("vector/coupled/replays", 0) > 0
         assert any(name.startswith("cli/mitigate") for name in doc["timers"])
         trace = json.loads(path.with_suffix(".trace.json").read_text())
         assert trace["traceEvents"]

@@ -27,7 +27,11 @@ replay has to get exactly right:
 * a stepped pre-warm policy asking for two or three pods, so skipping
   the ticks earlier pods already cover must compare targets;
 * single-slot episodes in which an untouched pre-warmed pod ties with a
-  pod whose slot ends exactly at the arrival.
+  pod whose slot ends exactly at the arrival;
+* runs of >keep-alive gaps long enough to be priced as speculative cold
+  blocks, around a burst whose shaved cold starts re-arrive among them,
+  so blocks must stop before pre-warm ticks, arrivals a shave directive
+  could delay, and pending re-arrivals.
 """
 
 from __future__ import annotations
@@ -47,7 +51,11 @@ from repro.mitigation import (
 from repro.mitigation.base import PrewarmPolicy
 from repro.mitigation.evaluator import CongestionProfile
 from repro.mitigation.tick import last_tick_index
-from repro.mitigation.vector_engine import _EP_CHUNK, replay_function_coupled
+from repro.mitigation.vector_engine import (
+    _EP_CHUNK,
+    _SPEC_MIN_RUN,
+    replay_function_coupled,
+)
 from repro.obs.telemetry import profiled
 from repro.workload.catalog import APIG_S, OBS_A, ResourceConfig, Runtime, TIMER_A
 from repro.workload.function import FunctionSpec
@@ -172,9 +180,20 @@ def _diurnal_times(draw):
 
 
 @st.composite
+def _sparse_times(draw):
+    """A run of >keep-alive gaps across tick edges, long enough for a
+    speculative cold block, plus a burst inside it whose shaved cold
+    starts re-arrive among the run's arrivals."""
+    start = draw(st.sampled_from([0.0, 17.0, _TICK - 0.5]))
+    gap = draw(st.sampled_from([61.0, 90.0, 150.0, 601.0]))
+    count = draw(st.integers(_SPEC_MIN_RUN + 1, 80))
+    return (start + gap * np.arange(count)).tolist() + draw(_burst_times())
+
+
+@st.composite
 def _function(draw):
     kind = draw(st.sampled_from(
-        ["edges", "burst", "grid", "timer", "long-burst", "diurnal"]
+        ["edges", "burst", "grid", "timer", "long-burst", "diurnal", "sparse"]
     ))
     if kind == "edges":
         times = draw(_tick_edge_times())
@@ -186,10 +205,14 @@ def _function(draw):
         times = draw(_timer_times())
     elif kind == "long-burst":
         times = draw(_long_burst_times()) + draw(_grid_times())
-    else:
+    elif kind == "diurnal":
         times = draw(_diurnal_times())
+    else:
+        times = draw(_sparse_times())
+    # A sparse timer is pre-warmed once the timer policy learns its period.
+    timer = kind == "timer" or kind == "sparse" and draw(st.booleans())
     return (
-        kind == "timer", draw(st.booleans()), sorted(times),
+        timer, draw(st.booleans()), sorted(times),
         draw(st.sampled_from([0.01, 0.1, 0.5, 2.0, 30.0])),
         draw(st.sampled_from([1, 1, 2, 3, 4])),
     )
@@ -302,6 +325,22 @@ _EPISODE_TIE = (
 )
 
 
+#: A pre-warmed sparse timer beside a function whose >keep-alive run
+#: surrounds a burst: the shaver delays the burst's cold starts, so that
+#: function replays under the shave schedule, and its run is priced in
+#: speculative blocks that stop at each arrival the shaver could delay.
+_SPARSE_GAPS = (
+    "timer+shaving", 45.0, 0.0, 60.0, None, 1,
+    [
+        (True, False, (17.0 + 150.0 * np.arange(40)).tolist(), 0.5, 1),
+        (False, False, sorted(
+            (30.0 + 90.0 * np.arange(80)).tolist()
+            + (600.0 - 0.5 + 0.05 * np.arange(40)).tolist()
+        ), 0.5, 1),
+    ],
+)
+
+
 @_SETTINGS
 @given(case=cases())
 @example(case=_LATE_CLOCK)
@@ -313,6 +352,7 @@ _EPISODE_TIE = (
 @example(case=("stepped-targets",) + _IDLE_GAPS[1:])
 @example(case=_EPISODE_TIE)
 @example(case=("stepped-targets+shaving", 45.0, -1.0) + _EPISODE_TIE[3:])
+@example(case=_SPARSE_GAPS)
 def test_vector_matches_event(case):
     event = _replay(case, "event")
     vector = _replay(case, "vector")
@@ -347,6 +387,14 @@ def test_pinned_cases_reach_the_new_regimes():
     tie = _counters(_EPISODE_TIE)
     assert tie["vector/coupled/episode_arrivals"] > 0
     assert _replay(_EPISODE_TIE, "event").prewarm_hits > 0
+    # A shaver that never triggers (congestion stays within [0, 3]) leaves
+    # only schedule-free replays: the extra speculation is the re-replay
+    # under the shave schedule, between the arrivals it delays.
+    sparse = _counters(_SPARSE_GAPS)
+    quiet = _counters(_SPARSE_GAPS[:2] + (3.0,) + _SPARSE_GAPS[3:])
+    assert sparse["vector/spec/accepted"] > quiet["vector/spec/accepted"] > 0
+    sparse_run = _replay(_SPARSE_GAPS, "event")
+    assert sparse_run.delayed_requests > 0 and sparse_run.prewarm_creations > 0
 
 
 def test_walker_asks_for_the_tick_an_event_lands_on():

@@ -412,7 +412,7 @@ class TestSharedReplay:
         )
         with profiled() as tel:
             shard = run_evaluation_shard(task)
-            shared_walks = tel.counters["vector/functions"]
+            shared_walks = tel.counters["vector/coupled/replays"]
         profile, traces = _shard_traces()
         alone_walks = 0
         for policy in order:
@@ -420,7 +420,7 @@ class TestSharedReplay:
                 alone = make_policy_evaluator(
                     profile, policy, seed=spec.shard_seed
                 ).run(traces, name=policy)
-                alone_walks += tel.counters.get("vector/functions", 0)
+                alone_walks += tel.counters.get("vector/coupled/replays", 0)
             _assert_identical(shard[policy], alone, policy)
         # A shared walk is taken (and counted) once per shard.
         assert 0 < shared_walks < alone_walks
@@ -644,7 +644,7 @@ class TestCoupledEngineEquivalence:
         if not policies:
             # Nothing decides: the empty schedule steps no machine and
             # books no tick counter or timer.
-            assert counters.get("vector/functions", 0) > 0
+            assert counters.get("vector/coupled/replays", 0) > 0
             assert not [k for k in [*counters, *timers] if k.startswith("tick/")]
             return
         assert counters["tick/horizon_ticks"] > 0
