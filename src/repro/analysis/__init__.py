@@ -16,7 +16,6 @@ from repro.analysis.cdf import (
     Cdf,
     cdf_from_counts,
     empirical_cdf,
-    evaluate_cdf,
     log_grid,
     quantiles,
 )
@@ -29,7 +28,6 @@ from repro.analysis.timeseries import (
 )
 from repro.analysis.peaks import (
     daily_peak_minutes,
-    detect_peaks,
     peak_to_trough_ratio,
 )
 from repro.analysis.region_stats import (
@@ -50,7 +48,7 @@ from repro.analysis.coldstart_stats import (
     hourly_component_means,
     pool_size_quantiles,
 )
-from repro.analysis.report import ascii_cdf, format_table
+from repro.analysis.report import format_table
 
 __all__ = [
     "BinnedSeries",
@@ -66,7 +64,6 @@ __all__ = [
     "Cdf",
     "cdf_from_counts",
     "empirical_cdf",
-    "evaluate_cdf",
     "log_grid",
     "quantiles",
     "bin_counts",
@@ -75,7 +72,6 @@ __all__ = [
     "moving_average",
     "normalize_max",
     "daily_peak_minutes",
-    "detect_peaks",
     "peak_to_trough_ratio",
     "requests_per_day_per_function",
     "exec_time_per_minute_cdf",
@@ -89,6 +85,5 @@ __all__ = [
     "hourly_component_means",
     "pool_size_quantiles",
     "component_cdfs_by",
-    "ascii_cdf",
     "format_table",
 ]

@@ -38,10 +38,9 @@ sums), i.e. to ~1e-12 relative; quantiles/CDFs read from
 bin (default spacing ~3.7 %, the documented "bin tolerance").
 
 :class:`RegionAccumulator` composes everything Figures 1-17 need for one
-region; :mod:`repro.runtime.merge` registers these types with its
-shared-memory channel so :class:`~repro.runtime.executor.ParallelExecutor`
-workers can return them from (region, day-window) analysis shards, and the
-parent folds them with ``merge``.
+region. :class:`~repro.runtime.executor.ParallelExecutor` workers return
+one per (region, day-window) analysis shard — over either result channel,
+as plain picklable objects — and the parent folds them with ``merge``.
 """
 
 from __future__ import annotations
@@ -131,20 +130,6 @@ class StreamingMoments:
             (self.n, self.total, self.total_sq, self.vmin, self.vmax)
             == (other.n, other.total, other.total_sq, other.vmin, other.vmax)
         )
-
-    def _shm_state(self) -> dict:
-        return {"n": self.n, "total": self.total, "total_sq": self.total_sq,
-                "vmin": self.vmin, "vmax": self.vmax}
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "StreamingMoments":
-        out = cls()
-        out.n = state["n"]
-        out.total = state["total"]
-        out.total_sq = state["total_sq"]
-        out.vmin = state["vmin"]
-        out.vmax = state["vmax"]
-        return out
 
 
 # --- fixed-bin histogram / CDF sketch ---------------------------------------
@@ -471,37 +456,6 @@ class LogHistogram:
                 (other.sum, other.vmin, other.vmax)
         )
 
-    def _shm_state(self) -> dict:
-        # _log_lo/_step travel verbatim: re-deriving them from a *widened*
-        # bound could differ by an ulp and break exact merge compatibility.
-        return {"lo": self.lo, "hi": self.hi, "bins": self.bins,
-                "log_lo": self._log_lo, "step": self._step,
-                "lo_bins": self._lo_bins,
-                "bins_per_decade": self._bins_per_decade,
-                "counts": self.counts, "n_zero": self.n_zero,
-                "n_under": self.n_under, "n_over": self.n_over,
-                "sum": self.sum, "vmin": self.vmin, "vmax": self.vmax}
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "LogHistogram":
-        out = cls.__new__(cls)
-        out.lo = state["lo"]
-        out.hi = state["hi"]
-        out.bins = state["bins"]
-        out._log_lo = state["log_lo"]
-        out._step = state["step"]
-        out._lo_bins = state["lo_bins"]
-        out._bins_per_decade = state["bins_per_decade"]
-        out.edges = out._edges_for(out.bins)
-        out.counts = state["counts"]
-        out.n_zero = state["n_zero"]
-        out.n_under = state["n_under"]
-        out.n_over = state["n_over"]
-        out.sum = state["sum"]
-        out.vmin = state["vmin"]
-        out.vmax = state["vmax"]
-        return out
-
 
 # --- fixed-width time bins --------------------------------------------------
 
@@ -644,19 +598,6 @@ class BinnedSeries:
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
-    def _shm_state(self) -> dict:
-        return {"bin_s": self.bin_s, "track_sums": self.track_sums,
-                "origin": self.origin, "frame": self.frame,
-                "counts": self.counts, "sums": self.sums,
-                "max_time": self.max_time, "min_time": self.min_time}
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "BinnedSeries":
-        out = cls(state["bin_s"], track_sums=state["track_sums"])
-        for name in ("origin", "frame", "counts", "sums", "max_time", "min_time"):
-            setattr(out, name, state[name])
-        return out
-
     def __eq__(self, other) -> bool:
         """Content equality, insensitive to origin and buffer growth."""
         if not isinstance(other, BinnedSeries):
@@ -734,13 +675,6 @@ class TickGauge:
             self.values, other.values
         )
 
-    def _shm_state(self) -> dict:
-        return {"values": self.values}
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "TickGauge":
-        return cls(state["values"])
-
 
 # --- keyed reducers ---------------------------------------------------------
 
@@ -809,16 +743,6 @@ class GroupedCounts:
 
     def as_dict(self) -> dict[int, int]:
         return dict(zip(self.keys.tolist(), self.counts.tolist()))
-
-    def _shm_state(self) -> dict:
-        return {"keys": self.keys, "counts": self.counts}
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "GroupedCounts":
-        out = cls()
-        out.keys = state["keys"]
-        out.counts = state["counts"]
-        return out
 
 
 def _merge_positions(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -906,18 +830,6 @@ class KeyedBinnedCounts:
             out[:, n_bins - 1] += self.matrix[:, max(n_bins - self.origin, 0) :].sum(axis=1)
         return out
 
-    def _shm_state(self) -> dict:
-        return {"bin_s": self.bin_s, "origin": self.origin, "keys": self.keys,
-                "matrix": self.matrix}
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "KeyedBinnedCounts":
-        out = cls(state["bin_s"])
-        out.origin = state["origin"]
-        out.keys = state["keys"]
-        out.matrix = state["matrix"]
-        return out
-
 
 class DistinctPairs:
     """The distinct (a, b) int64 pairs seen (functions-per-user, Fig. 4a)."""
@@ -957,15 +869,6 @@ class DistinctPairs:
             return np.zeros(0, dtype=np.int64)
         _, counts = np.unique(self.pairs[:, 0], return_counts=True)
         return counts
-
-    def _shm_state(self) -> dict:
-        return {"pairs": self.pairs}
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "DistinctPairs":
-        out = cls()
-        out.pairs = state["pairs"]
-        return out
 
 
 def _distinct_rows(pairs: np.ndarray) -> np.ndarray:
@@ -1044,21 +947,6 @@ class PodIntervalAccumulator:
             n_requests=self.n_requests,
         )
 
-    def _shm_state(self) -> dict:
-        return {"pod_id": self.pod_id, "function": self.function,
-                "start_s": self.start_s, "last_end_s": self.last_end_s,
-                "n_requests": self.n_requests}
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "PodIntervalAccumulator":
-        out = cls()
-        out.pod_id = state["pod_id"]
-        out.function = state["function"]
-        out.start_s = state["start_s"]
-        out.last_end_s = state["last_end_s"]
-        out.n_requests = state["n_requests"]
-        return out
-
 
 class GapTracker:
     """Inter-event gaps of a time-ordered stream, sketched into a histogram.
@@ -1117,18 +1005,6 @@ class GapTracker:
         """Combine gap populations of independent streams (no boundary)."""
         self.hist.merge(other.hist)
         return self
-
-    def _shm_state(self) -> dict:
-        return {"hist": self.hist, "first_ts": self.first_ts,
-                "last_ts": self.last_ts}
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "GapTracker":
-        out = cls()
-        out.hist = state["hist"]
-        out.first_ts = state["first_ts"]
-        out.last_ts = state["last_ts"]
-        return out
 
 
 # --- per-region composite ---------------------------------------------------
@@ -1507,52 +1383,6 @@ class RegionAccumulator:
         return fit_weibull_weighted(
             values, weights, sample_cdf=pooled.cdf(include_zeros=False)
         )
-
-    # -- shared-memory payload ------------------------------------------------
-
-    def _shm_state(self) -> dict:
-        """Flat field map for the pickle-free shard result channel.
-
-        Every value is an array, a registered accumulator, a (possibly
-        nested) dict of those, or a small scalar — exactly the shapes
-        :func:`repro.runtime.merge.to_shm` ships without pickling arrays.
-        """
-        return {
-            "region": self.region, "functions": self.functions,
-            "meta": self.meta, "n_requests": self.n_requests,
-            "req_ts_ms_min": self.req_ts_ms_min,
-            "req_ts_ms_max": self.req_ts_ms_max,
-            "per_user": self.per_user, "user_functions": self.user_functions,
-            "per_function_day": self.per_function_day,
-            "per_function_minute": self.per_function_minute,
-            "minute_requests": self.minute_requests,
-            "minute_exec": self.minute_exec, "minute_cpu": self.minute_cpu,
-            "day_cpu": self.day_cpu, "intervals": self.intervals,
-            "n_cold_starts": self.n_cold_starts, "pod_ts_max": self.pod_ts_max,
-            "per_function_cold": self.per_function_cold,
-            "minute_pod": self.minute_pod, "hour_pod": self.hour_pod,
-            "component_sums": self.component_sums,
-            "cold_log_moments": self.cold_log_moments, "iat": self.iat,
-            "category_hists": self.category_hists,
-            "pod_ids": self._pod_ids, "pod_cold_s": self._pod_cold_s,
-            "pod_functions": self._pod_functions,
-        }
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "RegionAccumulator":
-        out = cls(state["region"], functions=state["functions"], meta=state["meta"])
-        for name in ("n_requests", "req_ts_ms_min", "req_ts_ms_max",
-                     "per_user", "user_functions", "per_function_day",
-                     "per_function_minute", "minute_requests", "minute_exec",
-                     "minute_cpu", "day_cpu", "intervals", "n_cold_starts",
-                     "pod_ts_max", "per_function_cold", "minute_pod",
-                     "hour_pod", "component_sums", "cold_log_moments", "iat",
-                     "category_hists"):
-            setattr(out, name, state[name])
-        out._pod_ids = state["pod_ids"]
-        out._pod_cold_s = state["pod_cold_s"]
-        out._pod_functions = state["pod_functions"]
-        return out
 
 
 def _nan_free_cdf(values: np.ndarray) -> Cdf:

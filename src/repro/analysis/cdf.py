@@ -86,14 +86,6 @@ def empirical_cdf(values: np.ndarray) -> Cdf:
     return Cdf(sorted_vals, probs)
 
 
-def evaluate_cdf(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """P(X <= g) for each g in ``grid`` — cheap series for benches."""
-    values = np.sort(np.asarray(values, dtype=np.float64))
-    if values.size == 0:
-        return np.full(len(grid), np.nan)
-    return np.searchsorted(values, grid, side="right") / values.size
-
-
 def log_grid(lo: float, hi: float, n: int = 50) -> np.ndarray:
     """Logarithmically-spaced grid like the paper's log-x CDF axes."""
     if lo <= 0:

@@ -20,20 +20,6 @@ MINUTES_PER_DAY = 1440
 _PEAK_MIN_DAILY_REQUESTS = 1440.0
 
 
-def detect_peaks(series: np.ndarray, smooth_window: int = 60) -> np.ndarray:
-    """Indices of local maxima of the smoothed series.
-
-    A point is a peak when it exceeds both neighbours of the smoothed
-    signal. Ends are excluded.
-    """
-    smoothed = moving_average(series, smooth_window)
-    if smoothed.size < 3:
-        return np.zeros(0, dtype=np.int64)
-    inner = smoothed[1:-1]
-    is_peak = (inner > smoothed[:-2]) & (inner >= smoothed[2:])
-    return np.flatnonzero(is_peak) + 1
-
-
 def daily_peak_minutes(
     per_minute: np.ndarray, smooth_window: int = 60
 ) -> np.ndarray:

@@ -1,12 +1,10 @@
-"""Plain-text rendering: aligned tables and ASCII CDF sketches.
+"""Plain-text rendering: aligned tables and CDF quantile rows.
 
 The environment has no plotting stack, so every "figure" bench prints the
 underlying series. These helpers keep that output readable.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.analysis.cdf import Cdf
 
@@ -39,36 +37,6 @@ def format_table(rows: list[dict[str, object]], columns: list[str] | None = None
     for cells in rendered:
         lines.append("  ".join(cell.ljust(widths[col]) for cell, col in zip(cells, columns)))
     return "\n".join(lines)
-
-
-def ascii_cdf(cdf: Cdf, width: int = 60, height: int = 12, log_x: bool = True) -> str:
-    """Sketch a CDF as ASCII art (log x-axis by default, like the paper)."""
-    if cdf.n == 0:
-        return "(no data)"
-    values = cdf.values
-    positive = values[values > 0]
-    if log_x and positive.size:
-        lo, hi = float(positive.min()), float(values.max())
-        if hi <= lo:
-            hi = lo * 10
-        xs = np.logspace(np.log10(lo), np.log10(hi), width)
-    else:
-        lo, hi = float(values.min()), float(values.max())
-        if hi <= lo:
-            hi = lo + 1
-        xs = np.linspace(lo, hi, width)
-    ps = np.array([cdf.at(float(x)) for x in xs])
-    rows = []
-    for level in range(height, 0, -1):
-        threshold = level / height
-        line = "".join("#" if p >= threshold else " " for p in ps)
-        label = f"{threshold:4.2f} |"
-        rows.append(label + line)
-    axis = "      +" + "-" * width
-    lo_text = f"{lo:.3g}"
-    hi_text = f"{hi:.3g}"
-    footer = "       " + lo_text + " " * max(width - len(lo_text) - len(hi_text), 1) + hi_text
-    return "\n".join(rows + [axis, footer])
 
 
 def format_cdf_rows(

@@ -207,33 +207,6 @@ class EvalMetrics:
         )
         return self
 
-    # -- shared-memory payload ----------------------------------------------
-
-    def _shm_state(self) -> dict:
-        """Field map for the pickle-free shard result channel.
-
-        The histogram / series / gauge internals are flat numpy arrays, so a
-        shard's metrics cross the process boundary as shared-memory blocks
-        (see :func:`repro.runtime.merge.to_shm`) instead of pickle bytes.
-        """
-        return {
-            "name": self.name, "requests": self.requests,
-            "cold_starts": self.cold_starts, "warm_hits": self.warm_hits,
-            "prewarm_hits": self.prewarm_hits, "cold_wait": self.cold_wait,
-            "cold_start_minutes": self.cold_start_minutes,
-            "delayed_requests": self.delayed_requests,
-            "total_delay_s": self.total_delay_s,
-            "pod_seconds": self.pod_seconds,
-            "prewarm_creations": self.prewarm_creations,
-            "prewarm_pod_seconds": self.prewarm_pod_seconds,
-            "peak_pods": self.peak_pods, "pods_gauge": self.pods_gauge,
-            "cold_starts_by_region": dict(self.cold_starts_by_region),
-        }
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "EvalMetrics":
-        return cls(**state)
-
     def summary(self) -> dict[str, object]:
         """Flat printable row for policy comparison tables."""
         return {

@@ -15,9 +15,9 @@ and the CLI. Design constraints, in order:
    associative monoid: deterministic counters add, gauges take the max,
    timers add, spans concatenate. Worker-side telemetry rides back to the
    parent inside a :class:`TelemetryEnvelope` over either result channel
-   (it implements the ``_shm_state`` protocol of
-   :mod:`repro.runtime.merge`), and folds in plan order — so the
-   ``counters`` section is bit-identical for any ``--jobs``/``--channel``.
+   (both carry any picklable object, see :mod:`repro.runtime.merge`), and
+   folds in plan order — so the ``counters`` section is bit-identical for
+   any ``--jobs``/``--channel``.
 
 3. **Deterministic vs. volatile split.** ``counters`` hold replay facts
    that depend only on the workload and engine (tick-machine steps,
@@ -198,26 +198,6 @@ class Telemetry:
         out.spans = list(self.spans)
         return out
 
-    def _shm_state(self) -> dict:
-        return {
-            "track": self.track,
-            "counters": dict(self.counters),
-            "volatile": dict(self.volatile),
-            "gauges": dict(self.gauges),
-            "timers": dict(self.timers),
-            "spans": [list(span) for span in self.spans],
-        }
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "Telemetry":
-        out = cls(track=state["track"])
-        out.counters = dict(state["counters"])
-        out.volatile = dict(state["volatile"])
-        out.gauges = dict(state["gauges"])
-        out.timers = dict(state["timers"])
-        out.spans = [tuple(span) for span in state["spans"]]
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Telemetry(track={self.track!r}, "
                 f"{len(self.counters)} counters, {len(self.spans)} spans)")
@@ -296,11 +276,10 @@ class TelemetryEnvelope:
     """Worker-to-parent carrier: one shard's result plus its telemetry.
 
     ``result`` may itself be a :class:`~repro.runtime.merge.ShmResult`
-    handle (the executor parks the payload *before* wrapping, so shm park
-    costs are counted in the shard's telemetry); the envelope pickles
-    small either way. Participates in the shm channel via ``_shm_state``
-    so a profiled ``--channel shm`` run still moves payload arrays through
-    shared memory.
+    handle: the executor parks the payload *before* wrapping, so shm park
+    costs are counted in the shard's telemetry and a profiled
+    ``--channel shm`` run still moves payload arrays through shared
+    memory. The envelope pickles small either way.
     """
 
     __slots__ = ("result", "telemetry")
@@ -308,10 +287,3 @@ class TelemetryEnvelope:
     def __init__(self, result, telemetry: Telemetry):
         self.result = result
         self.telemetry = telemetry
-
-    def _shm_state(self) -> dict:
-        return {"result": self.result, "telemetry": self.telemetry}
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "TelemetryEnvelope":
-        return cls(state["result"], state["telemetry"])

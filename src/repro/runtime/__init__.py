@@ -56,7 +56,6 @@ from repro.runtime.merge import (
     from_shm,
     merge_bundles,
     merge_eval_metrics,
-    register_shm_type,
     shm_available,
     to_shm,
     unlink_shm_block,
@@ -75,7 +74,6 @@ from repro.runtime.stream import (
     TraceChunk,
     iter_bundle_chunks,
     iter_saved_chunks,
-    iter_table_chunks,
     load_chunk_functions,
     load_chunked_bundle,
     read_chunk_manifest,
@@ -113,7 +111,6 @@ __all__ = [
     "evaluate_policies",
     "iter_bundle_chunks",
     "iter_saved_chunks",
-    "iter_table_chunks",
     "load_chunk_functions",
     "load_chunked_bundle",
     "make_policy_evaluator",
@@ -121,7 +118,6 @@ __all__ = [
     "merge_eval_metrics",
     "partition_days",
     "read_chunk_manifest",
-    "register_shm_type",
     "shm_available",
     "to_shm",
     "run_analysis_shard",

@@ -43,7 +43,6 @@ from repro.runtime.merge import (
     ShmResult,
     discard_shm,
     from_shm,
-    register_shm_type,
     shm_available,
     to_shm,
     unlink_shm_block,
@@ -310,7 +309,7 @@ class _SupervisedTask:
                 and self.fault.kind == "corrupt-shm-header"
                 and isinstance(handle, ShmResult)):
             handle = dataclasses.replace(
-                handle, header=("obj", "<injected-corrupt-header>", {})
+                handle, header=b"<injected-corrupt-header>"
             )
         return handle
 
@@ -1303,15 +1302,6 @@ class CrossRegionResult:
         """Fraction of cold starts placed away from the home region."""
         return self.metrics.remote_cold_share(self.home)
 
-    def _shm_state(self) -> dict:
-        return {"metrics": self.metrics, "home": self.home}
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "CrossRegionResult":
-        return cls(**state)
-
-
-register_shm_type(CrossRegionResult)
 
 
 def run_cross_region_shard(task: CrossRegionTask) -> CrossRegionResult:

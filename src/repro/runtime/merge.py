@@ -35,31 +35,15 @@ unique users/pods      exact (set union, see StreamingSummary).
 
 from __future__ import annotations
 
+import pickle
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.accumulators import (
-    BinnedSeries,
-    DistinctPairs,
-    GapTracker,
-    GroupedCounts,
-    KeyedBinnedCounts,
-    LogHistogram,
-    PodIntervalAccumulator,
-    RegionAccumulator,
-    StreamingMoments,
-    TickGauge,
-)
 from repro.mitigation.base import EvalMetrics
-from repro.obs.telemetry import (
-    Telemetry,
-    TelemetryEnvelope,
-    get_telemetry,
-)
+from repro.obs.telemetry import get_telemetry
 from repro.trace.tables import (
-    FunctionTable,
     PodTable,
     RequestTable,
     TraceBundle,
@@ -74,7 +58,6 @@ __all__ = [
     "from_shm",
     "merge_bundles",
     "merge_eval_metrics",
-    "register_shm_type",
     "shm_available",
     "to_shm",
     "StreamingSummary",
@@ -188,95 +171,43 @@ class StreamingSummary:
         }
 
 
-# --- shared-memory (pickle-free) result channel ------------------------------
+# --- shared-memory result channel ---------------------------------------------
 #
 # Shard results are overwhelmingly flat numpy arrays (histogram counts,
-# binned series, keyed matrices, trace columns). ``to_shm`` splits a result
-# into a small picklable header and its arrays, writes the arrays into one
-# ``multiprocessing.shared_memory`` block, and returns a :class:`ShmResult`
-# handle; ``from_shm`` in the parent rebuilds the object straight off the
-# block. The arrays therefore cross the process boundary as a single shared
-# mapping — no pickle byte-string of the payload ever exists on either side,
-# which is what lets shard sizes scale past what pickle round-trips allow.
-#
-# A type participates by implementing ``_shm_state()`` (field map of arrays,
-# registered objects, dicts/lists of those, and small scalars) plus
-# ``_from_shm_state(state)``, and registering via :func:`register_shm_type`.
-# Unregistered values inside a state pickle as part of the (small) header.
+# binned series, keyed matrices, trace columns). ``to_shm`` pickles a result
+# with protocol 5 and a ``buffer_callback``, so every contiguous array's bytes
+# leave the pickle stream out of band; it copies those buffers into one
+# ``multiprocessing.shared_memory`` block and returns a :class:`ShmResult`
+# handle whose header is the rest of the stream. ``from_shm`` in the parent
+# unpickles the header against views of the block. The arrays therefore
+# cross the process boundary as a single shared mapping — no pickle
+# byte-string of the payload ever exists on either side — and the parent
+# gets exactly the object graph the pickle pipe would have delivered. Any
+# picklable result takes this path; no type needs channel-specific code.
 
-#: Below this many array bytes a result travels by pickle: a shared-memory
-#: segment costs several syscalls per shard, which only pays off once the
-#: payload dwarfs the header.
+#: Below this many out-of-band bytes a result travels by pickle: a
+#: shared-memory segment costs several syscalls per shard, which only pays
+#: off once the payload dwarfs the header.
 SHM_MIN_BYTES = 64 * 1024
 
-#: Array offsets inside a block are aligned to this many bytes.
+#: Buffer offsets inside a block are aligned to this many bytes.
 _SHM_ALIGN = 64
-
-#: Types shippable through the shared-memory channel, by class name.
-_SHM_TYPES: dict[str, type] = {}
-
-
-def register_shm_type(cls: type) -> type:
-    """Register a ``_shm_state``/``_from_shm_state`` type for :func:`to_shm`."""
-    if not (hasattr(cls, "_shm_state") and hasattr(cls, "_from_shm_state")):
-        raise TypeError(
-            f"{cls.__name__} must implement _shm_state() and "
-            "_from_shm_state() to use the shared-memory channel"
-        )
-    _SHM_TYPES[cls.__name__] = cls
-    return cls
 
 
 @dataclass(frozen=True)
 class ShmResult:
     """Picklable handle to one shard result parked in shared memory.
 
-    ``header`` is the packed object structure with every numpy array
-    replaced by an index into ``arrays`` — ``(dtype.str, shape, offset)``
-    descriptors into the block named ``shm_name``. The handle itself is
-    tiny; pickling it costs O(fields), never O(rows).
+    ``header`` is the result's protocol-5 pickle with every array buffer
+    taken out of band; ``buffers`` holds each buffer's ``(offset, nbytes)``
+    in the block named ``shm_name``, in the order the header consumes them.
+    The handle itself is tiny; pickling it costs O(fields), never O(rows).
     """
 
     shm_name: str
-    header: object
-    arrays: tuple[tuple[str, tuple, int], ...]
+    header: bytes
+    buffers: tuple[tuple[int, int], ...]
     nbytes: int
-
-
-def _pack_value(value, arrays: list):
-    cls = type(value)
-    if cls is np.ndarray:
-        if value.dtype.hasobject:  # pointers can't cross processes; pickle
-            return ("raw", value)
-        arrays.append(np.ascontiguousarray(value))
-        return ("arr", len(arrays) - 1)
-    registered = _SHM_TYPES.get(cls.__name__)
-    if registered is cls:
-        state = value._shm_state()
-        return ("obj", cls.__name__,
-                {key: _pack_value(v, arrays) for key, v in state.items()})
-    if cls is dict:
-        return ("map", [(key, _pack_value(v, arrays)) for key, v in value.items()])
-    if cls in (list, tuple):
-        return ("seq", cls is tuple, [_pack_value(v, arrays) for v in value])
-    return ("raw", value)
-
-
-def _unpack_value(packed, arrays: list):
-    tag = packed[0]
-    if tag == "arr":
-        return arrays[packed[1]]
-    if tag == "obj":
-        cls = _SHM_TYPES[packed[1]]
-        return cls._from_shm_state(
-            {key: _unpack_value(v, arrays) for key, v in packed[2].items()}
-        )
-    if tag == "map":
-        return {key: _unpack_value(v, arrays) for key, v in packed[1]}
-    if tag == "seq":
-        values = [_unpack_value(v, arrays) for v in packed[2]]
-        return tuple(values) if packed[1] else values
-    return packed[1]
 
 
 def _unregister_from_tracker(raw_name: str) -> None:
@@ -299,11 +230,12 @@ def to_shm(result, min_bytes: int = SHM_MIN_BYTES, name: str | None = None,
     """Park ``result``'s arrays in a shared-memory block; return the handle.
 
     Falls back to returning ``result`` unchanged (the pickle path) when its
-    arrays total fewer than ``min_bytes`` bytes or a block cannot be
-    created, so callers can always send the return value across a process
-    boundary. With ``strict=True`` allocation failures raise instead of
-    silently falling back — the supervised executor uses this so a worker
-    can *report* the degradation (warning + counter) rather than hide it.
+    out-of-band buffers total fewer than ``min_bytes`` bytes (object-dtype
+    and non-contiguous arrays pickle in band) or a block cannot be created,
+    so callers can always send the return value across a process boundary.
+    With ``strict=True`` allocation failures raise instead of silently
+    falling back — the supervised executor uses this so a worker can
+    *report* the degradation (warning + counter) rather than hide it.
 
     ``name`` pins the block's name. The supervised executor names every
     block deterministically and records the name in a parent-side ledger
@@ -311,16 +243,17 @@ def to_shm(result, min_bytes: int = SHM_MIN_BYTES, name: str | None = None,
     reaped by name; a stale block left by a killed earlier attempt under
     the same name is replaced.
     """
-    arrays: list[np.ndarray] = []
-    header = _pack_value(result, arrays)
-    descriptors: list[tuple[str, tuple, int]] = []
+    buffers: list[pickle.PickleBuffer] = []
+    header = pickle.dumps(result, protocol=5, buffer_callback=buffers.append)
+    views = [buffer.raw() for buffer in buffers]
+    layout: list[tuple[int, int]] = []
     total = 0
-    for array in arrays:
+    for view in views:
         offset = -(-total // _SHM_ALIGN) * _SHM_ALIGN
-        descriptors.append((array.dtype.str, array.shape, offset))
-        total = offset + array.nbytes
+        layout.append((offset, view.nbytes))
+        total = offset + view.nbytes
     tel = get_telemetry()
-    if not arrays or total < min_bytes:
+    if not views or total < min_bytes:
         if tel.enabled:
             tel.vcount("runtime/shm/small_fallbacks")
             tel.vcount("runtime/payload_bytes", total)
@@ -346,12 +279,10 @@ def to_shm(result, min_bytes: int = SHM_MIN_BYTES, name: str | None = None,
         tel.vcount("runtime/payload_bytes", total)
         tel.vcount("runtime/shm/bytes", total)
     try:
-        for array, (_, _, offset) in zip(arrays, descriptors):
-            dest = np.ndarray(array.shape, dtype=array.dtype,
-                              buffer=block.buf, offset=offset)
-            dest[...] = array
+        for view, (offset, nbytes) in zip(views, layout):
+            block.buf[offset:offset + nbytes] = view
         handle = ShmResult(shm_name=block.name, header=header,
-                           arrays=tuple(descriptors), nbytes=total)
+                           buffers=tuple(layout), nbytes=total)
     except Exception:
         block.close()
         block.unlink()
@@ -379,13 +310,10 @@ def from_shm(result):
 
     block = shared_memory.SharedMemory(name=result.shm_name)
     try:
-        arrays = [
-            np.ndarray(shape, dtype=np.dtype(dtype_str),
-                       buffer=block.buf, offset=offset)
-            for dtype_str, shape, offset in result.arrays
-        ]
-        # Hand the mapping over to the views: each array's ``base`` is the
-        # block's mmap object, which unmaps only when the last view dies —
+        views = [block.buf[offset:offset + nbytes]
+                 for offset, nbytes in result.buffers]
+        # Hand the mapping over to the views: each one keeps the block's
+        # mmap object alive, which unmaps only when the last view dies —
         # but SharedMemory.__del__ calls close(), which would unmap it under
         # the views' feet. Neuter the block (close its fd, drop its
         # mmap/buffer references) so close() becomes a no-op and the views
@@ -399,8 +327,8 @@ def from_shm(result):
                 os.close(fd)
                 block._fd = -1
         except Exception:  # pragma: no cover - unexpected stdlib layout
-            arrays = [array.copy() for array in arrays]
-        return _unpack_value(result.header, arrays)
+            views = [bytearray(view) for view in views]
+        return pickle.loads(result.header, buffers=views)
     finally:
         try:
             block.unlink()
@@ -460,25 +388,3 @@ def shm_available() -> bool:
     block.close()
     block.unlink()
     return True
-
-
-for _shm_type in (
-    StreamingMoments,
-    LogHistogram,
-    BinnedSeries,
-    TickGauge,
-    GroupedCounts,
-    KeyedBinnedCounts,
-    DistinctPairs,
-    PodIntervalAccumulator,
-    GapTracker,
-    RegionAccumulator,
-    EvalMetrics,
-    FunctionTable,
-    RequestTable,
-    PodTable,
-    TraceBundle,
-    Telemetry,
-    TelemetryEnvelope,
-):
-    register_shm_type(_shm_type)

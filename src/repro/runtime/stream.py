@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.trace.io import read_table_npz, write_table_npz
 from repro.trace.tables import (
-    ColumnTable,
     FunctionTable,
     PodTable,
     RequestTable,
@@ -47,14 +46,6 @@ class TraceChunk:
 
     def __len__(self) -> int:
         return len(self.requests) + len(self.pods)
-
-
-def iter_table_chunks(table: ColumnTable, max_rows: int) -> Iterator[ColumnTable]:
-    """Yield row slices of at most ``max_rows`` (views via fancy indexing)."""
-    if max_rows <= 0:
-        raise ValueError("max_rows must be positive")
-    for start in range(0, len(table), max_rows):
-        yield table.filter(np.arange(start, min(start + max_rows, len(table))))
 
 
 def iter_bundle_chunks(bundle: TraceBundle, chunk_s: float) -> Iterator[TraceChunk]:

@@ -2,11 +2,10 @@
 models."""
 
 from repro.sim.rng import RngFactory
-from repro.sim.latency import ColdStartSampler, ComponentParams, LatencyModel
+from repro.sim.latency import ComponentParams, LatencyModel
 
 __all__ = [
     "RngFactory",
-    "ColdStartSampler",
     "ComponentParams",
     "LatencyModel",
 ]

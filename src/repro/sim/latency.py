@@ -586,26 +586,3 @@ class FunctionColdSampler:
         """Rewind to draw 0 (already-materialised blocks replay verbatim)."""
         self._cursor = 0
 
-
-class ColdStartSampler:
-    """Samples total cold-start durations from a fitted distribution.
-
-    The paper (§4.1) fits a LogNormal to cold-start durations and a Weibull
-    to their inter-arrival times "for simulation purposes"; this class is the
-    consumer side of those fits, for callers that need total durations
-    rather than the full component model.
-    """
-
-    def __init__(self, mean_s: float = 3.24, std_s: float = 7.10):
-        if mean_s <= 0 or std_s <= 0:
-            raise ValueError("mean and std must be positive")
-        # Convert mean/std of the LogNormal to (mu, sigma) of the log.
-        variance_ratio = 1.0 + (std_s / mean_s) ** 2
-        self.sigma = float(np.sqrt(np.log(variance_ratio)))
-        self.mu = float(np.log(mean_s) - 0.5 * self.sigma**2)
-        self.mean_s = mean_s
-        self.std_s = std_s
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n`` cold-start durations (seconds)."""
-        return np.exp(rng.normal(self.mu, self.sigma, size=n))

@@ -8,8 +8,8 @@ The dataset in the paper comes from three monitoring streams:
 
 This package reproduces that schema field-for-field (:mod:`repro.trace.schema`),
 provides vectorised columnar containers (:mod:`repro.trace.tables`), stable
-ID anonymisation (:mod:`repro.trace.hashing`), and CSV/JSONL round-trip I/O
-(:mod:`repro.trace.io`).
+ID anonymisation (:mod:`repro.trace.hashing`), and CSV/``.npz`` round-trip
+I/O plus JSONL export (:mod:`repro.trace.io`).
 """
 
 from repro.trace.hashing import IdHasher, stable_hash
@@ -29,7 +29,6 @@ from repro.trace.tables import (
 )
 from repro.trace.io import (
     read_table_csv,
-    read_table_jsonl,
     write_table_csv,
     write_table_jsonl,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "IdHasher",
     "stable_hash",
     "read_table_csv",
-    "read_table_jsonl",
     "write_table_csv",
     "write_table_jsonl",
 ]

@@ -1,4 +1,4 @@
-"""Trace import/export: CSV (optionally gzipped), JSONL, and binary ``.npz``.
+"""Trace import/export: CSV (optionally gzipped), JSONL export, and binary ``.npz``.
 
 Exports anonymise identifier columns through :class:`~repro.trace.hashing.IdHasher`
 when a hasher is supplied, mirroring the public release of the paper's dataset.
@@ -180,24 +180,6 @@ def write_table_jsonl(
                 record[name] = value.item() if hasattr(value, "item") else str(value)
             handle.write(json.dumps(record) + "\n")
     return path
-
-
-def read_table_jsonl(table_cls: type[ColumnTable], path: str | Path) -> ColumnTable:
-    """Read a JSONL file produced by :func:`write_table_jsonl` without a hasher."""
-    path = Path(path)
-    records: list[dict] = []
-    with _open_text(path, "r") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    if not records:
-        return table_cls.empty()
-    data = {
-        name: np.array([rec[name] for rec in records], dtype=table_cls.schema[name].dtype)
-        for name in table_cls.schema.column_names
-    }
-    return table_cls(data)
 
 
 _BUNDLE_TABLES = (

@@ -129,16 +129,6 @@ class ColumnTable:
         mask = np.asarray(mask)
         return type(self)({name: col[mask] for name, col in self._data.items()})
 
-    # -- shared-memory payload ----------------------------------------------
-
-    def _shm_state(self) -> dict:
-        """Column map for the pickle-free shard result channel."""
-        return {"columns": dict(self._data)}
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "ColumnTable":
-        return cls(state["columns"])
-
     def where(self, **conditions: object) -> "ColumnTable":
         """Return rows matching all equality ``conditions`` (column=value)."""
         if not conditions:
@@ -326,16 +316,6 @@ class TraceBundle:
             raise TypeError("pods must be a PodTable")
         if not isinstance(self.functions, FunctionTable):
             raise TypeError("functions must be a FunctionTable")
-
-    def _shm_state(self) -> dict:
-        """Field map for the pickle-free shard result channel."""
-        return {"region": self.region, "requests": self.requests,
-                "pods": self.pods, "functions": self.functions,
-                "meta": self.meta}
-
-    @classmethod
-    def _from_shm_state(cls, state: dict) -> "TraceBundle":
-        return cls(**state)
 
     def summary(self) -> dict[str, int]:
         """Headline sizes, matching the paper's Figure 1 axes."""

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.analysis.cdf import Cdf, empirical_cdf, evaluate_cdf, log_grid, quantiles
+from repro.analysis.cdf import Cdf, empirical_cdf, log_grid, quantiles
 from repro.analysis.peaks import (
     daily_peak_minutes,
-    detect_peaks,
     peak_to_trough_ratio,
 )
 from repro.analysis.region_stats import _functions_per_user_counts
-from repro.analysis.report import ascii_cdf, format_cdf_rows, format_table
+from repro.analysis.report import format_cdf_rows, format_table
 from repro.analysis.timeseries import (
     bin_counts,
     bin_means,
@@ -56,11 +55,6 @@ class TestCdf:
         points = cdf.sample_points(10)
         probs = [p for _, p in points]
         assert probs == sorted(probs)
-
-    def test_evaluate_cdf_grid(self):
-        values = np.arange(1, 11, dtype=float)
-        grid = np.array([0.0, 5.0, 20.0])
-        assert evaluate_cdf(values, grid).tolist() == [0.0, 0.5, 1.0]
 
     def test_log_grid(self):
         grid = log_grid(0.1, 100.0, 4)
@@ -132,12 +126,6 @@ class TestTimeseries:
 
 
 class TestPeaks:
-    def test_detect_peaks_sine(self):
-        minutes = np.arange(2 * 1440)
-        series = 10 + 5 * np.sin(2 * np.pi * minutes / 1440)
-        peaks = detect_peaks(series, smooth_window=30)
-        assert peaks.size >= 1
-
     def test_daily_peak_minutes_location(self):
         minutes = np.arange(3 * 1440)
         # Peak at minute 720 (noon) every day.
@@ -175,15 +163,6 @@ class TestReport:
 
     def test_format_table_empty(self):
         assert format_table([]) == "(empty)"
-
-    def test_ascii_cdf_renders(self):
-        cdf = empirical_cdf(np.logspace(0, 2, 200))
-        art = ascii_cdf(cdf, width=40, height=6)
-        assert "#" in art
-        assert len(art.splitlines()) == 8
-
-    def test_ascii_cdf_empty(self):
-        assert ascii_cdf(empirical_cdf(np.zeros(0))) == "(no data)"
 
     def test_format_cdf_rows(self):
         rows = format_cdf_rows({"x": empirical_cdf(np.arange(1.0, 101.0))})

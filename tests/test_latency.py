@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.sim.latency import (
-    ColdStartSampler,
     ComponentParams,
     LatencyModel,
     LatencyRegime,
@@ -152,19 +151,6 @@ class TestComponentParams:
 
     def test_runtime_codes_cover_all_runtimes(self):
         assert set(RUNTIME_CODES) == set(Runtime)
-
-
-class TestColdStartSampler:
-    def test_matches_paper_moments(self):
-        sampler = ColdStartSampler(mean_s=3.24, std_s=7.10)
-        rng = RngFactory(2).fresh("sampler")
-        draws = sampler.sample(200_000, rng)
-        assert draws.mean() == pytest.approx(3.24, rel=0.05)
-        assert draws.std() == pytest.approx(7.10, rel=0.15)
-
-    def test_rejects_bad_moments(self):
-        with pytest.raises(ValueError):
-            ColdStartSampler(mean_s=0.0)
 
 
 class TestRegionRegimes:

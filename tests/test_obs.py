@@ -154,17 +154,6 @@ class TestTelemetryCore:
         assert [s[0] for s in tel.spans] == ["outer/inner", "outer"]
         assert "outer/inner" in tel.timers
 
-    def test_shm_state_round_trip(self):
-        tel = Telemetry(track="w")
-        tel.count("c", 4)
-        tel.vcount("v", 2)
-        with tel.span("s"):
-            pass
-        back = Telemetry._from_shm_state(tel._shm_state())
-        assert back.track == "w"
-        assert back.counters == tel.counters
-        assert back.spans == tel.spans
-
 
 # --- profile documents -------------------------------------------------------
 

@@ -25,7 +25,6 @@ from repro.runtime import (
     evaluate_policies,
     iter_bundle_chunks,
     iter_saved_chunks,
-    iter_table_chunks,
     load_chunked_bundle,
     merge_bundles,
     merge_eval_metrics,
@@ -333,11 +332,6 @@ class TestStreaming:
     @pytest.fixture(scope="class")
     def bundle(self):
         return generate_region("R3", seed=5, days=2, scale=0.1)
-
-    def test_iter_table_chunks_bounded(self, bundle):
-        chunks = list(iter_table_chunks(bundle.requests, 100))
-        assert all(len(c) <= 100 for c in chunks)
-        assert sum(len(c) for c in chunks) == len(bundle.requests)
 
     def test_iter_bundle_chunks_partitions_time(self, bundle):
         chunks = list(iter_bundle_chunks(bundle, chunk_s=6 * 3600.0))

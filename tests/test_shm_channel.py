@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis.accumulators import LogHistogram, RegionAccumulator
 from repro.mitigation.base import EvalMetrics
+from repro.obs.telemetry import Telemetry, TelemetryEnvelope
 from repro.runtime import (
     ParallelExecutor,
     ShardPlan,
@@ -47,6 +48,42 @@ def _metrics(seed: int) -> EvalMetrics:
     return m
 
 
+class _Unregistered:
+    """A result type with no channel-specific code."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+
+def _envelope() -> TelemetryEnvelope:
+    tel = Telemetry(track="w")
+    tel.count("c", 4)
+    tel.vcount("v", 2)
+    with tel.span("s"):
+        pass
+    return TelemetryEnvelope({"values": np.arange(4096.0)}, tel)
+
+
+def _cross_region() -> CrossRegionResult:
+    metrics = _metrics(3)
+    metrics.record_region_cold("R1", 7)
+    metrics.record_region_cold("R3", 13)
+    return CrossRegionResult(metrics=metrics, home="R1")
+
+
+#: One builder per result type the executor returns.
+_RESULTS = {
+    "TraceBundle": lambda: generate_region("R3", seed=5, days=1, scale=0.05),
+    "RegionAccumulator": lambda: RegionAccumulator.from_bundle(
+        generate_region("R3", seed=5, days=1, scale=0.05)
+    ),
+    "dict-of-EvalMetrics": lambda: {"baseline": _metrics(1),
+                                    "peak-shaving": _metrics(2)},
+    "CrossRegionResult": _cross_region,
+    "TelemetryEnvelope": _envelope,
+}
+
+
 def _block_gone(name: str) -> bool:
     from multiprocessing import shared_memory
 
@@ -59,6 +96,25 @@ def _block_gone(name: str) -> bool:
 
 
 class TestCodecRoundTrip:
+    @pytest.mark.parametrize("kind", sorted(_RESULTS))
+    def test_rebuilds_the_pickle_channels_object(self, kind):
+        result = _RESULTS[kind]()
+        handle = to_shm(result, min_bytes=0)
+        assert isinstance(handle, ShmResult)
+        back = from_shm(handle)
+        assert pickle.dumps(back) == pickle.dumps(pickle.loads(pickle.dumps(result)))
+
+    def test_unregistered_type_ships_its_array_through_the_block(self):
+        result = _Unregistered(np.arange(1000, dtype=np.int64))
+        handle = to_shm(result, min_bytes=0)
+        assert isinstance(handle, ShmResult)
+        assert handle.buffers == ((0, result.values.nbytes),)
+        assert len(handle.header) < result.values.nbytes
+        back = from_shm(handle)
+        assert type(back) is _Unregistered
+        assert np.array_equal(back.values, result.values)
+        assert back.values.flags.writeable
+
     def test_eval_metrics_round_trip_exact(self):
         metrics = _metrics(1)
         handle = to_shm(metrics, min_bytes=0)
@@ -124,12 +180,9 @@ class TestCodecRoundTrip:
         metrics = _metrics(1)
         assert to_shm(metrics, min_bytes=1 << 30) is metrics
 
-    def test_unregistered_results_fall_back_to_pickle(self):
-        class Opaque:
-            pass
-
-        opaque = Opaque()
-        assert to_shm(opaque, min_bytes=0) is opaque
+    def test_results_without_arrays_fall_back_to_pickle(self):
+        plain = {"name": "m", "counts": [1, 2, 3], "total": 6.0}
+        assert to_shm(plain, min_bytes=0) is plain
 
     def test_from_shm_passes_plain_results_through(self):
         metrics = _metrics(1)
