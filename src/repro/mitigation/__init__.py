@@ -51,7 +51,7 @@ from repro.mitigation.pool_prediction import (
     ReactivePoolPolicy,
     simulate_pool,
 )
-from repro.mitigation.concurrency import ConcurrencyAdvisor, evaluate_concurrency
+from repro.mitigation.concurrency import evaluate_concurrency
 
 __all__ = [
     "EvalMetrics",
@@ -76,6 +76,5 @@ __all__ = [
     "PredictivePoolPolicy",
     "PoolSimulationResult",
     "simulate_pool",
-    "ConcurrencyAdvisor",
     "evaluate_concurrency",
 ]

@@ -8,8 +8,7 @@ Raising per-pod concurrency packs overlapping requests into fewer pods, so
 scale-out cold starts and pod-seconds drop; the cost is execution-time
 inflation from in-pod contention. :func:`evaluate_concurrency` re-runs the
 exact keep-alive lifecycle reconstruction at different concurrency levels
-and reports that trade-off; :class:`ConcurrencyAdvisor` picks the smallest
-concurrency that stops scale-out churn within an inflation budget.
+and reports that trade-off.
 """
 
 from __future__ import annotations
@@ -78,37 +77,3 @@ def evaluate_concurrency(
             )
         )
     return outcomes
-
-
-@dataclass(frozen=True)
-class ConcurrencyAdvisor:
-    """Recommends a per-function concurrency within an inflation budget."""
-
-    max_inflation: float = 1.25
-    contention_alpha: float = 0.08
-    levels: tuple[int, ...] = (1, 2, 4, 8)
-
-    def __post_init__(self) -> None:
-        if self.max_inflation < 1.0:
-            raise ValueError("max_inflation must be >= 1")
-
-    def allowed_levels(self) -> list[int]:
-        return [
-            level
-            for level in self.levels
-            if 1.0 + self.contention_alpha * (level - 1) <= self.max_inflation
-        ]
-
-    def recommend(self, trace: FunctionTrace, keepalive_s: float = 60.0) -> int:
-        """Smallest allowed concurrency minimising this function's cold starts."""
-        best_level = 1
-        best_cold = None
-        for level in self.allowed_levels() or [1]:
-            inflation = 1.0 + self.contention_alpha * (level - 1)
-            lifecycle = reconstruct_function_pods(
-                trace.arrivals, trace.exec_s * inflation, keepalive_s, level
-            )
-            if best_cold is None or lifecycle.n_pods < best_cold:
-                best_cold = lifecycle.n_pods
-                best_level = level
-        return best_level

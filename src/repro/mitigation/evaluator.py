@@ -83,7 +83,11 @@ from repro.sim.latency import LatencyModel
 from repro.sim.rng import RngFactory
 from repro.workload.catalog import SizeClass
 from repro.workload.function import FunctionSpec
-from repro.workload.generator import FunctionTrace, WorkloadGenerator
+from repro.workload.generator import (
+    FunctionTrace,
+    WorkloadGenerator,
+    congestion_per_minute,
+)
 from repro.workload.regions import REGION_PROFILES, RegionProfile
 
 #: Valid values of the ``engine`` argument.
@@ -167,13 +171,13 @@ class CongestionProfile:
     """Exogenous per-minute cold-start congestion over a workload.
 
     The same statistic the trace generator feeds its latency model
-    (:meth:`~repro.workload.generator.WorkloadGenerator
-    ._congestion_per_coldstart`): per-minute counts of keep-alive lifecycle
-    pod starts, normalised to the mean over busy minutes, minus one,
-    clipped to ``[0, 3]``. Quiet minutes are 0 (baseline latency); busy
-    minutes are > 0. Being derived from the *workload* rather than from
-    the replay's own running state, it is identical for every engine,
-    policy, and shard schedule over the same traces.
+    (:func:`~repro.workload.generator.congestion_per_minute`): per-minute
+    counts of keep-alive lifecycle pod starts, normalised to the mean over
+    busy minutes, minus one, clipped to ``[0, 3]``. Quiet minutes are 0
+    (baseline latency); busy minutes are > 0. Being derived from the
+    *workload* rather than from the replay's own running state, it is
+    identical for every engine, policy, and shard schedule over the same
+    traces.
     """
 
     def __init__(self, per_minute: np.ndarray):
@@ -185,19 +189,14 @@ class CongestionProfile:
     def from_traces(
         cls, traces: list[FunctionTrace], horizon_s: float
     ) -> "CongestionProfile":
-        total_minutes = int(horizon_s // 60) + 1
-        counts = np.zeros(total_minutes, dtype=np.float64)
-        for trace in traces:
-            lifecycle = getattr(trace, "lifecycle", None)
-            starts = getattr(lifecycle, "pod_start_ts", None)
-            if starts is None or not len(starts):
-                continue
-            minutes = (np.asarray(starts) // 60).astype(np.int64)
-            np.add.at(counts, np.clip(minutes, 0, total_minutes - 1), 1.0)
-        busy = counts[counts > 0]
-        mean_rate = float(busy.mean()) if busy.size else 1.0
-        normalised = np.clip(counts / max(mean_rate, 1e-9) - 1.0, 0.0, 3.0)
-        return cls(normalised)
+        columns = (
+            getattr(getattr(trace, "lifecycle", None), "pod_start_ts", None)
+            for trace in traces
+        )
+        return cls(congestion_per_minute(
+            [np.asarray(starts) for starts in columns if starts is not None],
+            int(horizon_s // 60) + 1,
+        ))
 
     def at(self, t: float) -> float:
         """Congestion at time ``t`` (same float ops as the vector lookup)."""
@@ -355,11 +354,12 @@ class SharedReplay:
     Every vector replay of ``traces`` up to ``horizon_s`` reads the same
     congestion profile, arrival columns and merged arrival order, and a
     function no decision touches replays the same under any policy: its
-    empty-schedule replay (its *walk*) is taken once and shared. The
-    policies one evaluation shard replays share one instance
-    (:func:`~repro.runtime.executor.run_evaluation_shard`), so each of
-    these is paid once per shard; the instance lives as long as its caller
-    holds it.
+    empty-schedule replay (its *walk*) is taken once and shared. One
+    evaluation shard (:func:`~repro.runtime.executor.run_evaluation_shard`)
+    builds one instance for all its §5 policy replays, so each of these is
+    paid once per shard; its cross-region replays read the traces
+    directly, and a shard with no policy to replay builds none. The
+    instance lives as long as its caller holds it.
 
     A walk also reads what the traces do not fix: the queue patience and
     the function's cold sampler (the evaluator's profile and seed) — its

@@ -27,7 +27,6 @@ from repro.runtime.executor import (
     MAX_POOL_REBUILDS,
     RESULT_CHANNELS,
     CrossRegionResult,
-    CrossRegionTask,
     EvaluationTask,
     ParallelExecutor,
     evaluate_cross_region,
@@ -35,7 +34,6 @@ from repro.runtime.executor import (
     make_policy_evaluator,
     run_analysis_shard,
     run_chunk_directory_analysis,
-    run_cross_region_shard,
     run_directory_analysis,
     run_evaluation_shard,
     run_generation_shard,
@@ -85,7 +83,6 @@ __all__ = [
     "ChunkDirectoryError",
     "ChunkedBundleWriter",
     "CrossRegionResult",
-    "CrossRegionTask",
     "DEFAULT_SHARD_RETRIES",
     "EvaluationTask",
     "FAULT_KINDS",
@@ -122,7 +119,6 @@ __all__ = [
     "to_shm",
     "run_analysis_shard",
     "run_chunk_directory_analysis",
-    "run_cross_region_shard",
     "run_directory_analysis",
     "run_evaluation_shard",
     "run_generation_shard",

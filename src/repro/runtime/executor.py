@@ -28,6 +28,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.mitigation.base import EvalMetrics
+from repro.mitigation.cross_region import DEFAULT_INTER_REGION_RTT_S
 from repro.obs import telemetry as obs
 from repro.obs.telemetry import TelemetryEnvelope
 from repro.runtime.faults import (
@@ -1074,21 +1075,30 @@ def run_directory_analysis(directory):
 
 @dataclass(frozen=True)
 class EvaluationTask:
-    """A function-group shard plus the policies to replay over it.
+    """A function-group shard plus the §5 replays to run over it.
 
-    ``engine`` picks the replay engine (``"vector"``/``"event"``; see
-    :class:`~repro.mitigation.evaluator.RegionEvaluator`). It never
-    changes merged metrics — the engines are bit-identical for every
-    configuration the vector engine accepts — only wall-clock.
+    ``policies`` names single-region configurations
+    (:func:`make_policy_evaluator`), replayed up to ``horizon_s``
+    (``None``: the shard's own last arrival). ``routes`` names
+    :class:`~repro.mitigation.cross_region.RoutingPolicy` values, each
+    replayed from the shard's region against ``remotes`` with ``rtt_s``
+    of network penalty and ``keepalive_s`` of keep-alive. ``engine`` picks
+    the replay engine (``"vector"``/``"event"``); it never changes merged
+    metrics — the engines are bit-identical for every configuration the
+    vector engine accepts — only wall-clock.
     """
 
     spec: ShardSpec
-    policies: tuple[str, ...]
     #: The group's slice of the population, sampled once by the caller for
     #: every shard (see :func:`~repro.mitigation.evaluator.population_groups`).
     functions: tuple[FunctionSpec, ...]
-    horizon_s: float | None = None
     engine: str = "vector"
+    horizon_s: float | None = None
+    policies: tuple[str, ...] = ()
+    routes: tuple[str, ...] = ()
+    remotes: tuple[str, ...] = ()
+    rtt_s: float = DEFAULT_INTER_REGION_RTT_S
+    keepalive_s: float = 60.0
 
 
 def make_policy_evaluator(profile, policy: str, seed: int, engine: str = "vector"):
@@ -1135,38 +1145,55 @@ def make_policy_evaluator(profile, policy: str, seed: int, engine: str = "vector
 
 
 def run_evaluation_shard(task: EvaluationTask) -> dict[str, EvalMetrics]:
-    """Replay one function group under every requested policy.
+    """Replay one function group under every listed policy and route.
 
     The shard generates its group's traces once (arrival streams are
     addressed per function id, so they equal the unsharded traces exactly)
-    and replays them under each policy with the shard-derived evaluator
-    seed. Under the vector engine the policies share one
-    :class:`~repro.mitigation.evaluator.SharedReplay`, so the work no
-    policy changes — the replay columns and the walk of each function no
-    decision touches — is paid once per shard.
+    and replays them under each policy, then each route, with the
+    shard-derived evaluator seed. Results are keyed by their metrics name:
+    the policy name, or ``xregion:<route>``. Under the vector engine the
+    policies share one :class:`~repro.mitigation.evaluator.SharedReplay`,
+    so the work no policy changes — the replay columns and the walk of
+    each function no decision touches — is paid once per shard.
+
+    A routed replay keeps warm pods per (function, region), so a group
+    replays exactly the requests those functions see unsharded; the
+    per-region cold-start EMA that steers routing is estimated
+    *shard-locally*, the one documented deviation from an unsharded
+    replay. ``n_groups=1`` reproduces the unsharded evaluators bit for bit
+    under either engine.
     """
+    from repro.mitigation.cross_region import CrossRegionEvaluator, RoutingPolicy
     from repro.mitigation.evaluator import SharedReplay, build_workload_shard
 
     spec = task.spec
+    replay = "traces"
     try:
         profile, traces = build_workload_shard(
-            spec.region,
-            seed=spec.seed,
-            days=spec.n_days,
-            scale=spec.scale,
+            spec.region, seed=spec.seed, days=spec.n_days, scale=spec.scale,
             functions=task.functions,
         )
         shared = (
-            SharedReplay(traces, task.horizon_s) if task.engine == "vector"
-            else None
+            SharedReplay(traces, task.horizon_s)
+            if task.engine == "vector" and task.policies else None
         )
         out: dict[str, EvalMetrics] = {}
         for policy in task.policies:
+            replay = policy
             evaluator = make_policy_evaluator(
                 profile, policy, seed=spec.shard_seed, engine=task.engine
             )
             out[policy] = evaluator.run(
                 traces, horizon_s=task.horizon_s, name=policy, shared=shared
+            )
+        for route in task.routes:
+            replay = f"xregion:{route}"
+            evaluator = CrossRegionEvaluator(
+                home=spec.region, remotes=task.remotes, rtt_s=task.rtt_s,
+                seed=spec.shard_seed, engine=task.engine,
+            )
+            out[replay] = evaluator.run(
+                traces, policy=RoutingPolicy(route), keepalive_s=task.keepalive_s
             )
         return out
     except ShardError:
@@ -1176,10 +1203,54 @@ def run_evaluation_shard(task: EvaluationTask) -> dict[str, EvalMetrics]:
         # shard's identity attached; the supervisor re-raises them without
         # burning retries on a deterministic failure.
         raise ShardError(
-            f"evaluation shard {spec.describe()} (policies "
-            f"{task.policies}) failed: {type(exc).__name__}: {exc}",
+            f"evaluation shard {spec.describe()} failed in replay {replay!r} "
+            f"(policies {task.policies}, routes {task.routes}, remotes "
+            f"{task.remotes}): {type(exc).__name__}: {exc}",
             shard=spec.describe(), attempts=1, kind="evaluation",
         ) from exc
+
+
+def _replay_plan(region: str, *, seed: int, days: int, scale: float,
+                 n_groups: int, eval_seed: int, engine: str, executor: dict,
+                 **replays) -> dict[str, EvalMetrics]:
+    """Run the §5 replays over every function group; fold them per key.
+
+    The shard plan depends only on ``(region, seed, days, scale, n_groups,
+    eval_seed)`` — never on the ``executor`` settings (jobs, channel,
+    timeouts) or ``engine`` — and shard results fold through
+    :meth:`EvalMetrics.merge` in plan order as they arrive, so the parent
+    holds the running merge plus one in-flight shard and any worker count,
+    result transport and replay engine merges bit-identically. The
+    population is sampled once, here, and each task carries its group's
+    slice of it, so shards generate only their group's traces.
+    ``replays`` are the :class:`EvaluationTask` replay fields.
+    """
+    from repro.mitigation.evaluator import ENGINES, population_groups
+    from repro.runtime.merge import merge_eval_metrics
+    from repro.runtime.shards import ShardPlan
+
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r} (choose from {ENGINES})")
+    plan = ShardPlan.for_evaluation(
+        region, seed=seed, days=days, scale=scale, n_groups=n_groups,
+        eval_seed=eval_seed,
+    )
+    groups = population_groups(
+        region, seed=seed, days=days, scale=scale, n_groups=n_groups
+    )
+    tasks = [
+        EvaluationTask(spec=spec, functions=groups[spec.group], engine=engine,
+                       **replays)
+        for spec in plan
+    ]
+    merged: dict[str, EvalMetrics] = {}
+    for part in ParallelExecutor(**executor).imap(run_evaluation_shard, tasks):
+        for key, metrics in part.items():
+            if key in merged:
+                merged[key].merge(metrics)
+            else:
+                merged[key] = merge_eval_metrics([metrics])
+    return merged
 
 
 def evaluate_policies(
@@ -1201,152 +1272,39 @@ def evaluate_policies(
 ) -> dict[str, EvalMetrics]:
     """Sharded policy evaluation: merge per-policy metrics over all groups.
 
-    The shard plan depends only on ``(region, seed, days, scale, n_groups,
-    eval_seed)`` — never on ``jobs``, ``channel``, or ``engine`` — so any
-    worker count, result transport, and replay engine yields identical
-    merged metrics. See :mod:`repro.runtime.merge` for per-metric equality
-    guarantees against an unsharded replay. Shard results fold into the
-    running merge as they arrive, so the parent holds one in-flight shard
-    at a time — with ``channel="shm"`` their arrays additionally cross the
-    process boundary as shared-memory blocks instead of pickle bytes.
+    Any worker count, result transport (``channel="shm"`` ships shard
+    arrays as shared-memory blocks instead of pickle bytes) and replay
+    engine yields identical merged metrics (see :func:`_replay_plan`);
+    :mod:`repro.runtime.merge` documents per-metric equality guarantees
+    against an unsharded replay.
 
     ``horizon_s=None`` lets each shard close out at its own last arrival
     (the evaluator's default), matching the unsharded pod-time accounting;
     a shard's horizon depends only on its traces, never on ``jobs``.
-
-    The population is sampled once, here, and each task carries its
-    group's slice of it (:func:`~repro.mitigation.evaluator
-    .population_groups`), so shards generate only their group's traces.
     """
-    from repro.mitigation.evaluator import population_groups
-    from repro.runtime.merge import merge_eval_metrics
-    from repro.runtime.shards import ShardPlan
-
-    plan = ShardPlan.for_evaluation(
+    return _replay_plan(
         region, seed=seed, days=days, scale=scale, n_groups=n_groups,
-        eval_seed=eval_seed,
+        eval_seed=eval_seed, engine=engine,
+        executor=dict(jobs=jobs, channel=channel, shm_min_bytes=shm_min_bytes,
+                      shard_timeout_s=shard_timeout_s,
+                      shard_retries=shard_retries, faults=faults),
+        policies=tuple(policies), horizon_s=horizon_s,
     )
-    groups = population_groups(
-        region, seed=seed, days=days, scale=scale, n_groups=n_groups
-    )
-    tasks = [
-        EvaluationTask(spec=spec, policies=tuple(policies), horizon_s=horizon_s,
-                       engine=engine, functions=groups[spec.group])
-        for spec in plan
-    ]
-    executor = ParallelExecutor(jobs=jobs, channel=channel,
-                                shm_min_bytes=shm_min_bytes,
-                                shard_timeout_s=shard_timeout_s,
-                                shard_retries=shard_retries, faults=faults)
-    merged: dict[str, EvalMetrics] | None = None
-    for part in executor.imap(run_evaluation_shard, tasks):
-        if merged is None:
-            merged = {
-                policy: merge_eval_metrics([part[policy]], name=policy)
-                for policy in policies
-            }
-        else:
-            for policy in policies:
-                merged[policy].merge(part[policy])
-    assert merged is not None  # the plan always has >= 1 shard
-    return merged
-
-
-# --- sharded cross-region evaluation ----------------------------------------
-
-
-@dataclass(frozen=True)
-class CrossRegionTask:
-    """One function-group shard of a §5 cross-region replay.
-
-    ``engine`` picks the replay engine — routing is a tick-protocol
-    policy, so the vectorized replay and the event loop are
-    bit-identical; the choice only changes wall-clock.
-    """
-
-    spec: ShardSpec
-    remotes: tuple[str, ...]
-    policy: str
-    rtt_s: float
-    keepalive_s: float
-    #: The group's slice of the population (see :class:`EvaluationTask`).
-    functions: tuple[FunctionSpec, ...]
-    engine: str = "vector"
 
 
 @dataclass(frozen=True)
 class CrossRegionResult:
-    """Merged cross-region replay outcome.
-
-    Routing shares are pure functions of the metrics (per-region
-    cold-start placements live on
-    :attr:`EvalMetrics.cold_starts_by_region` and merge by addition), so
-    the result carries no evaluator state — only the home region name the
-    shares are read against.
-    """
+    """Merged cross-region replay outcome: the metrics plus the home
+    region name routing shares are read against (per-region cold-start
+    placements live on :attr:`EvalMetrics.cold_starts_by_region`)."""
 
     metrics: EvalMetrics
     home: str = ""
 
     @property
-    def home_cold_starts(self) -> int:
-        return self.metrics.cold_starts_by_region.get(self.home, 0)
-
-    @property
-    def remote_cold_starts(self) -> int:
-        counts = self.metrics.cold_starts_by_region
-        return sum(counts.values()) - counts.get(self.home, 0)
-
-    @property
     def remote_share(self) -> float:
         """Fraction of cold starts placed away from the home region."""
         return self.metrics.remote_cold_share(self.home)
-
-
-
-def run_cross_region_shard(task: CrossRegionTask) -> CrossRegionResult:
-    """Replay one function group through a shard-local cross-region evaluator.
-
-    Warm-pod bookkeeping is per (function, region), so a group replays
-    exactly the requests those functions see unsharded; the per-region
-    cold-start EMA that steers routing is estimated *shard-locally* (each
-    shard warms up its own estimate), which is the one documented deviation
-    from an unsharded replay. ``n_groups=1`` reproduces the unsharded
-    evaluator bit for bit — under either engine.
-    """
-    from repro.mitigation.cross_region import CrossRegionEvaluator, RoutingPolicy
-    from repro.mitigation.evaluator import build_workload_shard
-
-    spec = task.spec
-    try:
-        _, traces = build_workload_shard(
-            spec.region,
-            seed=spec.seed,
-            days=spec.n_days,
-            scale=spec.scale,
-            functions=task.functions,
-        )
-        evaluator = CrossRegionEvaluator(
-            home=spec.region,
-            remotes=task.remotes,
-            rtt_s=task.rtt_s,
-            seed=spec.shard_seed,
-            engine=task.engine,
-        )
-        metrics = evaluator.run(
-            traces, policy=RoutingPolicy(task.policy),
-            keepalive_s=task.keepalive_s,
-        )
-        return CrossRegionResult(metrics=metrics,
-                                 home=evaluator.region_names[0])
-    except ShardError:
-        raise
-    except Exception as exc:
-        raise ShardError(
-            f"cross-region shard {spec.describe()} (policy {task.policy!r}, "
-            f"remotes {task.remotes}) failed: {type(exc).__name__}: {exc}",
-            shard=spec.describe(), attempts=1, kind="cross-region",
-        ) from exc
 
 
 def evaluate_cross_region(
@@ -1370,54 +1328,21 @@ def evaluate_cross_region(
 ) -> CrossRegionResult:
     """Sharded §5 cross-region replay with a deterministic merge.
 
-    The shard plan depends only on ``(home, seed, days, scale, n_groups,
-    eval_seed)`` — never on ``jobs``, ``channel``, or ``engine`` — and
-    shard metrics reduce through :meth:`EvalMetrics.merge` in plan order
-    as they arrive (the parent holds one in-flight shard, not the whole
-    list), so any worker count, result transport, and replay engine
-    merges bit-identically. Per-region EMA routing state is shard-local
-    (see :func:`run_cross_region_shard`).
-
-    Routing is a tick-phase policy (the per-region cold-start EMA updates
-    at tick boundaries), so every engine replays it: ``"vector"`` merges
-    per-function structure-of-arrays walks in cold-start order,
-    ``"event"`` is the sequential reference. As in
-    :func:`evaluate_policies`, the population is sampled once for all
-    shards.
+    The plan and fold of :func:`evaluate_policies` (see
+    :func:`_replay_plan`) with one route instead of policies; per-region
+    EMA routing state is shard-local (see :func:`run_evaluation_shard`).
+    Routing is a tick-phase policy, so both engines replay it
+    bit-identically. ``rtt_s=None`` charges the default inter-region RTT.
     """
-    from repro.mitigation.cross_region import DEFAULT_INTER_REGION_RTT_S
-    from repro.mitigation.evaluator import ENGINES, population_groups
-    from repro.runtime.shards import ShardPlan
-
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (choose from {ENGINES})")
-
-    plan = ShardPlan.for_evaluation(
+    merged = _replay_plan(
         home, seed=seed, days=days, scale=scale, n_groups=n_groups,
-        eval_seed=eval_seed,
+        eval_seed=eval_seed, engine=engine,
+        executor=dict(jobs=jobs, channel=channel, shm_min_bytes=shm_min_bytes,
+                      shard_timeout_s=shard_timeout_s,
+                      shard_retries=shard_retries, faults=faults),
+        routes=(policy,), remotes=tuple(remotes),
+        rtt_s=DEFAULT_INTER_REGION_RTT_S if rtt_s is None else rtt_s,
+        keepalive_s=keepalive_s,
     )
-    groups = population_groups(
-        home, seed=seed, days=days, scale=scale, n_groups=n_groups
-    )
-    tasks = [
-        CrossRegionTask(
-            spec=spec,
-            remotes=tuple(remotes),
-            policy=policy,
-            rtt_s=rtt_s if rtt_s is not None else DEFAULT_INTER_REGION_RTT_S,
-            keepalive_s=keepalive_s,
-            engine=engine,
-            functions=groups[spec.group],
-        )
-        for spec in plan
-    ]
-    executor = ParallelExecutor(jobs=jobs, channel=channel,
-                                shm_min_bytes=shm_min_bytes,
-                                shard_timeout_s=shard_timeout_s,
-                                shard_retries=shard_retries, faults=faults)
-    merged = EvalMetrics(name=f"xregion:{policy}")
-    home_name = ""
-    for part in executor.imap(run_cross_region_shard, tasks):
-        merged.merge(part.metrics)
-        home_name = part.home
-    return CrossRegionResult(metrics=merged, home=home_name)
+    (metrics,) = merged.values()
+    return CrossRegionResult(metrics=metrics, home=home)

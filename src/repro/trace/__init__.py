@@ -30,7 +30,6 @@ from repro.trace.tables import (
 from repro.trace.io import (
     read_table_csv,
     write_table_csv,
-    write_table_jsonl,
 )
 
 __all__ = [
@@ -48,5 +47,4 @@ __all__ = [
     "stable_hash",
     "read_table_csv",
     "write_table_csv",
-    "write_table_jsonl",
 ]

@@ -1,4 +1,4 @@
-"""Trace import/export: CSV (optionally gzipped), JSONL export, and binary ``.npz``.
+"""Trace import/export: CSV (optionally gzipped) and binary ``.npz``.
 
 Exports anonymise identifier columns through :class:`~repro.trace.hashing.IdHasher`
 when a hasher is supplied, mirroring the public release of the paper's dataset.
@@ -161,25 +161,6 @@ def read_anonymised_npz(
                 table_cls.schema[name].dtype
             )
         return out
-
-
-def write_table_jsonl(
-    table: ColumnTable, path: str | Path, hasher: IdHasher | None = None
-) -> Path:
-    """Write one JSON object per row (gzip if path ends with ``.gz``)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    columns = _export_columns(table, hasher)
-    names = list(table.columns)
-    cols = [columns[name] for name in names]
-    with _open_text(path, "w") as handle:
-        for i in range(len(table)):
-            record = {}
-            for name, col in zip(names, cols):
-                value = col[i]
-                record[name] = value.item() if hasattr(value, "item") else str(value)
-            handle.write(json.dumps(record) + "\n")
-    return path
 
 
 _BUNDLE_TABLES = (

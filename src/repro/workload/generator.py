@@ -20,6 +20,7 @@ Pipeline per region (all driven by named RNG streams, fully reproducible):
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -387,6 +388,31 @@ def build_population(
     return specs
 
 
+def congestion_per_minute(
+    pod_starts: Iterable[np.ndarray], total_minutes: int, start_s: float = 0.0
+) -> np.ndarray:
+    """Normalised excess cold-start intensity of each minute.
+
+    Counts the pod starts of every column per minute since ``start_s``
+    (clipped into ``[0, total_minutes)``), divides by the mean count over
+    busy minutes, subtracts one and clips to ``[0, 3]``. Quiet minutes are
+    0 (baseline latency); busy minutes are > 0. The generator prices its
+    cold starts with it, and the replay's
+    :class:`~repro.mitigation.evaluator.CongestionProfile` reads the same
+    statistic off the generated lifecycles.
+    """
+    counts = np.zeros(total_minutes, dtype=np.float64)
+    for starts in pod_starts:
+        minutes = ((starts - start_s) // 60).astype(np.int64)
+        np.add.at(counts, np.clip(minutes, 0, total_minutes - 1), 1.0)
+    busy = counts[counts > 0]
+    mean_rate = float(busy.mean()) if busy.size else 1.0
+    # Clip the excess intensity: queueing delays grow with load but the
+    # platform sheds/queues beyond a point rather than stretching
+    # latencies unboundedly.
+    return np.clip(counts / max(mean_rate, 1e-9) - 1.0, 0.0, 3.0)
+
+
 @dataclass
 class FunctionTrace:
     """One function's generated request stream plus its pod reconstruction.
@@ -505,40 +531,12 @@ class WorkloadGenerator:
             traces.append(FunctionTrace(spec, arrivals, exec_s, lifecycle))
         return traces
 
-    def _congestion_per_coldstart(
-        self, traces: list[FunctionTrace]
-    ) -> list[np.ndarray]:
-        """Normalised excess cold-start intensity for each cold start.
-
-        Returns, per function, an array aligned with its pods: the region's
-        per-minute cold-start count at that pod's start minute, divided by
-        the mean per-minute count, minus one, clipped at zero. Quiet minutes
-        are 0 (baseline latency); busy minutes are > 0.
-        """
-        total_minutes = int(self.horizon_s // 60) + 1
-        counts = np.zeros(total_minutes, dtype=np.float64)
-        for trace in traces:
-            minutes = ((trace.lifecycle.pod_start_ts - self.start_s) // 60).astype(np.int64)
-            np.add.at(counts, np.clip(minutes, 0, total_minutes - 1), 1.0)
-        busy = counts[counts > 0]
-        mean_rate = float(busy.mean()) if busy.size else 1.0
-        # Clip the excess intensity: queueing delays grow with load but the
-        # platform sheds/queues beyond a point rather than stretching
-        # latencies unboundedly.
-        normalised = np.clip(counts / max(mean_rate, 1e-9) - 1.0, 0.0, 3.0)
-        out = []
-        for trace in traces:
-            minutes = ((trace.lifecycle.pod_start_ts - self.start_s) // 60).astype(np.int64)
-            out.append(normalised[np.clip(minutes, 0, total_minutes - 1)])
-        return out
-
     def _assemble(self, traces: list[FunctionTrace]) -> TraceBundle:
         profile = self.profile
         latency_model = LatencyModel(
             profile.latency,
             self._rngs.stream(f"latency/{profile.name}{self._window_tag}"),
         )
-        congestion = self._congestion_per_coldstart(traces)
 
         # ---- pod-level stream (one row per cold start) ----
         n_pods_total = sum(t.lifecycle.n_pods for t in traces)
@@ -547,7 +545,6 @@ class WorkloadGenerator:
         has_deps = np.empty(n_pods_total, dtype=bool)
         code_size = np.empty(n_pods_total, dtype=np.float64)
         dep_size = np.empty(n_pods_total, dtype=np.float64)
-        congest = np.empty(n_pods_total, dtype=np.float64)
         pod_ts = np.empty(n_pods_total, dtype=np.float64)
         pod_function = np.empty(n_pods_total, dtype=np.int64)
         pod_user = np.empty(n_pods_total, dtype=np.int64)
@@ -557,7 +554,7 @@ class WorkloadGenerator:
         cluster_rng = self._rngs.stream(f"clusters/{profile.name}{self._window_tag}")
         offset = 0
         pod_offsets: list[int] = []
-        for trace, cong in zip(traces, congestion):
+        for trace in traces:
             spec = trace.spec
             count = trace.lifecycle.n_pods
             sl = slice(offset, offset + count)
@@ -566,7 +563,6 @@ class WorkloadGenerator:
             has_deps[sl] = spec.has_dependencies
             code_size[sl] = spec.code_size_mb
             dep_size[sl] = spec.dep_size_mb
-            congest[sl] = cong
             pod_ts[sl] = trace.lifecycle.pod_start_ts
             pod_function[sl] = spec.function_id
             pod_user[sl] = spec.user_id
@@ -576,6 +572,12 @@ class WorkloadGenerator:
                 pod_cluster[sl] = (np.arange(count) + cluster_rng.integers(profile.clusters)) % profile.clusters
             pod_offsets.append(offset)
             offset += count
+
+        # Cold starts are priced by the congestion of their start minute.
+        total_minutes = int(self.horizon_s // 60) + 1
+        per_minute = congestion_per_minute([pod_ts], total_minutes, self.start_s)
+        minutes = ((pod_ts - self.start_s) // 60).astype(np.int64)
+        congest = per_minute[np.clip(minutes, 0, total_minutes - 1)]
 
         params = ComponentParams(
             runtime_codes=runtime_codes,

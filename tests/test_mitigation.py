@@ -6,7 +6,6 @@ import pytest
 
 from repro.mitigation import (
     AsyncPeakShaver,
-    ConcurrencyAdvisor,
     CrossRegionEvaluator,
     DynamicKeepAlive,
     HistogramPrewarmPolicy,
@@ -19,23 +18,13 @@ from repro.mitigation import (
     simulate_pool,
 )
 from repro.mitigation.evaluator import build_workload
-from repro.workload.catalog import APIG_S, TIMER_A, ResourceConfig, Runtime, WORKFLOW_S
+from repro.workload.catalog import TIMER_A, ResourceConfig, Runtime
 from repro.workload.function import FunctionSpec
 
 
 @pytest.fixture(scope="module")
 def workload(r2_traces):
     return r2_traces
-
-
-def _workflow_spec() -> FunctionSpec:
-    """A workflow function with one downstream child."""
-    return FunctionSpec(
-        function_id=1, user_id=1, runtime=Runtime.PYTHON3, triggers=(WORKFLOW_S,),
-        config=ResourceConfig(300, 128), mean_exec_s=5.0, cpu_millicores=100,
-        memory_mb=64, arrival_kind="poisson", daily_rate=10.0,
-        workflow_children=(2,),
-    )
 
 
 class TestEvaluatorBasics:
@@ -303,21 +292,3 @@ class TestConcurrency:
         outcomes = evaluate_concurrency(traces, (1, 4), contention_alpha=0.03)
         assert outcomes[1].pod_seconds < outcomes[0].pod_seconds
         assert outcomes[1].exec_inflation > outcomes[0].exec_inflation
-
-    def test_advisor_respects_inflation_budget(self):
-        advisor = ConcurrencyAdvisor(max_inflation=1.1, contention_alpha=0.08)
-        assert max(advisor.allowed_levels()) == 2
-
-    def test_advisor_recommends_for_overlapping_workload(self):
-        rng = np.random.default_rng(4)
-        arrivals = np.sort(rng.uniform(0, 3600, size=300))
-        execs = np.full(300, 60.0)
-        from repro.workload.generator import FunctionTrace
-        from repro.cluster.lifecycle import reconstruct_function_pods
-
-        trace = FunctionTrace(
-            spec=_workflow_spec(), arrivals=arrivals, exec_s=execs,
-            lifecycle=reconstruct_function_pods(arrivals, execs),
-        )
-        advisor = ConcurrencyAdvisor(max_inflation=2.0)
-        assert advisor.recommend(trace) > 1

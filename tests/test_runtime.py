@@ -19,6 +19,7 @@ from repro.runtime import (
     ChunkDirectoryError,
     ChunkedBundleWriter,
     ParallelExecutor,
+    ShardError,
     ShardPlan,
     StreamingSummary,
     evaluate_cross_region,
@@ -240,6 +241,12 @@ class TestShardedEvaluation:
         m1 = evaluate_policies("R3", ("baseline",), jobs=1, **kwargs)
         m2 = evaluate_policies("R3", ("baseline",), jobs=2, **kwargs)
         assert m1["baseline"].summary() == m2["baseline"].summary()
+
+    def test_repeated_policy_merges_once(self):
+        kwargs = dict(seed=5, days=1, scale=0.1, n_groups=3)
+        once = evaluate_policies("R3", ("baseline",), **kwargs)
+        twice = evaluate_policies("R3", ("baseline", "baseline"), **kwargs)
+        assert twice == once
 
     def test_sharded_counts_equal_unsharded(self):
         merged = evaluate_policies(
@@ -492,3 +499,30 @@ class TestShardedCrossRegion:
         _, traces = build_workload("R1", seed=5, days=1, scale=0.1)
         assert merged.metrics.requests == sum(t.arrivals.size for t in traces)
         assert merged.remote_share == 0.0
+
+
+class TestReplayShardErrors:
+    """A failed §5 replay names its shard and the replay that failed; at
+    jobs=1 the shard runs in the parent and its error surfaces as is."""
+
+    KW = dict(seed=5, days=1, scale=0.1, n_groups=2, jobs=1)
+
+    @staticmethod
+    def _first_shard(region: str) -> str:
+        plan = ShardPlan.for_evaluation(region, seed=5, days=1, scale=0.1, n_groups=2)
+        return plan.shards[0].describe()
+
+    def test_unknown_remote_names_shard_and_route(self):
+        with pytest.raises(ShardError) as err:
+            evaluate_cross_region("R1", remotes=("R9",), **self.KW)
+        assert err.value.shard == self._first_shard("R1")
+        assert self._first_shard("R1") in str(err.value)
+        assert "'xregion:best-region'" in str(err.value)
+        assert "R9" in str(err.value)
+
+    def test_unknown_policy_names_shard_and_policy(self):
+        with pytest.raises(ShardError) as err:
+            evaluate_policies("R3", ("baseline", "no-such-policy"), **self.KW)
+        assert err.value.shard == self._first_shard("R3")
+        assert self._first_shard("R3") in str(err.value)
+        assert "'no-such-policy'" in str(err.value)

@@ -27,7 +27,7 @@ from repro.runtime import (
     shm_available,
     to_shm,
 )
-from repro.runtime.executor import CrossRegionResult, run_generation_shard
+from repro.runtime.executor import run_generation_shard
 from repro.workload.generator import generate_region
 
 pytestmark = pytest.mark.skipif(
@@ -64,13 +64,6 @@ def _envelope() -> TelemetryEnvelope:
     return TelemetryEnvelope({"values": np.arange(4096.0)}, tel)
 
 
-def _cross_region() -> CrossRegionResult:
-    metrics = _metrics(3)
-    metrics.record_region_cold("R1", 7)
-    metrics.record_region_cold("R3", 13)
-    return CrossRegionResult(metrics=metrics, home="R1")
-
-
 #: One builder per result type the executor returns.
 _RESULTS = {
     "TraceBundle": lambda: generate_region("R3", seed=5, days=1, scale=0.05),
@@ -79,7 +72,6 @@ _RESULTS = {
     ),
     "dict-of-EvalMetrics": lambda: {"baseline": _metrics(1),
                                     "peak-shaving": _metrics(2)},
-    "CrossRegionResult": _cross_region,
     "TelemetryEnvelope": _envelope,
 }
 
@@ -127,17 +119,6 @@ class TestCodecRoundTrip:
         payload = {"baseline": _metrics(1), "peak-shaving": _metrics(2)}
         back = from_shm(to_shm(payload, min_bytes=0))
         assert back == payload
-
-    def test_cross_region_result_round_trip(self):
-        metrics = _metrics(3)
-        metrics.record_region_cold("R1", 7)
-        metrics.record_region_cold("R3", 13)
-        result = CrossRegionResult(metrics=metrics, home="R1")
-        back = from_shm(to_shm(result, min_bytes=0))
-        assert back == result
-        assert back.home_cold_starts == 7
-        assert back.remote_cold_starts == 13
-        assert back.remote_share == result.remote_share
 
     def test_widened_histogram_round_trip_merges_exactly(self):
         hist = LogHistogram()

@@ -1,7 +1,4 @@
-"""Trace I/O: CSV/JSONL round trips, gzip, bundle persistence, anonymisation."""
-
-import gzip
-import json
+"""Trace I/O: CSV round trips, gzip, bundle persistence, anonymisation."""
 
 import numpy as np
 import pytest
@@ -14,7 +11,6 @@ from repro.trace.io import (
     read_table_npz,
     save_bundle,
     write_table_csv,
-    write_table_jsonl,
     write_table_npz,
 )
 from repro.trace.tables import FunctionTable, PodTable, TraceBundle
@@ -86,31 +82,6 @@ class TestCsvRoundTrip:
         header, first_row = text.splitlines()[:2]
         pod_idx = header.split(",").index("pod_id")
         assert len(first_row.split(",")[pod_idx]) == 16  # hex digest
-
-
-def _jsonl_records(path) -> list[dict]:
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt") as handle:
-        return [json.loads(line) for line in handle if line.strip()]
-
-
-class TestJsonlRoundTrip:
-    def test_round_trip(self, tmp_path):
-        requests = make_requests()
-        path = write_table_jsonl(requests, tmp_path / "req.jsonl")
-        records = _jsonl_records(path)
-        assert len(records) == len(requests)
-        assert [r["exec_time_us"] for r in records] == \
-            requests["exec_time_us"].tolist()
-
-    def test_gzip_round_trip(self, tmp_path):
-        requests = make_requests()
-        path = write_table_jsonl(requests, tmp_path / "req.jsonl.gz")
-        assert len(_jsonl_records(path)) == len(requests)
-
-    def test_empty(self, tmp_path):
-        path = write_table_jsonl(PodTable.empty(), tmp_path / "e.jsonl")
-        assert _jsonl_records(path) == []
 
 
 class TestNpzRoundTrip:
