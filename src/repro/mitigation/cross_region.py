@@ -59,6 +59,7 @@ from repro.workload.generator import FunctionTrace
 from repro.workload.regions import RegionProfile
 
 from repro.mitigation.evaluator import ENGINES as _ENGINES, _arrival_columns
+from repro.mitigation.vector_engine import _SPEC_MIN_RUN
 
 DEFAULT_INTER_REGION_RTT_S = 0.120  # round trip, tens-to-hundreds of ms
 
@@ -106,6 +107,13 @@ class BestRegionRouter(TickPolicy):
     def __init__(self, ema_seeds: list[float], rtt_s: float):
         self.emas = [float(x) for x in ema_seeds]
         self.rtt_s = float(rtt_s)
+        # One immutable action per region: a step picks one, builds none.
+        self._actions = [
+            TickAction(route=RouteDirective(
+                region=ridx, penalty_s=self.rtt_s if ridx else 0.0
+            ))
+            for ridx in range(len(self.emas))
+        ]
 
     def observe_batch(self, cols: TickColumns) -> None:
         if cols.cold_wait.size:
@@ -123,13 +131,13 @@ class BestRegionRouter(TickPolicy):
 
     def decide(self, tick: int, now: float) -> TickAction:
         emas = self.emas
-        best, penalty = 0, 0.0
+        best = 0
         best_cost = emas[0] * self.improvement_gate
         for ridx in range(1, len(emas)):
             cost = emas[ridx] + self.rtt_s
             if cost < best_cost:
-                best, best_cost, penalty = ridx, cost, self.rtt_s
-        return TickAction(route=RouteDirective(region=best, penalty_s=penalty))
+                best, best_cost = ridx, cost
+        return self._actions[best]
 
     def describe(self) -> str:
         return "best-region"
@@ -482,10 +490,14 @@ def _route_in_time_order(walkers, router: BestRegionRouter, sink: _ColdSink) -> 
             k = last_tick_index(t, interval)
             edge = (k + 1) * interval
             if k >= 0:
-                seen = sorted(range(fed, len(s_pos)), key=s_pos.__getitem__)
-                fed = len(s_pos)
-                regions = [s_r[j] for j in seen]
-                waits = [s_raw[j] for j in seen]
+                new = len(s_pos) - fed
+                if new == 1:  # the common step: one cold since the last
+                    regions, waits = (s_r[fed],), (s_raw[fed],)
+                else:
+                    seen = sorted(range(fed, fed + new), key=s_pos.__getitem__)
+                    regions = [s_r[j] for j in seen]
+                    waits = [s_raw[j] for j in seen]
+                fed += new
                 t0 = time.perf_counter() if timed else 0.0
                 router.observe_colds(regions, waits)
                 route = router.decide(k, k * interval).route
@@ -535,7 +547,8 @@ def _replay_fn_cross_region(
       the new busy ends) or already dead (prefix-max of the new warm
       ends) at each later arrival. The run is then priced in one batched
       slice of the sampler's zero-congestion totals column under one
-      route directive, accepting the longest valid prefix. This covers
+      route directive, accepting the longest valid prefix, when at least
+      ``_SPEC_MIN_RUN`` arrivals fall before the tick edge. This covers
       both sparse stretches (every pod dies between arrivals) and
       saturated bursts (arrivals outpace pod turnaround).
 
@@ -551,8 +564,8 @@ def _replay_fn_cross_region(
     totals column directly (cross-region replay never models
     congestion), with one local cursor per region. Dead pods are skipped
     lazily during the scan (expiry is by death time, so removal timing
-    is semantically free) and compacted only when a region accumulates
-    them.
+    is semantically free); a region is emptied once the scan finds all
+    its pods dead, and compacted once it accumulates them.
     """
     n = t.size
     n_regions = len(samplers)
@@ -641,8 +654,11 @@ def _replay_fn_cross_region(
                 blk2_r = blk_r
                 blk_pod = pod
                 blk_r = ridx
-            if dead >= 8:
-                pods[:] = [p for p in pods if p[0] > tk]
+            if dead:
+                if dead == len(pods):
+                    pods.clear()
+                elif dead >= 8:
+                    pods[:] = [p for p in pods if p[0] > tk]
             if serve_pod is not None:
                 break
         if serve_pod is not None:
@@ -778,9 +794,10 @@ def _replay_fn_cross_region(
         ridx, penalty = route_r, route_p
         if ai + 1 < n and (cold_streak >= 2 or sparse_list[ai]):
             # Batched slot-exhaustion sweep over the cold run, stopped
-            # before the next tick edge (one directive per block).
+            # before the next tick edge (one directive per block); a
+            # shorter run costs less priced one cold at a time.
             m = bisect_left(tl, t_cap, ai, min(n, ai + spec_w)) - ai
-            if m > 1:
+            if m >= _SPEC_MIN_RUN:
                 tb = t[ai:ai + m]
                 # Static sweep: an arrival can only stay cold while every
                 # pre-existing pod is busy or dead. Pods keep the exact

@@ -11,9 +11,10 @@ retires most arrivals in bulk:
   >keep-alive gaps (timers past the keep-alive, rarely invoked functions)
   is resolved by *speculation* — price a block of arrivals as if all were
   cold starts, verify vectorized that each pod dies before the next
-  arrival, accept the longest valid prefix — and an idle pod serves the
+  arrival, accept the longest valid prefix — an idle pod serves the
   steady stretch up to the next precomputed deviation candidate in one
-  chain jump;
+  chain jump, and a pre-warm tick asking for one pod either passes (the
+  pod idles through it) or makes the next lone pod (none is alive);
 * a busy multi-slot pod with free slots, by a galloping slot-exhaustion
   sweep;
 * several pods, by chain jumps while all are idle and by a slot-end heap
@@ -145,9 +146,11 @@ def replay_function_coupled(
     pre-warm entries naming it, as a pair of sequences) and
     ``shave_schedule`` (the per-tick shave directives, or ``None`` when no
     shaver runs). The empty schedule (``((), ())``, ``covered_s`` infinite,
-    no shave schedule) replays a function no decision touches. Pre-warm
-    ticks are applied one gap between events at a time (``prewarm_gap``),
-    skipping with one bisection the ticks that idle pods already cover.
+    no shave schedule) replays a function no decision touches. The one-pod
+    loop (``lone``) applies the ticks asking for one pod while its pod is
+    idle or dead at them; every other tick is applied one gap between
+    events at a time (``prewarm_gap``), skipping with one bisection the
+    ticks that idle pods already cover.
 
     The replay is a generator, because delayed re-arrivals can run the
     tick clock past the ticks the caller has decided. ``prewarm`` is
@@ -445,10 +448,17 @@ def replay_function_coupled(
         served. No pod: cold starts (or shave delays), a run of
         >keep-alive gaps priced speculatively (``cold_block``). An idle
         pod: a chain jump. A busy one: a queued step, or a sweep of a
-        multi-slot pod. Stops at a second pod, and before a pre-warm tick
-        (unless a jump or a sweep crosses it) or the ``bound``.
+        multi-slot pod. Stops at a second pod and at the ``bound``.
+
+        Pre-warm ticks at or before the next arrival are applied here when
+        their target is one pod: a tick the pod idles through makes
+        nothing, and a tick no pod is alive at makes the pre-warmed pod
+        that becomes the lone one. A tick the pod is busy at, or one
+        asking for more pods, stops the loop before the arrival, for the
+        main loop's ``prewarm_gap``. A jump or a sweep crosses ticks
+        itself.
         """
-        nonlocal expiry
+        nonlocal expiry, pi, prewarm_creations, inline_ticks
         t_stop = bound()
         t_lim = min(t_stop, pw_t[pi]) if pi < n_pt else t_stop
         b = alive[0] if alive else -1
@@ -457,7 +467,33 @@ def replay_function_coupled(
         while i < n:
             tk = tl[i]
             if tk >= t_lim:
-                break
+                if tk >= t_stop:
+                    break
+                # Ticks at or before the arrival come first.
+                p = pi
+                while p < n_pt and pw_t[p] <= tk:
+                    tick_t = pw_t[p]
+                    if pw_n[p] != 1 or b >= 0 and tick_t < e_prev:
+                        break  # more pods asked for, or the pod is busy
+                    if b < 0 or tick_t >= e_prev + life:
+                        if b >= 0:
+                            last[b] = e_prev  # the pod died
+                        b = len(created)
+                        alive[:] = [b]
+                        created.append(tick_t)
+                        ready.append(tick_t)
+                        last.append(tick_t)
+                        ends.append(())
+                        untouched.append(True)
+                        prewarmed.append(b)
+                        prewarm_creations += 1
+                        e_prev, life = tick_t, grace_ka
+                    p += 1
+                inline_ticks += p - pi
+                pi = p
+                if p < n_pt and pw_t[p] <= tk:
+                    break
+                t_lim = min(t_stop, pw_t[pi]) if pi < n_pt else t_stop
             if b < 0 or tk >= e_prev + life:
                 if b >= 0:
                     last[b] = e_prev  # the pod died
@@ -641,6 +677,7 @@ def replay_function_coupled(
     sweep_w = 4 * _SPEC_MIN_RUN  # the slot sweep's block width; gallops
     ci = pi = ai = 0
     jumped = swept = sweep_blocks = episode_arrivals = spec_blocks = spec_accepted = 0
+    inline_ticks = 0
     while ai < n or pending:
         t_arrival = tl[ai] if ai < n else np.inf
         t_delayed = pending[0][0] if pending else np.inf
@@ -691,6 +728,7 @@ def replay_function_coupled(
             ("vector/coupled/slot_swept", swept),
             ("vector/coupled/sweep_blocks", sweep_blocks),
             ("vector/coupled/episode_arrivals", episode_arrivals),
+            ("vector/coupled/inline_ticks", inline_ticks),
             ("vector/spec/blocks", spec_blocks),
             ("vector/spec/accepted", spec_accepted),
         ))

@@ -31,7 +31,15 @@ replay has to get exactly right:
 * runs of >keep-alive gaps long enough to be priced as speculative cold
   blocks, around a burst whose shaved cold starts re-arrive among them,
   so blocks must stop before pre-warm ticks, arrivals a shave directive
-  could delay, and pending re-arrivals.
+  could delay, and pending re-arrivals;
+* pre-warm grace shorter than a tick (30 s), and graces of two and three
+  ticks (120 s, 180 s) that put pre-warmed pods' deaths exactly on tick
+  edges, where the strict ``T < death`` test decides whether a tick
+  makes a pod;
+* runs of one-pod ticks that the one-pod loop applies itself: across
+  hours of idle time, and starting while its pod is busy (which it must
+  hand to the main loop), beside runs asking for two pods (which it
+  never takes).
 """
 
 from __future__ import annotations
@@ -115,6 +123,14 @@ class _SteppedTargets(PrewarmPolicy):
         return TickAction(prewarm=tuple((f, target) for f in self._seen))
 
 
+class _UnitTargets(_SteppedTargets):
+    """Pre-warms one pod of every function seen so far at every tick: a
+    stepped schedule of one-pod runs that never ends."""
+
+    def decide(self, tick, now):
+        return TickAction(prewarm=tuple((f, 1) for f in self._seen))
+
+
 #: Policy sets by name: ``make(max_delay_s, trigger)`` -> evaluator kwargs.
 _POLICY_SETS = {
     "timer": lambda d, g: dict(prewarm_policy=TimerPrewarmPolicy()),
@@ -144,7 +160,15 @@ _POLICY_SETS = {
     "stepped-targets+shaving": lambda d, g: dict(
         prewarm_policy=_SteppedTargets(), peak_shaver=_shaver(d, g)
     ),
+    "stepped-unit": lambda d, g: dict(prewarm_policy=_UnitTargets()),
+    "stepped-unit+shaving": lambda d, g: dict(
+        prewarm_policy=_UnitTargets(), peak_shaver=_shaver(d, g)
+    ),
 }
+
+#: Pre-warm graces: shorter than a tick, two and three ticks (deaths on
+#: tick edges), and the evaluator's default.
+_GRACES = [30.0, 120.0, 150.0, 180.0]
 
 
 @st.composite
@@ -227,6 +251,7 @@ def cases(draw):
         draw(st.sampled_from([60.0, 10.0])),
         draw(st.sampled_from([None, 0.6])),
         draw(st.integers(0, 3)),
+        draw(st.sampled_from(_GRACES)),
         draw(st.lists(_function(), min_size=1, max_size=6)),
     )
 
@@ -254,13 +279,14 @@ def _traces(functions) -> list[FunctionTrace]:
 
 
 def _replay(case, engine: str):
-    name, max_delay_s, trigger, keepalive_s, horizon_share, seed, functions = case
+    (name, max_delay_s, trigger, keepalive_s, horizon_share, seed, grace_s,
+     functions) = case
     traces = _traces(functions)
     last = max((t.arrivals[-1] for t in traces if t.arrivals.size), default=0.0)
     horizon_s = None if horizon_share is None else horizon_share * float(last)
     evaluator = RegionEvaluator(
         region_profile("R2"), seed=seed, engine=engine,
-        keepalive_policy=FixedKeepAlive(keepalive_s),
+        keepalive_policy=FixedKeepAlive(keepalive_s), prewarm_grace_s=grace_s,
         **_POLICY_SETS[name](max_delay_s, trigger),
     )
     return evaluator.run(traces, horizon_s=horizon_s)
@@ -272,7 +298,7 @@ def _replay(case, engine: str):
 #: pre-warmed at ticks only those delays make fire. The synchronous timer
 #: fires twice, so its only pre-warm ticks are those late ones.
 _LATE_CLOCK = (
-    "timer+shaving", 400.0, -1.0, 60.0, None, 1,
+    "timer+shaving", 400.0, -1.0, 60.0, None, 1, 150.0,
     [
         (True, False, (120.0 * np.arange(10)).tolist(), 0.5, 1),
         (False, False, (1_080.0 - 0.5 + 0.05 * np.arange(40)).tolist(), 2.0, 1),
@@ -287,7 +313,7 @@ _LATE_CLOCK = (
 #: chain-jumped) past two of the sweep's largest blocks; one fills them
 #: and queues, so blocks stop short and restart.
 _LONG_BURSTS = (
-    "stepped-targets", 45.0, 0.0, 60.0, None, 2,
+    "stepped-targets", 45.0, 0.0, 60.0, None, 2, 150.0,
     [
         (False, True, (119.5 + 0.05 * np.arange(2 * _EP_CHUNK + 7)).tolist(),
          0.1, 4),
@@ -301,7 +327,7 @@ _LONG_BURSTS = (
 #: that window on day two, where the histogram policy pre-warms it every
 #: minute: long idle gaps each hold many pre-warm ticks.
 _IDLE_GAPS = (
-    "histogram", 45.0, 0.0, 10.0, None, 3,
+    "histogram", 45.0, 0.0, 10.0, None, 3, 150.0,
     [
         (False, False,
          (3_600.0 + 30.0 * np.arange(180)).tolist()
@@ -316,7 +342,7 @@ _IDLE_GAPS = (
 #: (busy until 121.0), 120.7 a second, and at 121.0 the first pod's slot
 #: end ties with the untouched third: the earliest created wins.
 _EPISODE_TIE = (
-    "stepped-targets", 45.0, 0.0, 60.0, None, 0,
+    "stepped-targets", 45.0, 0.0, 60.0, None, 0, 150.0,
     [
         (False, False, [10.0, 120.5, 120.7, 121.0, 121.2, 121.5, 300.0],
          0.5, 1),
@@ -330,7 +356,7 @@ _EPISODE_TIE = (
 #: function replays under the shave schedule, and its run is priced in
 #: speculative blocks that stop at each arrival the shaver could delay.
 _SPARSE_GAPS = (
-    "timer+shaving", 45.0, 0.0, 60.0, None, 1,
+    "timer+shaving", 45.0, 0.0, 60.0, None, 1, 150.0,
     [
         (True, False, (17.0 + 150.0 * np.arange(40)).tolist(), 0.5, 1),
         (False, False, sorted(
@@ -338,6 +364,27 @@ _SPARSE_GAPS = (
             + (600.0 - 0.5 + 0.05 * np.arange(40)).tolist()
         ), 0.5, 1),
     ],
+)
+
+
+#: One pod pre-warmed at every tick, graces of three ticks: a function
+#: idle for five hours between two short sessions, where each pre-warmed
+#: pod dies exactly on a tick edge and that tick makes the next; and a
+#: single-slot function whose hour-long requests keep its pod busy.
+_IDLE_HOURS = (
+    "stepped-unit", 45.0, 0.0, 60.0, None, 1, 180.0,
+    [
+        (False, False, [30.0, 45.0, 100.0, 18_007.0, 18_030.0], 0.5, 1),
+        (False, True, [20.0, 3_650.0, 7_300.0], 3_600.0, 1),
+    ],
+)
+
+#: A one-pod run starting at tick 1, while the lone pod serves the 45 s
+#: request that arrived at 30 s: that tick makes a second pod. From the
+#: request at 250 s on, one pod idles or dies at each tick.
+_BUSY_AT_RUN_START = (
+    "stepped-unit", 45.0, 0.0, 60.0, None, 0, 120.0,
+    [(False, False, [30.0, 250.0, 1_000.0, 3_000.0], 45.0, 1)],
 )
 
 
@@ -353,6 +400,9 @@ _SPARSE_GAPS = (
 @example(case=_EPISODE_TIE)
 @example(case=("stepped-targets+shaving", 45.0, -1.0) + _EPISODE_TIE[3:])
 @example(case=_SPARSE_GAPS)
+@example(case=_IDLE_HOURS)
+@example(case=_BUSY_AT_RUN_START)
+@example(case=("stepped-targets",) + _IDLE_HOURS[1:])
 def test_vector_matches_event(case):
     event = _replay(case, "event")
     vector = _replay(case, "vector")
@@ -395,6 +445,17 @@ def test_pinned_cases_reach_the_new_regimes():
     assert sparse["vector/spec/accepted"] > quiet["vector/spec/accepted"] > 0
     sparse_run = _replay(_SPARSE_GAPS, "event")
     assert sparse_run.delayed_requests > 0 and sparse_run.prewarm_creations > 0
+    # One-pod runs: the one-pod loop applies their ticks across the idle
+    # hours (about 300 ticks), hands the main loop the ticks its pod is
+    # busy at, and takes no tick that asks for two pods.
+    inline = "vector/coupled/inline_ticks"
+    assert _counters(_IDLE_HOURS).get(inline, 0) > 250
+    busy_run = _replay(_BUSY_AT_RUN_START, "event")
+    fired = len(busy_run.pods_gauge)
+    assert 0 < _counters(_BUSY_AT_RUN_START).get(inline, 0) < fired - 1
+    two = ("stepped-targets",) + _IDLE_HOURS[1:]
+    assert inline not in _counters(two)
+    assert _replay(two, "event").prewarm_creations > 0
 
 
 def test_walker_asks_for_the_tick_an_event_lands_on():

@@ -13,7 +13,8 @@ the merge has to get exactly right:
 * saturated cold bursts straddling a tick edge (a cold block must stop
   at the edge, since the next tick may route elsewhere);
 * an inter-region RTT that puts the router's EMA seeds at or near its
-  ``improvement_gate``, so the route flips back and forth.
+  ``improvement_gate``, so the route flips back and forth;
+* a router subclass whose ``decide`` builds actions of its own.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from unittest import mock
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.mitigation import CrossRegionEvaluator, RoutingPolicy, cross_region
+from repro.mitigation import (
+    CrossRegionEvaluator,
+    RouteDirective,
+    RoutingPolicy,
+    TickAction,
+    cross_region,
+)
 from repro.mitigation.cross_region import BestRegionRouter, _ema_seed
 from repro.obs.telemetry import profiled
 from repro.workload.catalog import OBS_A, ResourceConfig, Runtime
@@ -313,3 +320,62 @@ def test_flip_then_quiet_case_routes_both_ways_across_the_silence():
     by_region = metrics.cold_starts_by_region
     assert by_region["R2"] > 0 and by_region["R3"] > 0
     assert len(router.seen) > 80
+
+
+#: The flipping case with two remotes, as ``_REGIONS`` draws them.
+_TWO_REMOTES = ("R2", ("R3", "R4"), *_FLIP_THEN_QUIET[2:])
+
+
+def test_router_steps_on_pinned_cases():
+    """The merge steps the router once per tick a cold start falls in:
+    the counts are fixed by the traces and the routes, not by how the
+    walkers price their colds (one at a time or in blocks)."""
+    for case, steps in ((_FLIP_THEN_QUIET, 25), (_TWO_REMOTES, 25)):
+        assert _replay(case, "vector", RoutingPolicy.BEST_REGION)[2] == steps
+
+
+class _HomeOnOddTicks(BestRegionRouter):
+    """Overrides ``decide`` with actions it builds itself: the EMA choice
+    on even ticks, home on odd ones."""
+
+    def decide(self, tick, now):
+        if tick % 2:
+            return TickAction(route=RouteDirective(region=0, penalty_s=0.0))
+        route = super().decide(tick, now).route
+        return TickAction(
+            route=RouteDirective(region=route.region, penalty_s=route.penalty_s)
+        )
+
+
+class _HomeOnOddTicksEvaluator(CrossRegionEvaluator):
+    def _router(self, policy):
+        router = super()._router(policy)
+        return router and _HomeOnOddTicks(router.emas, router.rtt_s)
+
+
+def test_router_subclass_overriding_decide_matches_event():
+    """A subclass's own ``decide`` governs both engines alike, and it
+    changes the routing of the flipping cases."""
+    moved = False
+    for case in (_KNIFE_EDGE, _AWAY_AT_TICK_ZERO, _FLIP_THEN_QUIET, _TWO_REMOTES):
+        home, remotes, offset, keepalive_s, seed, functions = case
+        runs = [
+            evaluator_type(
+                home=home, remotes=remotes,
+                rtt_s=_gate_rtt(home, remotes, offset), seed=seed,
+                engine=engine,
+            ).run(_traces(functions), policy=RoutingPolicy.BEST_REGION,
+                  keepalive_s=keepalive_s)
+            for evaluator_type, engine in (
+                (_HomeOnOddTicksEvaluator, "event"),
+                (_HomeOnOddTicksEvaluator, "vector"),
+                (CrossRegionEvaluator, "vector"),
+            )
+        ]
+        event, vector, plain = runs
+        assert vector.summary() == event.summary()
+        assert vector.cold_wait == event.cold_wait
+        assert vector.total_delay_s == event.total_delay_s
+        assert vector.cold_starts_by_region == event.cold_starts_by_region
+        moved |= vector.cold_starts_by_region != plain.cold_starts_by_region
+    assert moved
